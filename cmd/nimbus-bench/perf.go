@@ -67,7 +67,6 @@ func perfRun(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		duration = fs.Duration("duration", 5*time.Second, "load phase length (ignored when -n is set)")
 		count    = fs.Int("n", 0, "exact load request count (0 = run for -duration)")
 		seed     = fs.Int64("seed", 42, "seed for the market build and the replayable traffic mix")
-		offers   = fs.Int("offerings", 1, "offerings listed by the load harness (more offerings spread purchases across broker shards)")
 		markets  = fs.Int("markets", 0, "when > 1, also record a multi_load point: the same load profile spread across this many registry tenant markets")
 		jsync    = fs.String("journal-sync", "group", "harness journal fsync policy: always, group, interval or never")
 	)
@@ -84,7 +83,6 @@ func perfRun(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			Duration:    *duration,
 			Count:       *count,
 			Seed:        *seed,
-			Offerings:   *offers,
 			Sync:        *jsync,
 			Logf: func(format string, a ...any) {
 				fmt.Fprintf(stderr, format+"\n", a...)

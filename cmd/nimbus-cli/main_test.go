@@ -7,44 +7,29 @@ import (
 	"path/filepath"
 	"testing"
 
-	"nimbus/internal/dataset"
 	"nimbus/internal/journal"
-	"nimbus/internal/market"
-	"nimbus/internal/ml"
-	"nimbus/internal/pricing"
 	"nimbus/internal/registry"
-	"nimbus/internal/rng"
 	"nimbus/internal/server"
 )
 
+// startBroker serves a memory-only registry with one small regression
+// market and returns its URL and offering name.
 func startBroker(t *testing.T) (string, string) {
 	t.Helper()
-	d, err := dataset.StandIn("CASP", dataset.GenConfig{Rows: 200, Seed: 71})
+	r, err := registry.Open(registry.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pair, err := dataset.NewPair(d, rng.New(72))
+	t.Cleanup(func() { r.Close() })
+	m, err := r.List(registry.Spec{
+		ID: "casp", Generator: "CASP", Rows: 200, Grid: 8, Samples: 30, Seed: 71, ValueScale: 60,
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seller, err := market.NewSeller(pair, market.Research{
-		Value:  func(e float64) float64 { return 60 / (1 + e) },
-		Demand: func(e float64) float64 { return 1 },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	broker := market.NewBroker(73)
-	o, err := broker.List(market.OfferingConfig{
-		Seller: seller, Model: ml.LinearRegression{Ridge: 1e-3},
-		Grid: pricing.DefaultGrid(8), Samples: 30, Seed: 74,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(server.New(broker, server.WithLogger(func(string, ...any) {})))
+	srv := httptest.NewServer(server.NewMulti(r, server.WithLogger(func(string, ...any) {})))
 	t.Cleanup(srv.Close)
-	return srv.URL, o.Name
+	return srv.URL, m.Broker.Menu()[0]
 }
 
 func TestCLICommands(t *testing.T) {

@@ -69,7 +69,7 @@ func main() {
 	flag.BoolVar(&opt.PerfJSON, "json", false, "emit a schema-versioned perf report (internal/perf schema, load section) instead of -format output")
 	flag.DurationVar(&opt.Timeout, "timeout", 10*time.Second, "per-request timeout")
 	flag.Float64Var(&opt.Rate, "rate", 40, "aggregate request rate cap in req/s (0 = closed-loop, as fast as responses return)")
-	markets := flag.String("markets", "", "comma-separated dataset IDs: spread traffic round-robin across these tenant markets (multi-tenant daemons only; empty = legacy single-market routes)")
+	markets := flag.String("markets", "", "comma-separated dataset IDs: spread traffic round-robin across these tenant markets (empty = the untenanted routes, which serve every market)")
 	flag.Parse()
 	if *markets != "" {
 		opt.Markets = splitMarkets(*markets)

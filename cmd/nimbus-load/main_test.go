@@ -9,13 +9,9 @@ import (
 	"testing"
 	"time"
 
-	"nimbus/internal/dataset"
 	"nimbus/internal/loadgen"
-	"nimbus/internal/market"
-	"nimbus/internal/ml"
 	"nimbus/internal/perf"
-	"nimbus/internal/pricing"
-	"nimbus/internal/rng"
+	"nimbus/internal/registry"
 	"nimbus/internal/server"
 )
 
@@ -23,37 +19,23 @@ import (
 // tested in internal/loadgen; these tests cover the CLI shell — option
 // plumbing and the three report renderings.
 
-// newBrokerServer stands up a small one-offering broker behind the full
-// production middleware, mirroring nimbusd's wiring.
+// newBrokerServer serves a memory-only registry with one small regression
+// market behind the full production middleware, mirroring nimbusd's
+// wiring.
 func newBrokerServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	d, err := dataset.StandIn("CASP", dataset.GenConfig{Rows: 200, Seed: 11})
+	r, err := registry.Open(registry.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pair, err := dataset.NewPair(d, rng.New(12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seller, err := market.NewSeller(pair, market.Research{
-		Value:  func(e float64) float64 { return 60 / (1 + e) },
-		Demand: func(e float64) float64 { return 1 },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	broker := market.NewBroker(13)
-	if _, err := broker.List(market.OfferingConfig{
-		Seller:  seller,
-		Model:   ml.LinearRegression{Ridge: 1e-3},
-		Grid:    pricing.DefaultGrid(12),
-		Samples: 40,
-		Seed:    14,
-	}); err != nil {
+	t.Cleanup(func() { r.Close() })
+	if _, err := r.List(registry.Spec{
+		ID: "casp", Generator: "CASP", Rows: 200, Grid: 12, Samples: 40, Seed: 11, ValueScale: 60,
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	quiet := func(string, ...any) {}
-	handler := server.New(broker, server.WithLogger(quiet))
+	handler := server.NewMulti(r, server.WithLogger(quiet))
 	srv := httptest.NewServer(server.WithMiddleware(handler, quiet, nil))
 	t.Cleanup(srv.Close)
 	return srv

@@ -1,123 +1,22 @@
 package main
 
 import (
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"nimbus/internal/journal"
-	"nimbus/internal/market"
 	"nimbus/internal/registry"
 )
 
-func TestBuildBrokerListsAllSixDatasets(t *testing.T) {
-	var logs []string
-	broker, err := buildBroker(2e-4, 7, 30, 8, func(format string, args ...any) {
-		logs = append(logs, format)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	menu := broker.Menu()
-	if len(menu) != 6 {
-		t.Fatalf("menu %v", menu)
-	}
-	wantModels := map[string]string{
-		"Simulated1": "linear-regression",
-		"YearMSD":    "linear-regression",
-		"CASP":       "linear-regression",
-		"Simulated2": "logistic-regression",
-		"CovType":    "logistic-regression",
-		"SUSY":       "logistic-regression",
-	}
-	for _, name := range menu {
-		parts := strings.SplitN(name, "/", 2)
-		if wantModels[parts[0]] != parts[1] {
-			t.Fatalf("offering %s has unexpected model", name)
-		}
-		o, err := broker.Offering(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := o.VerifySLA(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-	}
-	if len(logs) == 0 {
-		t.Fatal("no progress logged")
-	}
-}
-
-func TestLedgerSaveRestoreViaFiles(t *testing.T) {
-	broker, err := buildBroker(1e-9, 3, 10, 4, func(string, ...any) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	name := broker.Menu()[0]
-	if _, err := broker.BuyAtQuality(name, offeringLoss(t, broker, name), 2); err != nil {
-		t.Fatal(err)
-	}
-	path := t.TempDir() + "/ledger.json"
-	if err := saveLedger(broker, path); err != nil {
-		t.Fatal(err)
-	}
-
-	fresh, err := buildBroker(1e-9, 3, 10, 4, func(string, ...any) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restoreLedger(fresh, path); err != nil {
-		t.Fatal(err)
-	}
-	if len(fresh.Sales()) != 1 {
-		t.Fatalf("restored %d sales", len(fresh.Sales()))
-	}
-	// Restoring a missing path is a silent first-run.
-	empty, err := buildBroker(1e-9, 3, 10, 4, func(string, ...any) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := restoreLedger(empty, t.TempDir()+"/missing.json"); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func offeringLoss(t *testing.T, broker *market.Broker, name string) string {
-	t.Helper()
-	o, err := broker.Offering(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return o.LossNames()[0]
-}
-
-func TestRunRejectsLedgerPlusJournal(t *testing.T) {
-	err := run(config{ledger: "ledger.json", journalDir: "journal"})
-	if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-		t.Fatalf("want mutual-exclusion error, got %v", err)
-	}
-}
-
-func TestRunRejectsDataDirPlusLegacyPersistence(t *testing.T) {
-	for _, cfg := range []config{
-		{dataDir: "data", journalDir: "journal"},
-		{dataDir: "data", ledger: "ledger.json"},
-	} {
-		err := run(cfg)
-		if err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
-			t.Fatalf("config %+v: want mutual-exclusion error, got %v", cfg, err)
-		}
-	}
-}
-
-// TestSeedSuiteListsAndRecovers drives the registry-mode boot sequence:
+// TestSeedSuiteListsAndRecovers drives the durable boot sequence:
 // an empty data directory is seeded with the six Table 3 datasets, and a
 // second boot recovers them from their manifests instead of re-seeding.
 func TestSeedSuiteListsAndRecovers(t *testing.T) {
 	root := t.TempDir()
 	cfg := config{scale: 1e-9, seed: 3, samples: 10, gridN: 4}
-	quiet := func(string, ...any) {}
 	open := func() *registry.Registry {
 		r, err := registry.Open(registry.Config{Root: root, Sync: journal.SyncNever})
 		if err != nil {
@@ -127,8 +26,12 @@ func TestSeedSuiteListsAndRecovers(t *testing.T) {
 	}
 
 	r := open()
-	if err := seedSuite(r, cfg, quiet); err != nil {
+	var logs []string
+	if err := seedSuite(r, cfg, func(format string, args ...any) { logs = append(logs, format) }); err != nil {
 		t.Fatal(err)
+	}
+	if len(logs) == 0 {
+		t.Fatal("no progress logged")
 	}
 	if r.Count() != 6 || len(r.Menu()) != 6 {
 		t.Fatalf("seeded %d markets, %d offerings", r.Count(), len(r.Menu()))
@@ -146,12 +49,23 @@ func TestSeedSuiteListsAndRecovers(t *testing.T) {
 		if wantModels[parts[0]] != parts[1] {
 			t.Fatalf("offering %s has unexpected model", name)
 		}
+		m, err := r.Get(parts[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := m.Broker.Offering(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := o.VerifySLA(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// Second boot: everything recovers, so runMulti would skip seeding.
+	// Second boot: everything recovers, so openRegistry would skip seeding.
 	r2 := open()
 	defer r2.Close()
 	if r2.Count() != 6 {
@@ -159,88 +73,95 @@ func TestSeedSuiteListsAndRecovers(t *testing.T) {
 	}
 }
 
-// TestJournalSurvivesRestarts drives the lifecycle nimbusd wires up:
-// sales are journaled, a graceful shutdown compacts them into a snapshot,
-// a crash (no compaction) leaves them in the record tail, and either way
-// the next startup recovers the full ledger.
-func TestJournalSurvivesRestarts(t *testing.T) {
-	dir := t.TempDir()
-	cfg := config{
-		journalDir:      dir,
-		journalSync:     "always",
-		journalSyncEvry: time.Millisecond,
-		journalSegBytes: 1024,
-	}
-	logf := func(string, ...any) {}
-	newBroker := func() *market.Broker {
-		broker, err := buildBroker(1e-9, 3, 10, 4, logf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return broker
-	}
-
-	// Generation 1: two sales, graceful shutdown (compacts).
-	b1 := newBroker()
-	j1, err := openJournal(b1, cfg, nil, logf)
+// TestMemoryOnlyBoot: without -data-dir the registry lives in memory and
+// is seeded with the Table 3 suite, so a bare nimbusd sells the same six
+// offerings.
+func TestMemoryOnlyBoot(t *testing.T) {
+	cfg := config{scale: 1e-9, seed: 3, samples: 10, gridN: 4, journalSync: "interval"}
+	r, err := openRegistry(cfg, nil, func(string, ...any) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-	name := b1.Menu()[0]
-	loss := offeringLoss(t, b1, name)
-	for i := 0; i < 2; i++ {
-		if _, err := b1.BuyAtQuality(name, loss, 2); err != nil {
-			t.Fatal(err)
-		}
+	defer r.Close()
+	want := []string{
+		"CASP/linear-regression", "CovType/logistic-regression", "SUSY/logistic-regression",
+		"Simulated1/linear-regression", "Simulated2/logistic-regression", "YearMSD/linear-regression",
 	}
-	if err := closeJournal(b1, j1, logf); err != nil {
-		t.Fatal(err)
-	}
-
-	// Generation 2: recovers from the snapshot, sells once more, then
-	// "crashes" — the journal is abandoned without compaction or flush
-	// beyond the per-append fsync.
-	b2 := newBroker()
-	j2, err := openJournal(b2, cfg, nil, logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(b2.Sales()); got != 2 {
-		t.Fatalf("generation 2 recovered %d sales, want 2", got)
-	}
-	if _, err := b2.BuyAtQuality(name, loss, 3); err != nil {
-		t.Fatal(err)
-	}
-	wantRevenue := b2.TotalRevenue()
-	if err := j2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Generation 3: snapshot (2 sales) + tail replay (1 sale).
-	b3 := newBroker()
-	j3, err := openJournal(b3, cfg, nil, logf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j3.Close()
-	if got := len(b3.Sales()); got != 3 {
-		t.Fatalf("generation 3 recovered %d sales, want 3", got)
-	}
-	if b3.TotalRevenue() != wantRevenue {
-		t.Fatalf("recovered revenue %v, want %v", b3.TotalRevenue(), wantRevenue)
-	}
-	if !reflect.DeepEqual(b3.Sales(), b2.Sales()) {
-		t.Fatal("recovered ledger differs from the pre-crash ledger")
+	if got := r.Menu(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("menu %v, want %v", got, want)
 	}
 }
 
-func TestBuildBrokerPropagatesErrors(t *testing.T) {
-	// Scale so tiny that the floor of 64 rows still works — instead poison
-	// via a negative sample count? Samples fall back to default; the
-	// realistic failure is an invalid grid size producing a 2-point grid,
-	// which still works. Exercise the happy path with minimal settings to
-	// keep the error-path coverage in the market package where it lives.
-	if _, err := buildBroker(1e-9, 1, 10, 2, func(string, ...any) {}); err != nil {
-		t.Fatalf("minimal broker failed: %v", err)
+// TestJournalSurvivesRestarts drives three generations of nimbusd's boot
+// path on one data directory: a graceful shutdown compacts the journal
+// into a snapshot, a crash (no Close) leaves later sales in the record
+// tail, and the next startup recovers snapshot plus tail exactly.
+func TestJournalSurvivesRestarts(t *testing.T) {
+	cfg := config{
+		scale:           1e-9,
+		seed:            3,
+		samples:         10,
+		gridN:           4,
+		commission:      0.1,
+		journalSync:     "always",
+		journalSyncEvry: time.Millisecond,
+		journalSegBytes: 1024,
+		dataDir:         t.TempDir(),
+	}
+	quiet := func(string, ...any) {}
+	boot := func() (*registry.Registry, *registry.Market) {
+		r, err := openRegistry(cfg, nil, quiet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Count() != 6 {
+			t.Fatalf("booted %d markets, want the 6 seeded ones", r.Count())
+		}
+		m, err := r.Get("Simulated1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, m
+	}
+	const offering, loss = "Simulated1/linear-regression", "squared"
+	journalDir := filepath.Join(cfg.dataDir, "Simulated1", "journal")
+
+	// Generation 1: seeds the suite, sells twice, shuts down gracefully.
+	r1, m1 := boot()
+	for i := 0; i < 2; i++ {
+		if _, err := m1.Buy(offering, loss, "quality", 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if snaps, _ := filepath.Glob(filepath.Join(journalDir, "snap-*.snap")); len(snaps) == 0 {
+		t.Fatal("graceful shutdown left no journal snapshot")
+	}
+
+	// Generation 2: recovers the snapshot, sells once more, then crashes —
+	// the registry is abandoned without Close, so the sale survives only
+	// as a record in the journal tail.
+	_, m2 := boot()
+	if got := m2.Broker.SaleCount(); got != 2 {
+		t.Fatalf("generation 2 recovered %d sales, want 2", got)
+	}
+	if _, err := m2.Buy(offering, loss, "quality", 3); err != nil {
+		t.Fatal(err)
+	}
+	wantSales, wantRevenue := m2.Broker.Sales(), m2.Broker.TotalRevenue()
+
+	// Generation 3: snapshot (2 sales) + tail replay (1 sale).
+	r3, m3 := boot()
+	defer r3.Close()
+	if got := m3.Broker.SaleCount(); got != 3 {
+		t.Fatalf("generation 3 recovered %d sales, want 3", got)
+	}
+	if !reflect.DeepEqual(m3.Broker.Sales(), wantSales) {
+		t.Fatal("recovered ledger differs from the pre-crash ledger")
+	}
+	if got := m3.Broker.TotalRevenue(); got != wantRevenue {
+		t.Fatalf("recovered revenue %v, want %v", got, wantRevenue)
 	}
 }

@@ -18,32 +18,28 @@ import (
 )
 
 func main() {
-	// Seller side: one classification dataset listed on a fresh broker.
-	data := nimbus.Simulated2(nimbus.GenConfig{Rows: 4000, Seed: 31})
-	pair, err := nimbus.NewPair(data, nimbus.NewRand(32))
+	// Seller side: one classification dataset listed on a memory-only
+	// registry (set RegistryConfig.Root to journal it on disk instead).
+	registry, err := nimbus.OpenRegistry(nimbus.RegistryConfig{Commission: 0.1})
 	if err != nil {
 		log.Fatal(err)
 	}
-	seller, err := nimbus.NewSeller(pair, nimbus.Research{
-		Value:  func(e float64) float64 { return 80 / (1 + 4*e) },
-		Demand: func(e float64) float64 { return 1 },
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	broker := nimbus.NewBroker(33)
-	if _, err := broker.List(nimbus.OfferingConfig{
-		Seller:  seller,
-		Model:   nimbus.LogisticRegression{Ridge: 1e-4},
-		Samples: 150,
-		Seed:    34,
-	}); err != nil {
+	if _, err := registry.List(nimbus.DatasetSpec{
+		ID:         "Simulated2",
+		Owner:      "demo-seller",
+		Generator:  "Simulated2",
+		Rows:       4000,
+		Model:      "logistic-regression",
+		Samples:    150,
+		Seed:       31,
+		ValueScale: 80,
+	}, nil); err != nil {
 		log.Fatal(err)
 	}
 
 	// Serve the marketplace over HTTP (an in-process listener keeps the
 	// example self-contained; `cmd/nimbusd` is the standalone daemon).
-	srv := httptest.NewServer(nimbus.NewServer(broker))
+	srv := httptest.NewServer(nimbus.NewServer(registry))
 	defer srv.Close()
 	fmt.Printf("nimbus broker serving on %s\n\n", srv.URL)
 
@@ -82,5 +78,9 @@ func main() {
 			req.Option, p.Price, p.ExpectedError, p.NCP)
 	}
 
-	fmt.Printf("\nbroker ledger: %d sales, revenue %.2f\n", len(broker.Sales()), broker.TotalRevenue())
+	st := registry.Stats()
+	fmt.Printf("\nbroker ledger: %d sales, revenue %.2f\n", st.Sales, st.Gross)
+	if err := registry.Close(); err != nil {
+		log.Fatal(err)
+	}
 }

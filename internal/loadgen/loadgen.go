@@ -41,10 +41,10 @@ type Config struct {
 	// Rate caps the aggregate request rate (req/s); 0 runs fully
 	// closed-loop, as fast as responses return.
 	Rate float64
-	// Markets spreads traffic across a multi-tenant daemon: each buyer
+	// Markets spreads traffic across tenant markets: each buyer
 	// round-robins the listed dataset IDs (from a seeded starting offset)
-	// and purchases through the tenant-scoped routes. Empty targets the
-	// legacy single-market API unchanged.
+	// and purchases through the tenant-scoped routes. Empty shops the
+	// untenanted routes, which serve every market's offerings.
 	Markets []string
 }
 
@@ -91,7 +91,7 @@ type Report struct {
 	// against the broker's nimbus_revenue_total series.
 	Revenue float64 `json:"revenue"`
 	// Markets is the number of tenant markets the run spread across
-	// (0 = legacy single-market run).
+	// (0 = a run on the untenanted routes).
 	Markets int `json:"markets,omitempty"`
 	// ByMarket counts completed requests per dataset ID (multi-market
 	// runs only).
@@ -109,10 +109,10 @@ type curvePoint struct {
 	x, err, price float64
 }
 
-// targetGroup is one market's shoppable curves. Single-market runs use
-// one group with an empty market ID.
+// targetGroup is one market's shoppable curves. Runs on the untenanted
+// routes use one group with an empty market ID.
 type targetGroup struct {
-	market  string // dataset ID; "" = legacy single-market API
+	market  string // dataset ID; "" = the untenanted routes
 	targets []target
 }
 
@@ -188,8 +188,8 @@ func Run(ctx context.Context, client *server.Client, cfg Config) (Report, error)
 }
 
 // loadTargetGroups fetches the shoppable curves: the whole menu as one
-// group for single-market runs, or one group per tenant market fetched
-// through the tenant-scoped routes.
+// group for runs on the untenanted routes, or one group per tenant market
+// fetched through the tenant-scoped routes.
 func loadTargetGroups(ctx context.Context, client *server.Client, markets []string) ([]targetGroup, error) {
 	if len(markets) == 0 {
 		targets, err := loadTargets(ctx, client, "")
@@ -210,7 +210,7 @@ func loadTargetGroups(ctx context.Context, client *server.Client, markets []stri
 }
 
 // loadTargets fetches one menu and every per-loss price–error curve;
-// market "" uses the legacy single-market routes.
+// market "" uses the untenanted routes.
 func loadTargets(ctx context.Context, client *server.Client, market string) ([]target, error) {
 	fetchMenu := func() (*server.MenuResponse, error) { return client.Menu(ctx) }
 	fetchCurve := func(offering, loss string) (*server.CurveResponse, error) {
@@ -274,8 +274,8 @@ func nextRequest(rnd *rng.Source, targets []target) server.BuyRequest {
 
 // buyer is one closed-loop worker: claim a slot, pick a market (round-
 // robin from a seeded start), pick a curve and option, buy, record,
-// repeat. With one group the market rotation degenerates to the legacy
-// single-market loop and draws nothing extra from the rng stream.
+// repeat. With one group the market rotation degenerates to a single
+// loop and draws nothing extra from the rng stream.
 func buyer(ctx context.Context, client *server.Client, groups []targetGroup, rnd *rng.Source, claim func() bool, tick <-chan time.Time) workerResult {
 	res := workerResult{byOption: make(map[string]int)}
 	gi := 0

@@ -8,47 +8,29 @@ import (
 	"testing"
 	"time"
 
-	"nimbus/internal/dataset"
-	"nimbus/internal/market"
-	"nimbus/internal/ml"
-	"nimbus/internal/pricing"
+	"nimbus/internal/registry"
 	"nimbus/internal/rng"
 	"nimbus/internal/server"
 	"nimbus/internal/telemetry"
 )
 
-// newBrokerServer stands up a small one-offering broker behind the full
-// production middleware, mirroring nimbusd's wiring.
+// newBrokerServer serves a memory-only registry with one small regression
+// market behind the full production middleware, mirroring nimbusd's
+// wiring.
 func newBrokerServer(t *testing.T, reg *telemetry.Registry) *httptest.Server {
 	t.Helper()
-	d, err := dataset.StandIn("CASP", dataset.GenConfig{Rows: 200, Seed: 11})
+	r, err := registry.Open(registry.Config{Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pair, err := dataset.NewPair(d, rng.New(12))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seller, err := market.NewSeller(pair, market.Research{
-		Value:  func(e float64) float64 { return 60 / (1 + e) },
-		Demand: func(e float64) float64 { return 1 },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	broker := market.NewBroker(13)
-	broker.SetTelemetry(reg)
-	if _, err := broker.List(market.OfferingConfig{
-		Seller:  seller,
-		Model:   ml.LinearRegression{Ridge: 1e-3},
-		Grid:    pricing.DefaultGrid(12),
-		Samples: 40,
-		Seed:    14,
-	}); err != nil {
+	t.Cleanup(func() { r.Close() })
+	if _, err := r.List(registry.Spec{
+		ID: "casp", Generator: "CASP", Rows: 200, Grid: 12, Samples: 40, Seed: 11, ValueScale: 60,
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	quiet := func(string, ...any) {}
-	handler := server.New(broker, server.WithLogger(quiet), server.WithTelemetry(reg))
+	handler := server.NewMulti(r, server.WithLogger(quiet), server.WithTelemetry(reg))
 	srv := httptest.NewServer(server.WithMiddleware(handler, quiet, reg))
 	t.Cleanup(srv.Close)
 	return srv
@@ -172,11 +154,14 @@ func TestRunRejectsBadConfig(t *testing.T) {
 // TestRunEmptyMenu checks the generator refuses a broker with nothing to
 // sell instead of spinning.
 func TestRunEmptyMenu(t *testing.T) {
-	quiet := func(string, ...any) {}
-	handler := server.New(market.NewBroker(1), server.WithLogger(quiet))
-	srv := httptest.NewServer(handler)
+	r, err := registry.Open(registry.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	srv := httptest.NewServer(server.NewMulti(r, server.WithLogger(func(string, ...any) {})))
 	t.Cleanup(srv.Close)
-	_, err := Run(context.Background(), client(srv), Config{
+	_, err = Run(context.Background(), client(srv), Config{
 		Concurrency: 1, Count: 5,
 	})
 	if err == nil || !strings.Contains(err.Error(), "empty menu") {

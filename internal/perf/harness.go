@@ -8,14 +8,9 @@ import (
 	"os"
 	"time"
 
-	"nimbus/internal/dataset"
 	"nimbus/internal/journal"
 	"nimbus/internal/loadgen"
-	"nimbus/internal/market"
-	"nimbus/internal/ml"
-	"nimbus/internal/pricing"
 	"nimbus/internal/registry"
-	"nimbus/internal/rng"
 	"nimbus/internal/server"
 	"nimbus/internal/telemetry"
 )
@@ -31,28 +26,19 @@ type LoadOptions struct {
 	// Seed drives the market build and the replayable traffic mix
 	// (default 42).
 	Seed int64
-	// Rows sizes the stand-in dataset backing each offering (default 250).
+	// Rows sizes the stand-in dataset backing each market (default 250).
 	Rows int
 	// Grid and Samples size each listed price–error curve (defaults 15
 	// and 60, the integration-test shape).
 	Grid    int
 	Samples int
-	// Offerings is how many offerings the harness lists (default 1).
-	// More offerings spread purchases across broker shards, so this is the
-	// knob that exercises the sharded buy path; loadgen shops every
-	// (offering, loss) curve it finds on the menu.
-	Offerings int
-	// Sync is the harness journal's fsync policy ("always", "group",
+	// Sync is the tenant journals' fsync policy ("always", "group",
 	// "interval", "never"). Default "group": SyncAlways durability with
 	// concurrent sales amortized into shared fsyncs — the policy the
 	// sharded buy path is built around.
 	Sync string
-	// Markets, when > 1, switches the harness to the multi-tenant shape: a
-	// registry under a temp root lists this many one-offering markets (each
-	// with its own journal), the full daemon stack serves them through the
-	// tenant routes, and loadgen round-robins buys across all of them. The
-	// zero value (and 1) keeps the legacy single-broker path untouched, so
-	// existing trajectory points stay comparable.
+	// Markets is how many one-offering tenant markets the registry lists
+	// (default 1); loadgen round-robins buys across all of them.
 	Markets int
 	// Logf receives progress lines; nil discards them.
 	Logf func(format string, args ...any)
@@ -77,163 +63,27 @@ func (o *LoadOptions) setDefaults() {
 	if o.Samples <= 0 {
 		o.Samples = 60
 	}
-	if o.Offerings <= 0 {
-		o.Offerings = 1
-	}
 	if o.Sync == "" {
 		o.Sync = "group"
+	}
+	if o.Markets <= 0 {
+		o.Markets = 1
 	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
 	}
 }
 
-// RunLoad measures the buy path end to end: it lists a seeded one-offering
-// market on a broker whose sale path appends to a write-ahead journal in a
-// temp dir (the production finalize path, not a stripped-down one), serves
-// it through the full middleware + telemetry stack on a loopback listener,
-// drives it with internal/loadgen uncorked, and reads the server-side
-// latency back from the buy route's telemetry histogram.
+// RunLoad measures the buy path end to end: a registry under a temp root
+// lists opts.Markets seeded one-offering markets, each appending its sales
+// to its own write-ahead journal under the selected policy (the
+// production finalize path, not a stripped-down one). The full middleware
+// + telemetry stack serves them through the tenant routes on a loopback
+// listener, internal/loadgen drives them uncorked, and the server-side
+// latency is read back from the tenant buy route's telemetry histogram —
+// the series a production scrape exports.
 func RunLoad(ctx context.Context, opts LoadOptions) (*LoadResult, error) {
 	opts.setDefaults()
-	if opts.Markets > 1 {
-		return runMultiLoad(ctx, opts)
-	}
-
-	policy, err := journal.ParseSyncPolicy(opts.Sync)
-	if err != nil {
-		return nil, err
-	}
-
-	// Seeded market: the same stand-in dataset and listing shape the
-	// integration tests use, so trajectory points measure a stable market.
-	// With Offerings > 1 each listing gets its own derived seed and a
-	// distinct name, so listings land on distinct broker shards (modulo
-	// hash collisions) and the load mix covers them all.
-	broker := market.NewBroker(opts.Seed + 2)
-	reg := telemetry.NewRegistry()
-	broker.SetTelemetry(reg)
-	opts.Logf("perf: listing %d offering(s) (rows=%d grid=%d samples=%d)...",
-		opts.Offerings, opts.Rows, opts.Grid, opts.Samples)
-	for i := 0; i < opts.Offerings; i++ {
-		seed := opts.Seed + int64(i)*101
-		d, err := dataset.StandIn("CASP", dataset.GenConfig{Rows: opts.Rows, Seed: seed})
-		if err != nil {
-			return nil, fmt.Errorf("generating dataset: %w", err)
-		}
-		if opts.Offerings > 1 {
-			// Keep the single-offering profile byte-identical to earlier
-			// trajectory points; rename only when fanning out.
-			d.Name = fmt.Sprintf("CASP-%02d", i+1)
-		}
-		pair, err := dataset.NewPair(d, rng.New(seed+1))
-		if err != nil {
-			return nil, err
-		}
-		seller, err := market.NewSeller(pair, market.Research{
-			Value:  func(e float64) float64 { return 80 / (1 + e) },
-			Demand: func(e float64) float64 { return 1 },
-		})
-		if err != nil {
-			return nil, err
-		}
-		if _, err := broker.List(market.OfferingConfig{
-			Seller:  seller,
-			Model:   ml.LinearRegression{Ridge: 1e-3},
-			Grid:    pricing.DefaultGrid(opts.Grid),
-			Samples: opts.Samples,
-			Seed:    seed + 3,
-		}); err != nil {
-			return nil, fmt.Errorf("listing offering: %w", err)
-		}
-	}
-
-	// Journal in a temp dir: every measured sale pays the real durability
-	// cost under the selected policy, as production does.
-	dir, err := os.MkdirTemp("", "nimbus-perf-journal-")
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		//lint:ignore no-dropped-error the journal dir is throwaway measurement state; a leaked temp dir is not worth failing a report over
-		os.RemoveAll(dir)
-	}()
-	wal, err := journal.Open(dir, journal.Options{Sync: policy, Telemetry: reg})
-	if err != nil {
-		return nil, fmt.Errorf("opening journal: %w", err)
-	}
-	broker.SetJournal(wal)
-
-	// Full serving stack on a loopback listener: middleware + telemetry,
-	// no rate limiter — the harness measures the buy path, not a throttle.
-	quiet := func(string, ...any) {}
-	handler := server.WithMiddleware(
-		server.New(broker, server.WithLogger(quiet), server.WithTelemetry(reg)), quiet, reg)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		closeJournal(wal, opts.Logf)
-		return nil, err
-	}
-	srv := &http.Server{Handler: handler, ReadHeaderTimeout: 5 * time.Second}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- srv.Serve(ln) }()
-
-	cfg := loadgen.Config{
-		Concurrency: opts.Concurrency,
-		Duration:    opts.Duration,
-		Count:       opts.Count,
-		Seed:        opts.Seed,
-		Rate:        0, // uncorked: measure the serving stack, not the pacer
-	}
-	client := &server.Client{
-		BaseURL: "http://" + ln.Addr().String(),
-		HTTPClient: &http.Client{
-			Timeout:   10 * time.Second,
-			Transport: &http.Transport{MaxIdleConnsPerHost: opts.Concurrency},
-		},
-	}
-	opts.Logf("perf: driving load (c=%d duration=%v count=%d seed=%d)...",
-		cfg.Concurrency, cfg.Duration, cfg.Count, cfg.Seed)
-	rep, runErr := loadgen.Run(ctx, client, cfg)
-
-	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(shutCtx); err != nil {
-		opts.Logf("perf: harness server shutdown: %v", err)
-	}
-	if err := <-serveErr; err != nil && err != http.ErrServerClosed {
-		opts.Logf("perf: harness server: %v", err)
-	}
-	closeJournal(wal, opts.Logf)
-	if runErr != nil {
-		return nil, runErr
-	}
-	if rep.Errors > 0 {
-		// Failed requests would poison the latency distribution; the
-		// harness generates only satisfiable purchases, so any error is a
-		// harness bug, not a perf signal.
-		return nil, fmt.Errorf("load run hit %d errors (%d non-2xx) out of %d requests; refusing to record a poisoned trajectory point",
-			rep.Errors, rep.NonOK, rep.Requests)
-	}
-
-	res := LoadResultFrom(rep, cfg)
-	res.Offerings = opts.Offerings
-	res.JournalSync = policy.String()
-	// Server-side view: the buy route's latency histogram, read with one
-	// consistent snapshot — exactly the series a production scrape exports.
-	h := reg.Histogram("nimbus_http_request_seconds", nil, "route", "POST /api/v1/buy")
-	qs := h.Quantiles(0.50, 0.95, 0.99)
-	res.Server = &LatencySummary{P50: qs[0], P95: qs[1], P99: qs[2]}
-	return &res, nil
-}
-
-// runMultiLoad is the Markets > 1 harness: a registry under a temp root,
-// one cheap listing per market (each paying its own journal's durability
-// cost under the selected policy), served through the tenant routes with
-// the same middleware + telemetry stack, driven by loadgen's round-robin
-// multi-market mix. The server-side latency comes from the tenant buy
-// route's histogram — the series a multi-tenant scrape would export.
-func runMultiLoad(ctx context.Context, opts LoadOptions) (*LoadResult, error) {
 	policy, err := journal.ParseSyncPolicy(opts.Sync)
 	if err != nil {
 		return nil, err
@@ -261,8 +111,8 @@ func runMultiLoad(ctx context.Context, opts LoadOptions) (*LoadResult, error) {
 	ids := make([]string, opts.Markets)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("market-%02d", i+1)
-		// The same derived-seed progression the single-broker harness uses
-		// for extra offerings, so the per-market curves differ the same way.
+		// Each market gets its own derived seed, so the per-market curves
+		// differ.
 		if _, err := r.List(registry.Spec{
 			ID:        ids[i],
 			Generator: "CASP",
@@ -276,6 +126,8 @@ func runMultiLoad(ctx context.Context, opts LoadOptions) (*LoadResult, error) {
 		}
 	}
 
+	// Full serving stack on a loopback listener: middleware + telemetry,
+	// no rate limiter — the harness measures the buy path, not a throttle.
 	quiet := func(string, ...any) {}
 	handler := server.WithMiddleware(
 		server.NewMulti(r, server.WithLogger(quiet), server.WithTelemetry(reg)), quiet, reg)
@@ -293,7 +145,7 @@ func runMultiLoad(ctx context.Context, opts LoadOptions) (*LoadResult, error) {
 		Duration:    opts.Duration,
 		Count:       opts.Count,
 		Seed:        opts.Seed,
-		Rate:        0, // uncorked, as the single-broker harness runs
+		Rate:        0, // uncorked: measure the serving stack, not the pacer
 		Markets:     ids,
 	}
 	client := &server.Client{
@@ -303,7 +155,7 @@ func runMultiLoad(ctx context.Context, opts LoadOptions) (*LoadResult, error) {
 			Transport: &http.Transport{MaxIdleConnsPerHost: opts.Concurrency},
 		},
 	}
-	opts.Logf("perf: driving multi-market load (markets=%d c=%d duration=%v count=%d seed=%d)...",
+	opts.Logf("perf: driving load (markets=%d c=%d duration=%v count=%d seed=%d)...",
 		opts.Markets, cfg.Concurrency, cfg.Duration, cfg.Count, cfg.Seed)
 	rep, runErr := loadgen.Run(ctx, client, cfg)
 
@@ -320,7 +172,10 @@ func runMultiLoad(ctx context.Context, opts LoadOptions) (*LoadResult, error) {
 		return nil, runErr
 	}
 	if rep.Errors > 0 {
-		return nil, fmt.Errorf("multi-market load run hit %d errors (%d non-2xx) out of %d requests; refusing to record a poisoned trajectory point",
+		// Failed requests would poison the latency distribution; the
+		// harness generates only satisfiable purchases, so any error is a
+		// harness bug, not a perf signal.
+		return nil, fmt.Errorf("load run hit %d errors (%d non-2xx) out of %d requests; refusing to record a poisoned trajectory point",
 			rep.Errors, rep.NonOK, rep.Requests)
 	}
 
@@ -334,18 +189,11 @@ func runMultiLoad(ctx context.Context, opts LoadOptions) (*LoadResult, error) {
 }
 
 // closeRegistry drains and closes the harness registry; failures are
-// logged only, matching closeJournal.
+// logged only — the measurement is already taken and the journals are
+// throwaway.
 func closeRegistry(r *registry.Registry, logf func(string, ...any)) {
 	if err := r.Close(); err != nil {
 		logf("perf: closing registry: %v", err)
-	}
-}
-
-// closeJournal flushes and closes the harness journal; failures are logged
-// only — the measurement is already taken and the journal is throwaway.
-func closeJournal(wal *journal.Journal, logf func(string, ...any)) {
-	if err := wal.Close(); err != nil {
-		logf("perf: closing journal: %v", err)
 	}
 }
 

@@ -20,9 +20,9 @@ func shortLoad() LoadOptions {
 	}
 }
 
-// TestRunLoadInProcess drives the full in-process harness — seeded market,
-// journal in a temp dir, middleware stack, loadgen — and checks the load
-// section is complete from both vantage points.
+// TestRunLoadInProcess drives the full in-process harness — a one-market
+// registry journaled under a temp root, middleware stack, loadgen — and
+// checks the load section is complete from both vantage points.
 func TestRunLoadInProcess(t *testing.T) {
 	res, err := RunLoad(context.Background(), shortLoad())
 	if err != nil {
@@ -51,9 +51,9 @@ func TestRunLoadInProcess(t *testing.T) {
 	}
 }
 
-// TestRunMultiLoadInProcess drives the Markets > 1 harness shape — a
-// registry under a temp root, tenant routes, round-robin traffic — and
-// checks the multi point is complete and correctly stamped.
+// TestRunMultiLoadInProcess spreads the harness over three markets —
+// round-robin traffic across the tenant routes — and checks the point is
+// complete and correctly stamped.
 func TestRunMultiLoadInProcess(t *testing.T) {
 	opts := shortLoad()
 	opts.Markets = 3
@@ -91,8 +91,8 @@ func TestRunRecordsMultiLoadSection(t *testing.T) {
 	if rep.MultiLoad == nil || rep.MultiLoad.Markets != 2 {
 		t.Fatalf("multi_load section missing or unstamped: %+v", rep.MultiLoad)
 	}
-	if rep.Load.Markets != 0 {
-		t.Errorf("single-market load stamped markets=%d, want 0", rep.Load.Markets)
+	if rep.Load.Markets != 1 {
+		t.Errorf("single-market load stamped markets=%d, want 1", rep.Load.Markets)
 	}
 	if err := rep.Validate(); err != nil {
 		t.Fatalf("report with multi_load fails the schema gate: %v", err)

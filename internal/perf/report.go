@@ -72,10 +72,11 @@ type LoadResult struct {
 	// measured under (absent on points recorded before they existed).
 	// Informational: Compare never looks at them, but a human diffing two
 	// points should know when the profiles differ.
-	Offerings      int     `json:"offerings,omitempty"`
-	JournalSync    string  `json:"journal_sync,omitempty"`
+	Offerings   int    `json:"offerings,omitempty"`
+	JournalSync string `json:"journal_sync,omitempty"`
 	// Markets records how many tenant markets the traffic was spread
-	// across (0 or absent = the legacy single-market routes).
+	// across (0 or absent = the untenanted routes, which standalone
+	// nimbus-load runs and the committed points up to BENCH_9 drove).
 	Markets        int     `json:"markets,omitempty"`
 	Requests       int     `json:"requests"`
 	Errors         int     `json:"errors"`

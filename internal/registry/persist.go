@@ -114,8 +114,7 @@ func archiveTenant(root, id string) error {
 
 // openTenantJournal opens (and recovers) one tenant's journal: restore the
 // compacted snapshot into the broker, replay the record tail, then switch
-// the broker's sale path onto the journal. Mirrors nimbusd's single-market
-// recovery, scoped to this tenant's directory.
+// the broker's sale path onto the journal.
 func (r *Registry) openTenantJournal(b *market.Broker, dir string) (*journal.Journal, error) {
 	j, err := journal.Open(filepath.Join(dir, journalDir), journal.Options{
 		SegmentBytes: r.cfg.SegmentBytes,

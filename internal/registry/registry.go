@@ -1,12 +1,12 @@
-// Package registry turns the single-market Nimbus broker into a
-// multi-tenant marketplace: one daemon serving many sellers, many
-// datasets, one registry. Each listed dataset gets its own Market — a
+// Package registry is the Nimbus marketplace: one daemon serving many
+// sellers and many datasets. Each listed dataset gets its own Market — a
 // dedicated sharded broker with its own pricing curves and, when the
 // registry has a root directory, its own write-ahead journal — keyed by a
 // dataset ID. The registry owns the lifecycle: List trains and prices a
 // new market, Delist drains in-flight purchases, compacts the journal and
 // archives the tenant directory, and Open recovers every live tenant
-// after a restart.
+// after a restart. A registry with no root is the same marketplace held
+// in memory only.
 package registry
 
 import (
@@ -56,11 +56,10 @@ const DefaultMaxMarkets = 64
 type Registry struct {
 	cfg Config
 
-	mu        sync.RWMutex
-	markets   map[string]*Market // guarded by mu; live, purchasable markets
-	offerings map[string]string  // guarded by mu; offering name -> market ID
-	pending   map[string]bool    // guarded by mu; IDs mid-List or mid-Delist
-	closed    bool               // guarded by mu
+	mu      sync.RWMutex
+	markets map[string]*Market // guarded by mu; live, purchasable markets
+	pending map[string]bool    // guarded by mu; IDs mid-List or mid-Delist
+	closed  bool               // guarded by mu
 
 	listed   *telemetry.Counter // nil without telemetry
 	delisted *telemetry.Counter
@@ -73,10 +72,9 @@ func Open(cfg Config) (*Registry, error) {
 		cfg.MaxMarkets = DefaultMaxMarkets
 	}
 	r := &Registry{
-		cfg:       cfg,
-		markets:   make(map[string]*Market),
-		offerings: make(map[string]string),
-		pending:   make(map[string]bool),
+		cfg:     cfg,
+		markets: make(map[string]*Market),
+		pending: make(map[string]bool),
 	}
 	if reg := cfg.Telemetry; reg != nil {
 		reg.GaugeFunc("nimbus_registry_markets", func() float64 {
@@ -203,15 +201,11 @@ func (r *Registry) build(spec Spec, csvData []byte) (*Market, error) {
 	return newMarket(spec, b, jnl, r.cfg.Telemetry), nil
 }
 
-// publish makes a market purchasable: releases its reservation and indexes
-// its offerings.
+// publish makes a market purchasable and releases its reservation.
 func (r *Registry) publish(m *Market) {
 	r.mu.Lock()
 	delete(r.pending, m.ID)
 	r.markets[m.ID] = m
-	for _, name := range m.Broker.Menu() {
-		r.offerings[name] = m.ID
-	}
 	r.mu.Unlock()
 }
 
@@ -235,9 +229,6 @@ func (r *Registry) Delist(id string) (*market.Statement, error) {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownMarket, id)
 	}
 	delete(r.markets, id)
-	for _, name := range m.Broker.Menu() {
-		delete(r.offerings, name)
-	}
 	r.pending[id] = true
 	r.mu.Unlock()
 
@@ -305,43 +296,28 @@ func (r *Registry) Count() int {
 	return len(r.markets)
 }
 
-// Menu is the cross-tenant union of every live market's offerings, sorted
-// — the single-market menu generalized to the whole marketplace.
-func (r *Registry) Menu() []string {
+// Markets lists the live markets, sorted by ID.
+func (r *Registry) Markets() []*Market {
 	r.mu.RLock()
-	names := make([]string, 0, len(r.offerings))
-	for name := range r.offerings {
-		names = append(names, name)
+	markets := make([]*Market, 0, len(r.markets))
+	for _, m := range r.markets {
+		markets = append(markets, m)
 	}
 	r.mu.RUnlock()
+	sort.Slice(markets, func(i, j int) bool { return markets[i].ID < markets[j].ID })
+	return markets
+}
+
+// Menu is the union of every live market's offerings, sorted. Offering
+// names embed the dataset ID ("<id>/<model>"), so they are unique across
+// markets.
+func (r *Registry) Menu() []string {
+	var names []string
+	for _, m := range r.Markets() {
+		names = append(names, m.Broker.Menu()...)
+	}
 	sort.Strings(names)
 	return names
-}
-
-// ResolveOffering maps a global offering name to its market. Offering
-// names embed the dataset ID ("<id>/<model>"), so they are unique across
-// tenants and the legacy single-market routes keep working against the
-// union menu. Unknown names return market.ErrUnknownOffering so callers
-// map them exactly like a single broker would.
-func (r *Registry) ResolveOffering(name string) (*Market, error) {
-	r.mu.RLock()
-	id, ok := r.offerings[name]
-	m := r.markets[id]
-	r.mu.RUnlock()
-	if !ok || m == nil {
-		return nil, fmt.Errorf("%w: %s", market.ErrUnknownOffering, name)
-	}
-	return m, nil
-}
-
-// Buy purchases across the whole marketplace by global offering name,
-// routing to the owning market's drain-aware buy path.
-func (r *Registry) Buy(offering, loss, option string, value float64) (*market.Purchase, error) {
-	m, err := r.ResolveOffering(offering)
-	if err != nil {
-		return nil, err
-	}
-	return m.Buy(offering, loss, option, value)
 }
 
 // MarketStats is one tenant's row in the cross-tenant statement.
@@ -371,16 +347,8 @@ type Stats struct {
 
 // Stats aggregates every live market's statement.
 func (r *Registry) Stats() Stats {
-	r.mu.RLock()
-	markets := make([]*Market, 0, len(r.markets))
-	for _, m := range r.markets {
-		markets = append(markets, m)
-	}
-	offerings := len(r.offerings)
-	r.mu.RUnlock()
-	sort.Slice(markets, func(i, j int) bool { return markets[i].ID < markets[j].ID })
-
-	st := Stats{Markets: len(markets), Offerings: offerings}
+	markets := r.Markets()
+	st := Stats{Markets: len(markets)}
 	for _, m := range markets {
 		ms := m.Broker.Statement()
 		row := MarketStats{
@@ -394,6 +362,7 @@ func (r *Registry) Stats() Stats {
 			Payouts:   ms.Payouts,
 		}
 		st.PerMarket = append(st.PerMarket, row)
+		st.Offerings += len(row.Offerings)
 		st.Sales += row.Sales
 		st.Gross += row.Gross
 		st.Fees += row.Fees

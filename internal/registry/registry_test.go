@@ -78,11 +78,11 @@ func TestListBuyDelist(t *testing.T) {
 	if _, err := m.Buy(offeringOf("acme"), "squared", "bulk-discount", 1); !errors.Is(err, ErrBadOption) {
 		t.Fatalf("bad option: %v", err)
 	}
-	// The registry-wide buy routes by global offering name.
-	if _, err := r.Buy(offeringOf("acme"), "squared", "quality", 3); err != nil {
+	if _, err := m.Buy(offeringOf("acme"), "squared", "quality", 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Buy("nobody/linear-regression", "squared", "quality", 3); !errors.Is(err, market.ErrUnknownOffering) {
+	// A market sells only its own offerings.
+	if _, err := m.Buy("nobody/linear-regression", "squared", "quality", 3); !errors.Is(err, market.ErrUnknownOffering) {
 		t.Fatalf("unknown offering: %v", err)
 	}
 
@@ -104,7 +104,7 @@ func TestListBuyDelist(t *testing.T) {
 	if _, err := r.Get("acme"); !errors.Is(err, ErrUnknownMarket) {
 		t.Fatalf("get after delist: %v", err)
 	}
-	if _, err := r.Buy(offeringOf("acme"), "squared", "quality", 2); !errors.Is(err, market.ErrUnknownOffering) {
+	if _, err := m.Buy(offeringOf("acme"), "squared", "quality", 2); !errors.Is(err, ErrDelisting) {
 		t.Fatalf("buy after delist: %v", err)
 	}
 	if _, err := r.Delist("acme"); !errors.Is(err, ErrUnknownMarket) {
@@ -126,11 +126,11 @@ func TestListValidation(t *testing.T) {
 		{ID: "space name", Generator: "CASP"},
 		{ID: strings.Repeat("x", 65), Generator: "CASP"},
 		{ID: "a/b", Generator: "CASP"},
-		{ID: "ok"},                                                    // no source
-		{ID: "ok", Generator: "NoSuchSet"},                            // unknown generator
-		{ID: "ok", Generator: "CASP", CSV: true},                      // both sources
-		{ID: "ok", CSV: true, Task: "ranking", Target: "y"},           // bad task
-		{ID: "ok", CSV: true, Task: "regression"},                     // no target
+		{ID: "ok"},                                                     // no source
+		{ID: "ok", Generator: "NoSuchSet"},                             // unknown generator
+		{ID: "ok", Generator: "CASP", CSV: true},                       // both sources
+		{ID: "ok", CSV: true, Task: "ranking", Target: "y"},            // bad task
+		{ID: "ok", CSV: true, Task: "regression"},                      // no target
 		{ID: "ok", Generator: "CASP", Model: "gradient-boosted-trees"}, // unknown model
 	} {
 		if _, err := r.List(bad, nil); err == nil {
@@ -274,7 +274,7 @@ func TestDelistDrainsThenRejects(t *testing.T) {
 // TestConcurrentLifecycle churns one market through delist/list cycles
 // while buyers hammer the whole marketplace. Run with -race in CI: the
 // invariant is that buyers only ever see clean outcomes — a purchase, an
-// unknown-offering miss, or a drain rejection — never a torn market.
+// unknown-market miss, or a drain rejection — never a torn market.
 func TestConcurrentLifecycle(t *testing.T) {
 	r, err := Open(Config{Commission: 0.1})
 	if err != nil {
@@ -292,7 +292,7 @@ func TestConcurrentLifecycle(t *testing.T) {
 
 	stop := make(chan struct{})
 	var buyers sync.WaitGroup
-	offerings := []string{offeringOf("alpha"), offeringOf("beta"), offeringOf("churn")}
+	ids := []string{"alpha", "beta", "churn"}
 	for w := 0; w < 4; w++ {
 		buyers.Add(1)
 		go func(w int) {
@@ -303,14 +303,17 @@ func TestConcurrentLifecycle(t *testing.T) {
 					return
 				default:
 				}
-				name := offerings[(w+i)%len(offerings)]
-				_, err := r.Buy(name, "squared", "quality", float64(1+i%5))
+				id := ids[(w+i)%len(ids)]
+				m, err := r.Get(id)
+				if err == nil {
+					_, err = m.Buy(offeringOf(id), "squared", "quality", float64(1+i%5))
+				}
 				switch {
 				case err == nil:
-				case errors.Is(err, market.ErrUnknownOffering):
+				case errors.Is(err, ErrUnknownMarket):
 				case errors.Is(err, ErrDelisting):
 				default:
-					t.Errorf("buy %s: %v", name, err)
+					t.Errorf("buy %s: %v", id, err)
 					return
 				}
 				r.Stats()
@@ -424,8 +427,14 @@ func TestTwoTenantTornTailRecovery(t *testing.T) {
 		}
 	}
 	// Both survivors keep trading after recovery.
-	if _, err := r2.Buy(offeringOf("north"), "squared", "quality", 2); err != nil {
-		t.Fatal(err)
+	for id := range ledgers {
+		m, err := r2.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Buy(offeringOf(id), "squared", "quality", 2); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"nimbus/internal/market"
 )
 
-// Client methods for the multi-tenant dataset API (NewMulti servers).
+// Client methods for the dataset API.
 // Dataset IDs are path-escaped, so callers can pass them verbatim.
 
 func datasetPath(id string, sub string) string {

@@ -1,13 +1,23 @@
-// Package server exposes a Nimbus broker over HTTP — the interactive
-// marketplace surface of the SIGMOD demo. Buyers browse the menu, fetch
-// price–error curves and purchase noisy model instances as JSON.
+// Package server exposes a Nimbus marketplace over HTTP — the interactive
+// surface of the SIGMOD demo. It serves a registry of tenant markets, one
+// per listed dataset (internal/registry): sellers list and delist
+// datasets, buyers browse the menu, fetch price–error curves and purchase
+// noisy model instances as JSON.
 //
 //	GET  /healthz                         liveness probe
 //	GET  /metrics                         Prometheus text-format telemetry
 //	GET  /api/v1/menu                     offerings with supported losses
 //	GET  /api/v1/curve?offering=&loss=    the price–error curve
 //	POST /api/v1/buy                      execute a purchase
+//	GET  /api/v1/stats                    the books
+//	GET  /api/v1/statement                the per-offering accounting report
+//	GET  /api/v1/offerings                audit snapshots of every listing
 //	GET  /api/v1/metrics                  telemetry snapshot as JSON
+//
+// These routes serve the union of every live market: offering names embed
+// the dataset ID, so they are unique across markets. The /api/v1/datasets
+// routes (tenants.go) list and delist markets and serve the same menu,
+// curve, buy, stats and statement handlers scoped to one market.
 //
 // The buy request body selects one of the paper's three purchase options:
 //
@@ -30,16 +40,10 @@ import (
 	"nimbus/internal/telemetry"
 )
 
-// Server is an http.Handler serving a broker — either one market (New) or
-// a whole multi-tenant registry of them (NewMulti). The single-market API
-// works identically in both modes; multi mode adds the tenant-scoped
-// /api/v1/datasets surface and treats the legacy routes as the union
-// across tenants (offering names embed the dataset ID, so they stay
-// globally unique).
+// Server is an http.Handler serving a registry of tenant markets.
 type Server struct {
-	broker   *market.Broker     // single-market mode; nil under NewMulti
-	registry *registry.Registry // multi-tenant mode; nil under New
-	tenantRL *RateLimiter       // per-tenant purchase budget; nil unless WithTenantRate
+	registry *registry.Registry
+	tenantRL *RateLimiter // per-tenant purchase budget; nil unless WithTenantRate
 	mux      *http.ServeMux
 	logf     func(format string, args ...any)
 	reg      *telemetry.Registry
@@ -55,86 +59,62 @@ func WithLogger(logf func(format string, args ...any)) Option {
 
 // WithTelemetry exposes the registry at GET /metrics (Prometheus text
 // format) and GET /api/v1/metrics (JSON snapshot). The same registry is
-// typically shared with WithMiddleware, the rate limiter and the broker so
-// one scrape covers the whole serving stack.
+// typically shared with WithMiddleware, the rate limiter and the market
+// registry so one scrape covers the whole serving stack.
 func WithTelemetry(reg *telemetry.Registry) Option {
 	return func(s *Server) { s.reg = reg }
 }
 
-// New wraps a single broker in an HTTP API.
-func New(b *market.Broker, opts ...Option) *Server {
-	s := &Server{broker: b, mux: http.NewServeMux(), logf: log.Printf}
-	for _, o := range opts {
-		o(s)
-	}
-	s.registerCommon()
-	return s
-}
-
-// NewMulti serves a multi-tenant registry: the single-market API becomes
-// the cross-tenant union, and the /api/v1/datasets routes add listing,
-// delisting and tenant-scoped browsing and buying.
+// NewMulti serves a registry of tenant markets: the untenanted API over
+// the union of every live market, plus the /api/v1/datasets routes for
+// listing, delisting and tenant-scoped browsing and buying.
 func NewMulti(r *registry.Registry, opts ...Option) *Server {
 	s := &Server{registry: r, mux: http.NewServeMux(), logf: log.Printf}
 	for _, o := range opts {
 		o(s)
 	}
-	s.registerCommon()
-	s.registerTenantRoutes()
-	return s
-}
-
-// registerCommon mounts the mode-independent API surface.
-func (s *Server) registerCommon() {
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /metrics", s.handleMetricsProm)
 	s.mux.HandleFunc("GET /api/v1/metrics", s.handleMetricsJSON)
-	s.mux.HandleFunc("GET /api/v1/menu", s.handleMenu)
-	s.mux.HandleFunc("GET /api/v1/curve", s.handleCurve)
-	s.mux.HandleFunc("POST /api/v1/buy", s.handleBuy)
-	s.mux.HandleFunc("GET /api/v1/stats", s.handleStats)
-	s.mux.HandleFunc("GET /api/v1/statement", s.handleStatement)
-	s.mux.HandleFunc("GET /api/v1/offerings", s.handleOfferings)
+	s.mux.HandleFunc("GET /api/v1/offerings", s.union(s.handleOfferings))
+	s.registerMarketRoutes("/api/v1", s.union)
+	s.registerMarketRoutes("/api/v1/datasets/{id}", s.tenant)
+	s.registerDatasetRoutes()
 	s.registerUI()
+	return s
 }
 
-// menuNames lists the purchasable offerings: the broker's menu, or in
-// multi mode the union across every live market.
-func (s *Server) menuNames() []string {
-	if s.registry != nil {
-		return s.registry.Menu()
+// marketsHandler serves a request over the markets its route addresses.
+type marketsHandler func(w http.ResponseWriter, r *http.Request, ms []*registry.Market)
+
+// union serves h over every live market.
+func (s *Server) union(h marketsHandler) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		h(w, r, s.registry.Markets())
 	}
-	return s.broker.Menu()
 }
 
-// offering resolves an offering by its global name in either mode.
-func (s *Server) offering(name string) (*market.Offering, error) {
-	if s.registry != nil {
-		m, err := s.registry.ResolveOffering(name)
+// tenant serves h over the market named by the {id} path segment,
+// answering 404 when no live market has that ID.
+func (s *Server) tenant(h marketsHandler) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		m, err := s.registry.Get(r.PathValue("id"))
 		if err != nil {
-			return nil, err
+			s.fail(w, http.StatusNotFound, err)
+			return
 		}
-		return m.Broker.Offering(name)
+		h(w, r, []*registry.Market{m})
 	}
-	return s.broker.Offering(name)
 }
 
-// doBuy executes one purchase in either mode. In multi mode the registry
-// routes by offering name and participates in the delist drain protocol.
-func (s *Server) doBuy(offering, loss, option string, value float64) (*market.Purchase, error) {
-	if s.registry != nil {
-		return s.registry.Buy(offering, loss, option, value)
-	}
-	switch option {
-	case "quality":
-		return s.broker.BuyAtQuality(offering, loss, value)
-	case "error-budget":
-		return s.broker.BuyWithErrorBudget(offering, loss, value)
-	case "price-budget":
-		return s.broker.BuyWithPriceBudget(offering, loss, value)
-	default:
-		return nil, fmt.Errorf("unknown option %q (want quality, error-budget or price-budget)", option)
-	}
+// registerMarketRoutes mounts the browse-and-buy API under prefix, each
+// route serving the markets scope resolves for it.
+func (s *Server) registerMarketRoutes(prefix string, scope func(marketsHandler) http.HandlerFunc) {
+	s.mux.HandleFunc("GET "+prefix+"/menu", scope(s.handleMenu))
+	s.mux.HandleFunc("GET "+prefix+"/curve", scope(s.handleCurve))
+	s.mux.HandleFunc("POST "+prefix+"/buy", scope(s.handleBuy))
+	s.mux.HandleFunc("GET "+prefix+"/stats", scope(s.handleStats))
+	s.mux.HandleFunc("GET "+prefix+"/statement", scope(s.handleStatement))
 }
 
 // ServeHTTP implements http.Handler.
@@ -183,15 +163,35 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// menuEntries assembles menu rows from offering names, skipping names
-// that raced with a concurrent relisting or delisting.
-func menuEntries(names []string, lookup func(string) (*market.Offering, error)) []MenuEntry {
-	entries := make([]MenuEntry, 0, len(names))
-	for _, name := range names {
-		o, err := lookup(name)
-		if err != nil {
-			continue
+// offerings lists every offering the markets carry, sorted by name.
+func offerings(ms []*registry.Market) []*market.Offering {
+	var out []*market.Offering
+	for _, m := range ms {
+		for _, name := range m.Broker.Menu() {
+			if o, err := m.Broker.Offering(name); err == nil {
+				out = append(out, o)
+			}
 		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
+// findOffering resolves an offering name to the market that lists it.
+func findOffering(ms []*registry.Market, name string) (*registry.Market, *market.Offering, error) {
+	for _, m := range ms {
+		if o, err := m.Broker.Offering(name); err == nil {
+			return m, o, nil
+		}
+	}
+	return nil, nil, fmt.Errorf("market: %q: %w", name, market.ErrUnknownOffering)
+}
+
+// menuEntries assembles the menu rows of the markets' offerings.
+func menuEntries(ms []*registry.Market) []MenuEntry {
+	offs := offerings(ms)
+	entries := make([]MenuEntry, 0, len(offs))
+	for _, o := range offs {
 		stats := o.Pair.Stats()
 		entries = append(entries, MenuEntry{
 			Name:            o.Name,
@@ -207,18 +207,18 @@ func menuEntries(names []string, lookup func(string) (*market.Offering, error)) 
 	return entries
 }
 
-func (s *Server) handleMenu(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, MenuResponse{Offerings: menuEntries(s.menuNames(), s.offering)})
+func (s *Server) handleMenu(w http.ResponseWriter, _ *http.Request, ms []*registry.Market) {
+	writeJSON(w, http.StatusOK, MenuResponse{Offerings: menuEntries(ms)})
 }
 
-func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request, ms []*registry.Market) {
 	offering := r.URL.Query().Get("offering")
 	loss := r.URL.Query().Get("loss")
 	if offering == "" || loss == "" {
 		s.fail(w, http.StatusBadRequest, errors.New("offering and loss query parameters are required"))
 		return
 	}
-	o, err := s.offering(offering)
+	_, o, err := findOffering(ms, offering)
 	if err != nil {
 		s.fail(w, http.StatusNotFound, err)
 		return
@@ -231,7 +231,32 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, CurveResponse{Offering: offering, Loss: loss, Points: c.Points()})
 }
 
-func (s *Server) handleBuy(w http.ResponseWriter, r *http.Request) {
+// errTenantThrottled rejects a purchase over its market's WithTenantRate
+// budget.
+var errTenantThrottled = errors.New("tenant rate budget exceeded")
+
+// buy is the one purchase path behind every buy route: it charges m's
+// tenant budget, then runs the drain-aware Market.Buy.
+func (s *Server) buy(m *registry.Market, req BuyRequest) (*market.Purchase, error) {
+	if s.tenantRL != nil && !s.tenantRL.allow(m.ID) {
+		if s.reg != nil {
+			// m.ID names a live market (the caller resolved it), so the
+			// label set is bounded by the registry's MaxMarkets cap.
+			//lint:ignore telemetry-label-literal the market label names a live market resolved by the caller; the registry caps live markets at MaxMarkets
+			s.reg.Counter("nimbus_market_throttled_total", "market", m.ID).Inc()
+			s.reg.Help("nimbus_market_throttled_total", "Purchases rejected by the per-tenant rate budget.")
+		}
+		return nil, errTenantThrottled
+	}
+	p, err := m.Buy(req.Offering, req.Loss, req.Option, req.Value)
+	if err != nil {
+		return nil, err
+	}
+	s.logf("nimbus: sold %s (%s) at x=%.3f for %.2f [market %s]", p.Offering, p.Loss, p.X, p.Price, m.ID)
+	return p, nil
+}
+
+func (s *Server) handleBuy(w http.ResponseWriter, r *http.Request, ms []*registry.Market) {
 	var req BuyRequest
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
@@ -239,17 +264,20 @@ func (s *Server) handleBuy(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding buy request: %w", err))
 		return
 	}
-	p, err := s.doBuy(req.Offering, req.Loss, req.Option, req.Value)
+	m, _, err := findOffering(ms, req.Offering)
 	if err != nil {
 		s.failBuy(w, err)
 		return
 	}
-	s.logf("nimbus: sold %s (%s) at x=%.3f for %.2f", p.Offering, p.Loss, p.X, p.Price)
+	p, err := s.buy(m, req)
+	if err != nil {
+		s.failBuy(w, err)
+		return
+	}
 	writeJSON(w, http.StatusOK, p)
 }
 
-// failBuy maps purchase errors onto status codes; shared by the legacy
-// and tenant-scoped buy handlers.
+// failBuy maps purchase errors onto status codes.
 func (s *Server) failBuy(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, market.ErrUnknownOffering), errors.Is(err, registry.ErrUnknownMarket):
@@ -258,6 +286,9 @@ func (s *Server) failBuy(w http.ResponseWriter, err error) {
 		s.fail(w, http.StatusConflict, err)
 	case errors.Is(err, pricing.ErrUnattainable), errors.Is(err, pricing.ErrOverBudget):
 		s.fail(w, http.StatusUnprocessableEntity, err)
+	case errors.Is(err, errTenantThrottled):
+		w.Header().Set("Retry-After", "1")
+		s.fail(w, http.StatusTooManyRequests, err)
 	default:
 		s.fail(w, http.StatusBadRequest, err)
 	}
@@ -274,57 +305,33 @@ type StatsResponse struct {
 	Payouts    map[string]float64 `json:"payouts"`
 }
 
-// statsResponse assembles the books in either mode; multi mode sums the
-// per-market running aggregates and unions the payout maps (offering
-// names are globally unique, so the union is collision-free).
-func (s *Server) statsResponse() StatsResponse {
-	if s.registry == nil {
-		return StatsResponse{
-			Offerings:    len(s.broker.Menu()),
-			Sales:        s.broker.SaleCount(),
-			TotalRevenue: s.broker.TotalRevenue(),
-			BrokerFees:   s.broker.TotalFees(),
-			Payouts:      s.broker.Payouts(),
+// statsResponse sums the markets' running books and unions their payout
+// maps (offering names are unique across markets).
+func statsResponse(ms []*registry.Market) StatsResponse {
+	resp := StatsResponse{Payouts: make(map[string]float64)}
+	for _, m := range ms {
+		st := m.Statement()
+		resp.Offerings += len(m.Broker.Menu())
+		resp.Sales += st.Sales
+		resp.TotalRevenue += st.Gross
+		resp.BrokerFees += st.BrokerFees
+		for _, l := range st.Lines {
+			resp.Payouts[l.Offering] = l.Payout
 		}
 	}
-	st := s.registry.Stats()
-	payouts := make(map[string]float64)
-	for _, id := range s.registry.IDs() {
-		m, err := s.registry.Get(id)
-		if err != nil {
-			continue // delisted since IDs(); its rows are gone from the union too
-		}
-		for name, v := range m.Broker.Payouts() {
-			payouts[name] = v
-		}
-	}
-	return StatsResponse{
-		Offerings:    st.Offerings,
-		Sales:        st.Sales,
-		TotalRevenue: st.Gross,
-		BrokerFees:   st.Fees,
-		Payouts:      payouts,
-	}
+	return resp
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.statsResponse())
+func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request, ms []*registry.Market) {
+	writeJSON(w, http.StatusOK, statsResponse(ms))
 }
 
-// statement builds the accounting report; multi mode concatenates the
-// per-market statements (each O(offerings) from the running books) into
-// one marketplace-wide report.
-func (s *Server) statement() *market.Statement {
-	if s.registry == nil {
-		return s.broker.Statement()
-	}
+// statement concatenates the markets' statements (each O(offerings) from
+// the running books) into one report.
+func statement(ms []*registry.Market) *market.Statement {
 	merged := &market.Statement{}
-	for _, id := range s.registry.IDs() {
-		m, err := s.registry.Get(id)
-		if err != nil {
-			continue
-		}
-		st := m.Broker.Statement()
+	for _, m := range ms {
+		st := m.Statement()
 		merged.Lines = append(merged.Lines, st.Lines...)
 		merged.Sales += st.Sales
 		merged.Gross += st.Gross
@@ -336,18 +343,15 @@ func (s *Server) statement() *market.Statement {
 }
 
 // handleStatement serves the per-offering accounting report.
-func (s *Server) handleStatement(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.statement())
+func (s *Server) handleStatement(w http.ResponseWriter, _ *http.Request, ms []*registry.Market) {
+	writeJSON(w, http.StatusOK, statement(ms))
 }
 
 // handleOfferings serves the audit snapshots of every listing.
-func (s *Server) handleOfferings(w http.ResponseWriter, _ *http.Request) {
-	snaps := make([]market.OfferingSnapshot, 0)
-	for _, name := range s.menuNames() {
-		o, err := s.offering(name)
-		if err != nil {
-			continue
-		}
+func (s *Server) handleOfferings(w http.ResponseWriter, _ *http.Request, ms []*registry.Market) {
+	offs := offerings(ms)
+	snaps := make([]market.OfferingSnapshot, 0, len(offs))
+	for _, o := range offs {
 		snaps = append(snaps, o.Snapshot())
 	}
 	writeJSON(w, http.StatusOK, snaps)

@@ -9,45 +9,48 @@ import (
 	"sync"
 	"testing"
 
-	"nimbus/internal/dataset"
 	"nimbus/internal/market"
-	"nimbus/internal/ml"
-	"nimbus/internal/pricing"
-	"nimbus/internal/rng"
+	"nimbus/internal/registry"
+	"nimbus/internal/telemetry"
 )
 
-// newTestServer lists one regression offering and serves it via httptest.
+// testSpec is the one regression listing the HTTP tests sell: a CASP
+// stand-in with a 15-point curve.
+var testSpec = registry.Spec{
+	ID:        "casp",
+	Owner:     "seller-casp",
+	Generator: "CASP",
+	Rows:      250,
+	Model:     "linear-regression",
+	Grid:      15,
+	Samples:   60,
+	Seed:      61,
+}
+
+// listTestMarket opens a memory-only registry (wired to reg, which may be
+// nil) and lists testSpec on it.
+func listTestMarket(tb testing.TB, reg *telemetry.Registry) (*registry.Registry, *registry.Market) {
+	tb.Helper()
+	r, err := registry.Open(registry.Config{Telemetry: reg})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { r.Close() })
+	m, err := r.List(testSpec, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return r, m
+}
+
+// newTestServer serves a one-market registry via httptest, with no
+// telemetry and no middleware.
 func newTestServer(t *testing.T) (*httptest.Server, *market.Broker, string) {
 	t.Helper()
-	d, err := dataset.StandIn("CASP", dataset.GenConfig{Rows: 250, Seed: 61})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pair, err := dataset.NewPair(d, rng.New(62))
-	if err != nil {
-		t.Fatal(err)
-	}
-	seller, err := market.NewSeller(pair, market.Research{
-		Value:  func(e float64) float64 { return 80 / (1 + e) },
-		Demand: func(e float64) float64 { return 1 },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	broker := market.NewBroker(63)
-	o, err := broker.List(market.OfferingConfig{
-		Seller:  seller,
-		Model:   ml.LinearRegression{Ridge: 1e-3},
-		Grid:    pricing.DefaultGrid(15),
-		Samples: 60,
-		Seed:    64,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(New(broker, WithLogger(func(string, ...any) {})))
+	r, m := listTestMarket(t, nil)
+	srv := httptest.NewServer(NewMulti(r, WithLogger(func(string, ...any) {})))
 	t.Cleanup(srv.Close)
-	return srv, broker, o.Name
+	return srv, m.Broker, m.Broker.Menu()[0]
 }
 
 func TestHealthz(t *testing.T) {

@@ -9,48 +9,17 @@ import (
 	"net/http/httptest"
 	"testing"
 
-	"nimbus/internal/dataset"
-	"nimbus/internal/market"
-	"nimbus/internal/ml"
-	"nimbus/internal/pricing"
-	"nimbus/internal/rng"
 	"nimbus/internal/telemetry"
 )
 
-// newInstrumentedServer builds a one-offering broker served through the
-// full production stack — middleware, rate limiter, telemetry — exactly as
+// newInstrumentedServer serves a one-market registry through the full
+// production stack — middleware, rate limiter, telemetry — exactly as
 // nimbusd wires it.
 func newInstrumentedServer(tb testing.TB, reg *telemetry.Registry, rate float64) (*httptest.Server, string) {
 	tb.Helper()
-	d, err := dataset.StandIn("CASP", dataset.GenConfig{Rows: 250, Seed: 61})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	pair, err := dataset.NewPair(d, rng.New(62))
-	if err != nil {
-		tb.Fatal(err)
-	}
-	seller, err := market.NewSeller(pair, market.Research{
-		Value:  func(e float64) float64 { return 80 / (1 + e) },
-		Demand: func(e float64) float64 { return 1 },
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	broker := market.NewBroker(63)
-	broker.SetTelemetry(reg)
-	o, err := broker.List(market.OfferingConfig{
-		Seller:  seller,
-		Model:   ml.LinearRegression{Ridge: 1e-3},
-		Grid:    pricing.DefaultGrid(15),
-		Samples: 60,
-		Seed:    64,
-	})
-	if err != nil {
-		tb.Fatal(err)
-	}
+	r, m := listTestMarket(tb, reg)
 	quiet := func(string, ...any) {}
-	var handler http.Handler = New(broker, WithLogger(quiet), WithTelemetry(reg))
+	var handler http.Handler = NewMulti(r, WithLogger(quiet), WithTelemetry(reg))
 	if rate > 0 {
 		rl := NewRateLimiter(rate, int(2*rate))
 		rl.SetTelemetry(reg)
@@ -58,7 +27,7 @@ func newInstrumentedServer(tb testing.TB, reg *telemetry.Registry, rate float64)
 	}
 	srv := httptest.NewServer(WithMiddleware(handler, quiet, reg))
 	tb.Cleanup(srv.Close)
-	return srv, o.Name
+	return srv, m.Broker.Menu()[0]
 }
 
 // TestTelemetryRoundTrip drives a menu fetch and a buy through the full

@@ -4,9 +4,13 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
+	"nimbus/internal/journal"
 	"nimbus/internal/registry"
 	"nimbus/internal/telemetry"
 )
@@ -104,7 +108,7 @@ func TestDatasetCRUDOverHTTP(t *testing.T) {
 		t.Fatal("empty curve")
 	}
 
-	// Buy inside the tenant, then via the legacy union route.
+	// Buy inside the tenant, then via the untenanted union route.
 	p, err := c.TenantBuy(ctx, "acme", BuyRequest{Offering: offering, Loss: "squared", Option: "quality", Value: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -204,6 +208,9 @@ func TestTenantIsolation(t *testing.T) {
 	}
 }
 
+// TestTenantRateBudget checks that a tenant's purchase budget is one
+// bucket shared by every buy route: the tenant-scoped JSON route, the
+// untenanted union route and the dashboard form.
 func TestTenantRateBudget(t *testing.T) {
 	srv, _, reg := newMultiServer(t, WithTenantRate(1, 2))
 	c := NewClient(srv.URL)
@@ -212,16 +219,38 @@ func TestTenantRateBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := BuyRequest{Offering: "busy/linear-regression", Loss: "squared", Option: "quality", Value: 2}
-	var throttled int
-	for i := 0; i < 5; i++ {
-		if _, err := c.TenantBuy(ctx, "busy", req); isStatus(err, http.StatusTooManyRequests) {
-			throttled++
-		} else if err != nil {
-			t.Fatal(err)
+	tenantBuy := func() error {
+		_, err := c.TenantBuy(ctx, "busy", req)
+		return err
+	}
+	unionBuy := func() error {
+		_, err := c.Buy(ctx, req)
+		return err
+	}
+	uiBuy := func() error {
+		resp, err := http.PostForm(srv.URL+"/ui/buy", url.Values{
+			"offering": {req.Offering}, "loss": {req.Loss}, "option": {req.Option}, "value": {"2"},
+		})
+		if err != nil {
+			return err
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return &APIError{StatusCode: resp.StatusCode}
+		}
+		return nil
+	}
+	// The union and dashboard buys spend the burst of 2; after that every
+	// route is refused.
+	for i, buy := range []func() error{unionBuy, uiBuy} {
+		if err := buy(); err != nil {
+			t.Fatalf("buy %d within the burst: %v", i, err)
 		}
 	}
-	if throttled != 3 {
-		t.Fatalf("throttled %d of 5 with burst 2", throttled)
+	for i, buy := range []func() error{tenantBuy, unionBuy, uiBuy} {
+		if err := buy(); !isStatus(err, http.StatusTooManyRequests) {
+			t.Fatalf("buy %d past the burst: want 429, got %v", i, err)
+		}
 	}
 	if got := reg.Snapshot().CounterValue("nimbus_market_throttled_total", "market", "busy"); got != 3 {
 		t.Fatalf("throttle counter %v", got)
@@ -230,5 +259,30 @@ func TestTenantRateBudget(t *testing.T) {
 	// touching the budget.
 	if _, err := c.TenantBuy(ctx, "nobody", req); !isStatus(err, http.StatusNotFound) {
 		t.Fatalf("unknown tenant: %v", err)
+	}
+}
+
+// TestDelistServerFailureIs500: a delist that fails in the registry's own
+// work (here archiving a tenant directory that vanished underneath it)
+// is a server fault, not a bad request.
+func TestDelistServerFailureIs500(t *testing.T) {
+	root := t.TempDir()
+	r, err := registry.Open(registry.Config{Root: root, Sync: journal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	srv := httptest.NewServer(NewMulti(r, WithLogger(func(string, ...any) {})))
+	t.Cleanup(srv.Close)
+	c := NewClient(srv.URL)
+	ctx := context.Background()
+	if _, err := c.ListDataset(ctx, cheapListRequest("doomed", 41)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(filepath.Join(root, "doomed")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.DelistDataset(ctx, "doomed"); !isStatus(err, http.StatusInternalServerError) {
+		t.Fatalf("delist of a vanished tenant dir: want 500, got %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"html/template"
 	"net/http"
@@ -8,6 +9,7 @@ import (
 
 	"nimbus/internal/market"
 	"nimbus/internal/pricing"
+	"nimbus/internal/registry"
 )
 
 // The demo surface: Nimbus was shown at SIGMOD as an interactive system
@@ -98,34 +100,30 @@ type uiOfferingPage struct {
 	Purchase     *market.Purchase
 }
 
-// registerUI adds the dashboard routes; called from New.
+// registerUI adds the dashboard routes, which serve every live market.
 func (s *Server) registerUI() {
-	s.mux.HandleFunc("GET /ui", s.handleUIMenu)
+	s.mux.HandleFunc("GET /ui", s.union(s.handleUIMenu))
 	s.mux.HandleFunc("GET /{$}", func(w http.ResponseWriter, r *http.Request) {
 		http.Redirect(w, r, "/ui", http.StatusFound)
 	})
-	s.mux.HandleFunc("GET /ui/offering", s.handleUIOffering)
-	s.mux.HandleFunc("POST /ui/buy", s.handleUIBuy)
+	s.mux.HandleFunc("GET /ui/offering", s.union(s.handleUIOffering))
+	s.mux.HandleFunc("POST /ui/buy", s.union(s.handleUIBuy))
 }
 
-func (s *Server) handleUIMenu(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleUIMenu(w http.ResponseWriter, _ *http.Request, ms []*registry.Market) {
 	page := struct {
 		Offerings []MenuEntry
 		Stats     StatsResponse
 	}{
-		Offerings: menuEntries(s.menuNames(), s.offering),
-		Stats:     s.statsResponse(),
+		Offerings: menuEntries(ms),
+		Stats:     statsResponse(ms),
 	}
-	s.renderUI(w, uiMenuTmpl, page)
+	s.renderUI(w, http.StatusOK, uiMenuTmpl, page)
 }
 
 // uiOfferingData assembles the offering page (shared between GET and the
 // post-purchase render).
-func (s *Server) uiOfferingData(name string) (*uiOfferingPage, error) {
-	o, err := s.offering(name)
-	if err != nil {
-		return nil, err
-	}
+func uiOfferingData(o *market.Offering) *uiOfferingPage {
 	page := &uiOfferingPage{Name: o.Name, LossNames: o.LossNames()}
 	for _, lossName := range o.LossNames() {
 		c, err := o.Curve(lossName)
@@ -144,40 +142,48 @@ func (s *Server) uiOfferingData(name string) (*uiOfferingPage, error) {
 		}
 		page.Curves = append(page.Curves, uiCurve{Loss: lossName, Points: pts})
 	}
-	return page, nil
+	return page
 }
 
-func (s *Server) handleUIOffering(w http.ResponseWriter, r *http.Request) {
-	page, err := s.uiOfferingData(r.URL.Query().Get("name"))
+func (s *Server) handleUIOffering(w http.ResponseWriter, r *http.Request, ms []*registry.Market) {
+	_, o, err := findOffering(ms, r.URL.Query().Get("name"))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	s.renderUI(w, uiOfferingTmpl, page)
+	s.renderUI(w, http.StatusOK, uiOfferingTmpl, uiOfferingData(o))
 }
 
-func (s *Server) handleUIBuy(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleUIBuy(w http.ResponseWriter, r *http.Request, ms []*registry.Market) {
 	if err := r.ParseForm(); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	offering := r.PostFormValue("offering")
-	page, err := s.uiOfferingData(offering)
+	req := BuyRequest{
+		Offering: r.PostFormValue("offering"),
+		Loss:     r.PostFormValue("loss"),
+		Option:   r.PostFormValue("option"),
+	}
+	m, o, err := findOffering(ms, req.Offering)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	value, err := strconv.ParseFloat(r.PostFormValue("value"), 64)
+	page := uiOfferingData(o)
+	req.Value, err = strconv.ParseFloat(r.PostFormValue("value"), 64)
 	if err != nil {
 		page.Message = fmt.Sprintf("bad value: %v", err)
 		page.MessageClass = "err"
-		s.renderUI(w, uiOfferingTmpl, page)
+		s.renderUI(w, http.StatusOK, uiOfferingTmpl, page)
 		return
 	}
-	loss := r.PostFormValue("loss")
-	var p *market.Purchase
-	p, err = s.doBuy(offering, loss, r.PostFormValue("option"), value)
+	code := http.StatusOK
+	p, err := s.buy(m, req)
 	if err != nil {
+		if errors.Is(err, errTenantThrottled) {
+			w.Header().Set("Retry-After", "1")
+			code = http.StatusTooManyRequests
+		}
 		page.Message = err.Error()
 		page.MessageClass = "err"
 	} else {
@@ -185,11 +191,12 @@ func (s *Server) handleUIBuy(w http.ResponseWriter, r *http.Request) {
 		page.MessageClass = "ok"
 		page.Purchase = p
 	}
-	s.renderUI(w, uiOfferingTmpl, page)
+	s.renderUI(w, code, uiOfferingTmpl, page)
 }
 
-func (s *Server) renderUI(w http.ResponseWriter, tmpl *template.Template, data any) {
+func (s *Server) renderUI(w http.ResponseWriter, code int, tmpl *template.Template, data any) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
+	w.WriteHeader(code)
 	if err := tmpl.Execute(w, data); err != nil {
 		s.logf("nimbus: rendering UI: %v", err)
 	}

@@ -29,7 +29,8 @@
 // never import internal packages directly: datasets and generators
 // (Table 3), ML models and losses (Table 2), noise mechanisms (Section 4),
 // arbitrage-free pricing functions and error transformations (Sections 3–4),
-// revenue optimization (Section 5), the market agents, and the HTTP broker.
+// revenue optimization (Section 5), the market agents, and the
+// multi-dataset marketplace with its HTTP API.
 package nimbus
 
 import (
@@ -40,6 +41,7 @@ import (
 	"nimbus/internal/noise"
 	"nimbus/internal/opt"
 	"nimbus/internal/pricing"
+	"nimbus/internal/registry"
 	"nimbus/internal/rng"
 	"nimbus/internal/server"
 	"nimbus/internal/vec"
@@ -271,9 +273,19 @@ var (
 	ResearchFromSamples = market.ResearchFromSamples
 )
 
-// HTTP broker service (the Nimbus demo surface).
+// The marketplace: a registry of per-dataset markets (memory-only, or
+// journaled under a data directory), served over HTTP as the Nimbus demo
+// surface.
 type (
-	// Server is the broker's HTTP handler.
+	// Registry is the marketplace: one market per listed dataset.
+	Registry = registry.Registry
+	// RegistryConfig configures a registry; an empty Root keeps it in
+	// memory only.
+	RegistryConfig = registry.Config
+	// DatasetSpec describes one dataset listing: its source, the model
+	// sold and the curve parameters.
+	DatasetSpec = registry.Spec
+	// Server is the marketplace's HTTP handler.
 	Server = server.Server
 	// Client is the Go client for the broker API.
 	Client = server.Client
@@ -281,10 +293,13 @@ type (
 	BuyRequest = server.BuyRequest
 )
 
-// HTTP constructors.
+// Marketplace constructors.
 var (
-	// NewServer wraps a broker in the HTTP API.
-	NewServer = server.New
+	// OpenRegistry opens a registry, recovering every market listed under
+	// its Root.
+	OpenRegistry = registry.Open
+	// NewServer serves a registry over the HTTP API.
+	NewServer = server.NewMulti
 	// NewClient returns a client for a broker base URL.
 	NewClient = server.NewClient
 )

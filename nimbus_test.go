@@ -63,32 +63,26 @@ func TestEndToEndMarketplace(t *testing.T) {
 	}
 }
 
-// TestEndToEndHTTP drives the same flow over the HTTP facade.
+// TestEndToEndHTTP drives the same flow over the HTTP facade: a
+// memory-only registry lists one dataset and serves it.
 func TestEndToEndHTTP(t *testing.T) {
-	d, err := StandIn("CASP", GenConfig{Rows: 200, Seed: 110})
+	registry, err := OpenRegistry(RegistryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pair, err := NewPair(d, NewRand(111))
+	defer registry.Close()
+	m, err := registry.List(DatasetSpec{
+		ID: "Simulated2", Generator: "Simulated2", Rows: 300,
+		Model: "logistic-regression", Grid: 8, Samples: 40, Seed: 110,
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seller, err := NewSeller(pair, Research{
-		Value:  func(e float64) float64 { return 50 / (1 + e) },
-		Demand: func(e float64) float64 { return 1 },
-	})
+	offering, err := m.Broker.Offering("Simulated2/logistic-regression")
 	if err != nil {
 		t.Fatal(err)
 	}
-	broker := NewBroker(112)
-	offering, err := broker.List(OfferingConfig{
-		Seller: seller, Model: LinearRegression{Ridge: 1e-3},
-		Grid: DefaultGrid(8), Samples: 40, Seed: 113,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(NewServer(broker))
+	srv := httptest.NewServer(NewServer(registry))
 	defer srv.Close()
 
 	client := NewClient(srv.URL)
@@ -99,13 +93,13 @@ func TestEndToEndHTTP(t *testing.T) {
 	if len(menu.Offerings) != 1 {
 		t.Fatalf("menu %+v", menu)
 	}
-	curve, err := client.Curve(context.Background(), offering.Name, "squared")
+	curve, err := client.Curve(context.Background(), offering.Name, "zero-one")
 	if err != nil {
 		t.Fatal(err)
 	}
 	top := curve.Points[len(curve.Points)-1]
 	p, err := client.Buy(context.Background(), BuyRequest{
-		Offering: offering.Name, Loss: "squared", Option: "price-budget", Value: top.Price,
+		Offering: offering.Name, Loss: "zero-one", Option: "price-budget", Value: top.Price,
 	})
 	if err != nil {
 		t.Fatal(err)
