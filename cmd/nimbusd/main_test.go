@@ -11,42 +11,26 @@ import (
 	"nimbus/internal/registry"
 )
 
-// TestSeedSuiteListsAndRecovers drives the durable boot sequence:
-// an empty data directory is seeded with the six Table 3 datasets, and a
-// second boot recovers them from their manifests instead of re-seeding.
-func TestSeedSuiteListsAndRecovers(t *testing.T) {
-	root := t.TempDir()
-	cfg := config{scale: 1e-9, seed: 3, samples: 10, gridN: 4}
-	open := func() *registry.Registry {
-		r, err := registry.Open(registry.Config{Root: root, Sync: journal.SyncNever})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-
-	r := open()
+// TestBuildBrokerListsAllSixDatasets: the boot path builds one market per
+// Table 3 dataset, each selling the paper's model for it, every offering's
+// curves meet their SLA, and progress is logged along the way.
+func TestBuildBrokerListsAllSixDatasets(t *testing.T) {
 	var logs []string
-	if err := seedSuite(r, cfg, func(format string, args ...any) { logs = append(logs, format) }); err != nil {
+	cfg := config{scale: 2e-4, seed: 7, samples: 30, gridN: 8, journalSync: "interval"}
+	r, err := openRegistry(cfg, nil, func(format string, args ...any) {
+		logs = append(logs, format)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(logs) == 0 {
-		t.Fatal("no progress logged")
+	defer r.Close()
+	menu := r.Menu()
+	if r.Count() != 6 || len(menu) != 6 {
+		t.Fatalf("built %d markets, menu %v", r.Count(), menu)
 	}
-	if r.Count() != 6 || len(r.Menu()) != 6 {
-		t.Fatalf("seeded %d markets, %d offerings", r.Count(), len(r.Menu()))
-	}
-	wantModels := map[string]string{
-		"Simulated1": "linear-regression",
-		"YearMSD":    "linear-regression",
-		"CASP":       "linear-regression",
-		"Simulated2": "logistic-regression",
-		"CovType":    "logistic-regression",
-		"SUSY":       "logistic-regression",
-	}
-	for _, name := range r.Menu() {
+	for _, name := range menu {
 		parts := strings.SplitN(name, "/", 2)
-		if wantModels[parts[0]] != parts[1] {
+		if table3Models[parts[0]] != parts[1] {
 			t.Fatalf("offering %s has unexpected model", name)
 		}
 		m, err := r.Get(parts[0])
@@ -59,6 +43,49 @@ func TestSeedSuiteListsAndRecovers(t *testing.T) {
 		}
 		if err := o.VerifySLA(); err != nil {
 			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	if len(logs) == 0 {
+		t.Fatal("no progress logged")
+	}
+}
+
+// table3Models is the model each Table 3 dataset is sold with.
+var table3Models = map[string]string{
+	"Simulated1": "linear-regression",
+	"YearMSD":    "linear-regression",
+	"CASP":       "linear-regression",
+	"Simulated2": "logistic-regression",
+	"CovType":    "logistic-regression",
+	"SUSY":       "logistic-regression",
+}
+
+// TestSeedSuiteListsAndRecovers drives the durable boot sequence:
+// an empty data directory is seeded with the six Table 3 datasets, and a
+// second boot recovers them from their manifests instead of re-seeding.
+func TestSeedSuiteListsAndRecovers(t *testing.T) {
+	root := t.TempDir()
+	cfg := config{scale: 1e-9, seed: 3, samples: 10, gridN: 4}
+	quiet := func(string, ...any) {}
+	open := func() *registry.Registry {
+		r, err := registry.Open(registry.Config{Root: root, Sync: journal.SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+
+	r := open()
+	if err := seedSuite(r, cfg, quiet); err != nil {
+		t.Fatal(err)
+	}
+	if r.Count() != 6 || len(r.Menu()) != 6 {
+		t.Fatalf("seeded %d markets, %d offerings", r.Count(), len(r.Menu()))
+	}
+	for _, name := range r.Menu() {
+		parts := strings.SplitN(name, "/", 2)
+		if table3Models[parts[0]] != parts[1] {
+			t.Fatalf("offering %s has unexpected model", name)
 		}
 	}
 	if err := r.Close(); err != nil {
