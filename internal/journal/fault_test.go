@@ -23,15 +23,23 @@ type faultFS struct {
 	tearBytes    int
 	failSync     bool
 	failTruncate bool
+	failOpen     bool
 }
 
 var (
 	errInjectedWrite    = errors.New("injected write failure")
 	errInjectedSync     = errors.New("injected sync failure")
 	errInjectedTruncate = errors.New("injected truncate failure")
+	errInjectedOpen     = errors.New("injected open failure")
 )
 
 func (f *faultFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	f.mu.Lock()
+	fail := f.failOpen
+	f.mu.Unlock()
+	if fail {
+		return nil, errInjectedOpen
+	}
 	base, err := f.OSFS.OpenFile(name, flag, perm)
 	if err != nil {
 		return nil, err
@@ -197,5 +205,39 @@ func TestCompactionSnapshotFailureKeepsJournalUsable(t *testing.T) {
 	want := append(records(4), []byte("alive"))
 	if got := replayAll(t, j2); !equalRecords(got, want) {
 		t.Fatalf("replayed %d records, want %d", len(got), len(want))
+	}
+}
+
+// TestCloseAfterFailedCompactionReportsTheFailure covers the one state in
+// which the journal holds no open tail: compaction sealed it, could not
+// write the snapshot, and could not reopen it either. Close must not close
+// the sealed tail a second time, and must report the compaction failure
+// that poisoned the journal rather than "file already closed".
+func TestCloseAfterFailedCompactionReportsTheFailure(t *testing.T) {
+	dir := t.TempDir()
+	fsys := &faultFS{writesUntilFail: -1}
+	j, err := Open(dir, Options{Sync: SyncNever, FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, j, records(3))
+	fsys.mu.Lock()
+	fsys.failOpen = true // the snapshot temp file and the tail reopen both fail
+	fsys.mu.Unlock()
+	if err := j.Compact(func(io.Writer) error { return nil }); !errors.Is(err, errInjectedOpen) {
+		t.Fatalf("compaction error %v, want the injected open failure", err)
+	}
+	if err := j.Append([]byte("late")); err == nil {
+		t.Fatal("append accepted by a journal with no tail")
+	}
+	err = j.Close()
+	if !errors.Is(err, errInjectedOpen) {
+		t.Fatalf("Close returned %v, want it to wrap the compaction failure", err)
+	}
+	if errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Close closed the sealed tail a second time: %v", err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
 	}
 }

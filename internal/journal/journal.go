@@ -1,8 +1,9 @@
 // Package journal is a stdlib-only append-only write-ahead journal for
 // the broker's sale ledger — the marketplace's only irreplaceable state.
-// Datasets and trained models are relisted from source on restart; the
-// record of who bought what at which price is not reproducible, so it
-// must survive kill -9.
+// On restart markets are relisted from their manifests (datasets and
+// models rebuilt from source, served error curves read back); the record
+// of who bought what at which price is not reproducible, so it must
+// survive kill -9.
 //
 // On disk a journal directory holds at most one snapshot plus a run of
 // segment files:
@@ -134,7 +135,7 @@ type Journal struct {
 	fs   FS
 
 	mu       sync.Mutex
-	tail     File   // guarded by mu
+	tail     File   // guarded by mu; nil once a failed compaction or rotation closed it
 	tailSeq  uint64 // guarded by mu
 	tailSize int64  // guarded by mu
 	dirty    bool   // guarded by mu; bytes written since the last fsync
@@ -503,7 +504,9 @@ func (j *Journal) rotateLocked() error {
 	}
 	j.tel.fsyncs.Inc()
 	j.dirty = false
-	if err := j.tail.Close(); err != nil {
+	err := j.tail.Close()
+	j.tail = nil // closed either way; Close must not close it again
+	if err != nil {
 		//lint:allocok failure path: the close already failed
 		return fmt.Errorf("closing segment %d: %w", j.tailSeq, err)
 	}
@@ -621,6 +624,12 @@ func (j *Journal) Close() error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	if j.tail == nil {
+		// A compaction or rotation sealed the tail and could not start
+		// another; that failure poisoned the journal and is the one to
+		// report.
+		return fmt.Errorf("journal: closing after earlier failure: %w", j.failed)
+	}
 	var err error
 	if j.dirty && j.failed == nil {
 		if serr := j.tail.Sync(); serr != nil {
@@ -641,6 +650,7 @@ func (j *Journal) Dir() string { return j.dir }
 
 // segName and snapName are the on-disk naming scheme; sequence numbers
 // are zero-padded hex so lexical order is numeric order.
+//
 //lint:allocok one name per segment rotation, SegmentBytes apart
 func segName(seq uint64) string  { return fmt.Sprintf("seg-%016x.wal", seq) }
 func snapName(seq uint64) string { return fmt.Sprintf("snap-%016x.snap", seq) }

@@ -43,7 +43,9 @@ func (j *Journal) Compact(write func(io.Writer) error) error {
 	}
 	j.tel.fsyncs.Inc()
 	j.dirty = false
-	if err := j.tail.Close(); err != nil {
+	err := j.tail.Close()
+	j.tail = nil // closed either way; a failure below leaves it so, and Close must not close it again
+	if err != nil {
 		j.failed = fmt.Errorf("close failed: %w", err)
 		return fmt.Errorf("journal: sealing tail for compaction: %w", err)
 	}
@@ -54,7 +56,7 @@ func (j *Journal) Compact(write func(io.Writer) error) error {
 		// Snapshot never happened; reopen the tail so appends can go on.
 		f, oerr := j.fs.OpenFile(filepath.Join(j.dir, segName(j.tailSeq)), os.O_WRONLY|os.O_APPEND, 0)
 		if oerr != nil {
-			j.failed = fmt.Errorf("compaction failed (%v) and tail reopen failed (%v)", err, oerr)
+			j.failed = fmt.Errorf("compaction failed (%w) and tail reopen failed (%w)", err, oerr)
 			return fmt.Errorf("journal: writing snapshot: %w", err)
 		}
 		j.tail = f

@@ -84,6 +84,13 @@ type OfferingConfig struct {
 	Samples int
 	// Seed drives the error-transformation Monte Carlo.
 	Seed int64
+	// Curves, when set, are error curves this offering served before (see
+	// Offering.ErrorCurves), used in place of the Monte-Carlo transform so
+	// relisting after a restart skips its one expensive step. There must
+	// be exactly one per reporting loss, in LossNames order, each over
+	// exactly Grid; the buyer points, prices and SLA check are derived
+	// from them as from a fresh transform.
+	Curves []*pricing.ErrorCurve
 	// Strategy optionally overrides how prices are set from the buyer
 	// points; nil means the revenue-maximizing DP. Baselines like opt.OptC
 	// plug in here (the experiments use this for live A/B comparisons).
@@ -187,23 +194,31 @@ func newOffering(cfg OfferingConfig) (*Offering, error) {
 			losses = append(losses, extra)
 		}
 	}
-	errCurves := make(map[string]*pricing.ErrorCurve, len(losses))
-	seed := cfg.Seed
-	for _, loss := range losses {
-		ec, err := pricing.MonteCarloTransform(pricing.TransformConfig{
-			Optimal:   optimal,
-			Loss:      loss,
-			Data:      pair.Test,
-			Mechanism: mech,
-			Xs:        grid,
-			Samples:   samples,
-			Seed:      seed,
-		})
+	var errCurves map[string]*pricing.ErrorCurve
+	if cfg.Curves != nil {
+		errCurves, err = givenCurves(cfg.Curves, losses, grid)
 		if err != nil {
-			return nil, fmt.Errorf("market: error transformation for %s: %w", loss.Name(), err)
+			return nil, err
 		}
-		errCurves[loss.Name()] = ec
-		seed++
+	} else {
+		errCurves = make(map[string]*pricing.ErrorCurve, len(losses))
+		seed := cfg.Seed
+		for _, loss := range losses {
+			ec, err := pricing.MonteCarloTransform(pricing.TransformConfig{
+				Optimal:   optimal,
+				Loss:      loss,
+				Data:      pair.Test,
+				Mechanism: mech,
+				Xs:        grid,
+				Samples:   samples,
+				Seed:      seed,
+			})
+			if err != nil {
+				return nil, fmt.Errorf("market: error transformation for %s: %w", loss.Name(), err)
+			}
+			errCurves[loss.Name()] = ec
+			seed++
+		}
 	}
 
 	// Transform the seller's research from the error axis to the quality
@@ -259,6 +274,32 @@ func newOffering(cfg OfferingConfig) (*Offering, error) {
 	return o, nil
 }
 
+// givenCurves keys precomputed error curves by loss, checking there is
+// one per reporting loss of the offering, in listing order, each over
+// exactly its grid.
+func givenCurves(given []*pricing.ErrorCurve, losses []ml.Loss, grid []float64) (map[string]*pricing.ErrorCurve, error) {
+	if len(given) != len(losses) {
+		return nil, fmt.Errorf("market: %d error curves for the offering's %d losses", len(given), len(losses))
+	}
+	byLoss := make(map[string]*pricing.ErrorCurve, len(given))
+	for i, ec := range given {
+		if ec.LossName != losses[i].Name() {
+			return nil, fmt.Errorf("market: error curve %d is for loss %q, the offering's is %q", i, ec.LossName, losses[i].Name())
+		}
+		if len(ec.Xs) != len(grid) {
+			return nil, fmt.Errorf("market: error curve for %s has %d grid points, the offering has %d", ec.LossName, len(ec.Xs), len(grid))
+		}
+		for k, x := range ec.Xs {
+			// Ordered comparisons: a NaN point matches nothing.
+			if !(x >= grid[k] && x <= grid[k]) {
+				return nil, fmt.Errorf("market: error curve for %s has grid point %d at %v, the offering at %v", ec.LossName, k, x, grid[k])
+			}
+		}
+		byLoss[ec.LossName] = ec
+	}
+	return byLoss, nil
+}
+
 // Curve returns the price–error curve for the given reporting loss.
 func (o *Offering) Curve(lossName string) (*pricing.PriceErrorCurve, error) {
 	c, ok := o.curves[lossName]
@@ -275,6 +316,17 @@ func (o *Offering) Curve(lossName string) (*pricing.PriceErrorCurve, error) {
 //lint:allocok the defensive copy is the function's product; hot callers only reach it on refusal paths
 func (o *Offering) LossNames() []string {
 	return append([]string(nil), o.lossOrder...)
+}
+
+// ErrorCurves returns the error curves the offering serves, one per
+// reporting loss in LossNames order: what OfferingConfig.Curves takes to
+// relist the offering without re-running the transform.
+func (o *Offering) ErrorCurves() []*pricing.ErrorCurve {
+	out := make([]*pricing.ErrorCurve, len(o.lossOrder))
+	for i, name := range o.lossOrder {
+		out[i] = o.curves[name].ErrorCurve()
+	}
+	return out
 }
 
 // VerifySLA checks the pricing desiderata of Section 3.3 (Definitions 1–5):

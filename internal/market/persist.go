@@ -12,10 +12,11 @@ import (
 
 // Persistence: the broker's financial state (the sale ledger) and the
 // audit-relevant shape of each offering can be saved and restored as JSON,
-// so a production broker survives restarts without losing its books. The
-// heavy, reproducible parts — datasets and trained models — are relisted
-// from source on startup (see cmd/nimbusd); only the ledger is
-// irreplaceable state.
+// so a production broker survives restarts without losing its books. On
+// startup each offering is relisted from its source (see
+// internal/registry): datasets and trained models are rebuilt, and the
+// error curves it served are passed back in through OfferingConfig.Curves
+// instead of being re-estimated. Only the ledger is irreplaceable state.
 
 // LedgerSnapshot is the serialized sale ledger.
 type LedgerSnapshot struct {

@@ -48,17 +48,17 @@ func TestCompareSelfIsClean(t *testing.T) {
 // classification, including the orientation of higher-is-better metrics.
 func TestCompareVerdicts(t *testing.T) {
 	oldR, newR := baseline(), baseline()
-	newR.Micro[0].NsPerOp *= 2.0             // kernel 2x slower: regression
-	newR.Micro[1].NsPerOp *= 0.5             // kernel 2x faster: improvement
-	newR.Micro[1].AllocsPerOp = 0            // fewer allocs: improvement
-	newR.Load.QPS *= 0.5                     // throughput halved: regression
-	newR.Load.Client.P99 *= 1.05             // +5%: inside the 25% load band
-	newR.Load.Server.P95 *= 3.0              // tail blowup: regression
+	newR.Micro[0].NsPerOp *= 2.0  // kernel 2x slower: regression
+	newR.Micro[1].NsPerOp *= 0.5  // kernel 2x faster: improvement
+	newR.Micro[1].AllocsPerOp = 0 // fewer allocs: improvement
+	newR.Load.QPS *= 0.5          // throughput halved: regression
+	newR.Load.Client.P99 *= 1.05  // +5%: inside the 25% load band
+	newR.Load.Server.P95 *= 3.0   // tail blowup: regression
 	c := Compare(oldR, newR, CompareOptions{})
 
 	for metric, want := range map[string]Verdict{
-		"micro/opt/dp/n=100/ns_per_op":           VerdictRegression,
-		"micro/noise/gaussian/d=90/ns_per_op":    VerdictImprovement,
+		"micro/opt/dp/n=100/ns_per_op":            VerdictRegression,
+		"micro/noise/gaussian/d=90/ns_per_op":     VerdictImprovement,
 		"micro/noise/gaussian/d=90/allocs_per_op": VerdictImprovement,
 		"load/qps":        VerdictRegression,
 		"load/client/p99": VerdictWithinNoise,

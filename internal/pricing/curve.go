@@ -53,6 +53,16 @@ func (c *PriceErrorCurve) Points() []PriceErrorPoint {
 	return append([]PriceErrorPoint(nil), c.points...)
 }
 
+// ErrorCurve returns a copy of the error curve the menu rows were built
+// from — the curve this (m, ε) pair serves, which RestoreCurve rebuilds.
+func (c *PriceErrorCurve) ErrorCurve() *ErrorCurve {
+	return &ErrorCurve{
+		LossName: c.errs.LossName,
+		Xs:       append([]float64(nil), c.errs.Xs...),
+		Errs:     append([]float64(nil), c.errs.Errs...),
+	}
+}
+
 // PriceAt returns the price of quality x.
 func (c *PriceErrorCurve) PriceAt(x float64) float64 { return c.price.Price(x) }
 

@@ -3,6 +3,7 @@ package pricing
 import (
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -33,25 +34,8 @@ var ErrUnattainable = errors.New("pricing: error budget unattainable")
 
 // newErrorCurve validates grid shape and enforces monotonicity.
 func newErrorCurve(lossName string, xs, errs []float64) (*ErrorCurve, error) {
-	if len(xs) < 2 {
-		return nil, fmt.Errorf("pricing: error curve needs ≥ 2 grid points, got %d", len(xs))
-	}
-	if len(xs) != len(errs) {
-		return nil, fmt.Errorf("pricing: %d grid points but %d errors", len(xs), len(errs))
-	}
-	if !sort.Float64sAreSorted(xs) {
-		return nil, fmt.Errorf("pricing: quality grid must be increasing")
-	}
-	for i, x := range xs {
-		if x <= 0 {
-			return nil, fmt.Errorf("pricing: quality grid point %d is %v, must be positive", i, x)
-		}
-		// The grid is already known to be sorted, so a point that fails to
-		// strictly exceed its predecessor is a duplicate — no bitwise float
-		// equality needed.
-		if i > 0 && x <= xs[i-1] {
-			return nil, fmt.Errorf("pricing: duplicate quality grid point %v", x)
-		}
+	if err := checkGrid(xs, errs); err != nil {
+		return nil, err
 	}
 	// Monte-Carlo estimates fluctuate; project onto the non-increasing cone
 	// so the curve is a valid transformation (the true curve is monotone by
@@ -61,6 +45,56 @@ func newErrorCurve(lossName string, xs, errs []float64) (*ErrorCurve, error) {
 		return nil, err
 	}
 	return &ErrorCurve{LossName: lossName, Xs: append([]float64(nil), xs...), Errs: smooth}, nil
+}
+
+// RestoreCurve rebuilds a curve an offering served earlier — one that
+// already went through the transform's monotone projection — from its
+// stored points. It validates instead of projecting, so the served values
+// come back bit for bit and a damaged curve is refused rather than
+// silently repaired: the grid must be finite, increasing and positive,
+// and the errors finite, non-negative and non-increasing.
+func RestoreCurve(lossName string, xs, errs []float64) (*ErrorCurve, error) {
+	if err := checkGrid(xs, errs); err != nil {
+		return nil, err
+	}
+	for i, e := range errs {
+		if math.IsNaN(xs[i]) || math.IsInf(xs[i], 0) {
+			return nil, fmt.Errorf("pricing: quality grid point %d is %v, want finite", i, xs[i])
+		}
+		if math.IsNaN(e) || math.IsInf(e, 0) || e < 0 {
+			return nil, fmt.Errorf("pricing: %s error at grid point %d is %v, want finite and non-negative", lossName, i, e)
+		}
+		if i > 0 && e > errs[i-1] {
+			return nil, fmt.Errorf("pricing: %s error increases at grid point %d (%v after %v)", lossName, i, e, errs[i-1])
+		}
+	}
+	return &ErrorCurve{LossName: lossName, Xs: append([]float64(nil), xs...), Errs: append([]float64(nil), errs...)}, nil
+}
+
+// checkGrid validates the shape every curve shares: at least two points,
+// one error per point, and a strictly increasing positive quality grid.
+func checkGrid(xs, errs []float64) error {
+	if len(xs) < 2 {
+		return fmt.Errorf("pricing: error curve needs ≥ 2 grid points, got %d", len(xs))
+	}
+	if len(xs) != len(errs) {
+		return fmt.Errorf("pricing: %d grid points but %d errors", len(xs), len(errs))
+	}
+	if !sort.Float64sAreSorted(xs) {
+		return fmt.Errorf("pricing: quality grid must be increasing")
+	}
+	for i, x := range xs {
+		if x <= 0 {
+			return fmt.Errorf("pricing: quality grid point %d is %v, must be positive", i, x)
+		}
+		// The grid is already known to be sorted, so a point that fails to
+		// strictly exceed its predecessor is a duplicate — no bitwise float
+		// equality needed.
+		if i > 0 && x <= xs[i-1] {
+			return fmt.Errorf("pricing: duplicate quality grid point %v", x)
+		}
+	}
+	return nil
 }
 
 // Err interpolates the expected error at quality x, clamping outside the

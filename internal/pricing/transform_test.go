@@ -245,3 +245,51 @@ func TestErrorCurveRejectsDuplicateGrid(t *testing.T) {
 		t.Fatal("duplicate grid point was accepted")
 	}
 }
+
+func TestRestoreCurveRoundTripsServedCurve(t *testing.T) {
+	xs := DefaultGrid(6)
+	served, err := ExactCurve("squared", xs, []float64{0.9, 0.95, 0.5, 0.4, 0.41, 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pf, err := NewFunction([]Point{{X: 1, Price: 1}, {X: 100, Price: 10}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pec, err := NewPriceErrorCurve("m", served, pf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ec := pec.ErrorCurve()
+	back, err := RestoreCurve(ec.LossName, ec.Xs, ec.Errs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.LossName != "squared" || len(back.Errs) != len(served.Errs) {
+		t.Fatalf("restored %s with %d points", back.LossName, len(back.Errs))
+	}
+	for i := range served.Errs {
+		if math.Float64bits(back.Xs[i]) != math.Float64bits(served.Xs[i]) ||
+			math.Float64bits(back.Errs[i]) != math.Float64bits(served.Errs[i]) {
+			t.Fatalf("point %d restored as (%v, %v), served (%v, %v)", i, back.Xs[i], back.Errs[i], served.Xs[i], served.Errs[i])
+		}
+	}
+}
+
+func TestRestoreCurveRejectsWhatTheTransformNeverServes(t *testing.T) {
+	xs := []float64{1, 2, 3}
+	for name, errs := range map[string][]float64{
+		"increasing": {0.5, 0.6, 0.1},
+		"NaN":        {0.5, math.NaN(), 0.1},
+		"infinite":   {math.Inf(1), 0.3, 0.1},
+		"negative":   {0.5, 0.3, -0.1},
+		"short":      {0.5, 0.3},
+	} {
+		if _, err := RestoreCurve("squared", xs, errs); err == nil {
+			t.Errorf("%s errors accepted", name)
+		}
+	}
+	if _, err := RestoreCurve("squared", []float64{math.NaN(), 2, 3}, []float64{0.5, 0.3, 0.1}); err == nil {
+		t.Error("NaN grid point accepted")
+	}
+}

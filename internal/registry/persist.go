@@ -7,14 +7,17 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"time"
 
 	"nimbus/internal/journal"
 	"nimbus/internal/market"
+	"nimbus/internal/pricing"
 )
 
 // On-disk layout, one directory per tenant under Config.Root:
 //
-//	<root>/<id>/manifest.json  - the normalized Spec (rebuild recipe)
+//	<root>/<id>/manifest.json  - the normalized Spec (rebuild recipe) plus
+//	                             the error curves the market serves
 //	<root>/<id>/dataset.csv    - raw upload, CSV-sourced tenants only
 //	<root>/<id>/journal/       - the tenant's own write-ahead journal
 //	<root>/.delisted/<id>-<n>  - archived tenants (renamed, never deleted)
@@ -36,35 +39,75 @@ const (
 // tenantDir is the live directory for a tenant.
 func tenantDir(root, id string) string { return filepath.Join(root, id) }
 
-// writeManifest persists the normalized spec atomically (temp file, fsync,
-// rename) so a crash mid-write leaves the old manifest or the new one.
-func writeManifest(dir string, spec Spec) error {
+// manifest is the on-disk form of manifest.json: the spec plus the error
+// curves the market's offering serves. The curves are the one expensive,
+// random product of a listing (the Monte-Carlo transform), so recovery
+// reuses them instead of re-estimating them; everything else is rebuilt
+// from the spec. They live here, not in Spec, because Spec is also the
+// listing request body — a seller can never supply curves. A manifest
+// without curves (written before they were kept) still reads, and
+// recovers through the full listing pipeline.
+type manifest struct {
+	Spec
+	Curves []storedCurve `json:"curves,omitempty"`
+}
+
+// storedCurve is one reporting loss's served error curve. encoding/json
+// round-trips float64 exactly, so the served values come back bit for bit.
+type storedCurve struct {
+	Loss string    `json:"loss"`
+	Xs   []float64 `json:"xs"`
+	Errs []float64 `json:"errs"`
+}
+
+// writeManifest persists the normalized spec and the served error curves
+// atomically (temp file, fsync, rename) so a crash mid-write leaves the
+// old manifest or the new one.
+func writeManifest(dir string, spec Spec, curves []*pricing.ErrorCurve) error {
+	m := manifest{Spec: spec, Curves: make([]storedCurve, len(curves))}
+	for i, c := range curves {
+		m.Curves[i] = storedCurve{Loss: c.LossName, Xs: c.Xs, Errs: c.Errs}
+	}
 	return journal.WriteFileAtomic(journal.OSFS{}, filepath.Join(dir, manifestFile), func(w io.Writer) error {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		return enc.Encode(spec)
+		return enc.Encode(m)
 	})
 }
 
-// readManifest loads and re-validates a tenant's spec.
-func readManifest(dir string) (Spec, error) {
-	data, err := os.ReadFile(filepath.Join(dir, manifestFile))
+// readManifest loads and re-validates a tenant's spec and its stored
+// error curves (nil when the manifest has none).
+func readManifest(dir string) (Spec, []*pricing.ErrorCurve, error) {
+	path := filepath.Join(dir, manifestFile)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		return Spec{}, err
+		return Spec{}, nil, err
 	}
-	var spec Spec
-	if err := json.Unmarshal(data, &spec); err != nil {
-		return Spec{}, fmt.Errorf("registry: parsing %s: %w", filepath.Join(dir, manifestFile), err)
+	var m manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		return Spec{}, nil, fmt.Errorf("registry: parsing %s: %w", path, err)
 	}
-	if spec.Version != specVersion {
-		return Spec{}, fmt.Errorf("registry: %s: manifest version %d, this build reads %d", dir, spec.Version, specVersion)
+	if m.Version != specVersion {
+		return Spec{}, nil, fmt.Errorf("registry: %s: manifest version %d, this build reads %d", dir, m.Version, specVersion)
 	}
-	return spec.normalize()
+	spec, err := m.Spec.normalize()
+	if err != nil {
+		return Spec{}, nil, err
+	}
+	var curves []*pricing.ErrorCurve
+	for _, sc := range m.Curves {
+		c, err := pricing.RestoreCurve(sc.Loss, sc.Xs, sc.Errs)
+		if err != nil {
+			return Spec{}, nil, fmt.Errorf("registry: %s: %w", path, err)
+		}
+		curves = append(curves, c)
+	}
+	return spec, curves, nil
 }
 
 // persistTenant creates the tenant directory and writes the manifest plus,
 // for CSV sources, the raw dataset bytes.
-func persistTenant(root string, spec Spec, csvData []byte) error {
+func persistTenant(root string, spec Spec, curves []*pricing.ErrorCurve, csvData []byte) error {
 	dir := tenantDir(root, spec.ID)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("registry: creating %s: %w", dir, err)
@@ -78,7 +121,7 @@ func persistTenant(root string, spec Spec, csvData []byte) error {
 			return err
 		}
 	}
-	return writeManifest(dir, spec)
+	return writeManifest(dir, spec, curves)
 }
 
 // removeTenantDir erases a half-created tenant directory after a failed
@@ -168,23 +211,28 @@ func (r *Registry) recoverTenants() error {
 		if !e.IsDir() || !ValidID(e.Name()) {
 			continue
 		}
+		start := time.Now()
 		m, err := r.recoverTenant(e.Name())
 		if err != nil {
 			return fmt.Errorf("registry: recovering tenant %s: %w", e.Name(), err)
 		}
 		r.publish(m)
-		r.logf("registry: recovered market %s (%s): %d sales, revenue %.2f",
-			m.ID, m.Spec.Source(), m.Broker.SaleCount(), m.Broker.TotalRevenue())
+		r.logf("registry: recovered market %s (%s) in %v: %d sales, revenue %.2f",
+			m.ID, m.Spec.Source(), time.Since(start).Round(time.Millisecond), m.Broker.SaleCount(), m.Broker.TotalRevenue())
 	}
 	return nil
 }
 
-// recoverTenant rebuilds one market from its directory: re-run the listing
-// pipeline from the manifest (datasets and curves are reproducible from
-// the spec), then recover the ledger from the tenant's journal.
+// recoverTenant rebuilds one market from its directory: relist it from
+// the manifest, reusing the error curves stored there (the dataset, split
+// and model are reproducible from the spec, and the buyer points, prices
+// and SLA check are re-derived from the curves), then recover the ledger
+// from the tenant's journal. A manifest without curves goes through the
+// full listing pipeline and is rewritten with the curves it produced, so
+// that slow path runs once per tenant.
 func (r *Registry) recoverTenant(id string) (*Market, error) {
 	dir := tenantDir(r.cfg.Root, id)
-	spec, err := readManifest(dir)
+	spec, curves, err := readManifest(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -198,9 +246,14 @@ func (r *Registry) recoverTenant(id string) (*Market, error) {
 			return nil, err
 		}
 	}
-	b, err := buildBroker(spec, csvData, r.cfg.Commission)
+	b, o, err := buildBroker(spec, csvData, r.cfg.Commission, curves)
 	if err != nil {
 		return nil, err
+	}
+	if curves == nil {
+		if err := writeManifest(dir, spec, o.ErrorCurves()); err != nil {
+			return nil, err
+		}
 	}
 	if r.cfg.Telemetry != nil {
 		b.SetTelemetry(r.cfg.Telemetry)

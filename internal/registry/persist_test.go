@@ -1,0 +1,369 @@
+package registry
+
+import (
+	"bytes"
+	"encoding/json"
+	"math"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"nimbus/internal/journal"
+	"nimbus/internal/pricing"
+)
+
+// listing is one tenant to list: a spec plus, for CSV sources, its data.
+type listing struct {
+	spec Spec
+	csv  []byte
+}
+
+// curveTenants covers every shape of stored curves: a regression tenant
+// (one loss), a classification tenant (two losses: the training loss and
+// zero-one) and a CSV-sourced tenant.
+func curveTenants() []listing {
+	return []listing{
+		{spec: cheapSpec("reg", 3)},
+		{spec: Spec{ID: "cls", Generator: "Simulated2", Rows: 150, Grid: 8, Samples: 24, Seed: 5}},
+		{spec: Spec{ID: "csv", CSV: true, Task: "regression", Target: "y", Grid: 8, Samples: 24, Seed: 11}, csv: testCSV(120)},
+	}
+}
+
+// served is what a tenant's one offering serves: the price–error rows per
+// loss and the pricing function's knots.
+type served struct {
+	losses []string
+	rows   map[string][]pricing.PriceErrorPoint
+	knots  []pricing.Point
+}
+
+func servedBy(t *testing.T, m *Market) served {
+	t.Helper()
+	o, err := m.Broker.Offering(m.Broker.Menu()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := served{losses: o.LossNames(), rows: map[string][]pricing.PriceErrorPoint{}, knots: o.PriceFunc.Points()}
+	for _, loss := range s.losses {
+		c, err := o.Curve(loss)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.rows[loss] = c.Points()
+	}
+	return s
+}
+
+// requireSameBits fails unless got serves exactly want, bit for bit.
+func requireSameBits(t *testing.T, id string, got, want served) {
+	t.Helper()
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if strings.Join(got.losses, ",") != strings.Join(want.losses, ",") {
+		t.Fatalf("%s: losses %v, want %v", id, got.losses, want.losses)
+	}
+	for _, loss := range want.losses {
+		g, w := got.rows[loss], want.rows[loss]
+		if len(g) != len(w) {
+			t.Fatalf("%s/%s: %d curve points, want %d", id, loss, len(g), len(w))
+		}
+		for i := range w {
+			if !same(g[i].X, w[i].X) || !same(g[i].Error, w[i].Error) || !same(g[i].Price, w[i].Price) {
+				t.Fatalf("%s/%s point %d: %+v, want %+v", id, loss, i, g[i], w[i])
+			}
+		}
+	}
+	if len(got.knots) != len(want.knots) {
+		t.Fatalf("%s: %d price knots, want %d", id, len(got.knots), len(want.knots))
+	}
+	for i := range want.knots {
+		if !same(got.knots[i].X, want.knots[i].X) || !same(got.knots[i].Price, want.knots[i].Price) {
+			t.Fatalf("%s: price knot %d %+v, want %+v", id, i, got.knots[i], want.knots[i])
+		}
+	}
+}
+
+// listAndBuy lists every tenant, makes a few purchases on each, and
+// returns what each serves.
+func listAndBuy(t *testing.T, r *Registry, tenants []listing) map[string]served {
+	t.Helper()
+	out := map[string]served{}
+	for _, l := range tenants {
+		m, err := r.List(l.spec, l.csv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := servedBy(t, m)
+		for k := 0; k < 3; k++ {
+			if _, err := m.Buy(m.Broker.Menu()[0], s.losses[k%len(s.losses)], "quality", float64(1+k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out[l.spec.ID] = s
+	}
+	return out
+}
+
+// requireServes fails unless every tenant of r serves exactly want.
+func requireServes(t *testing.T, r *Registry, want map[string]served) {
+	t.Helper()
+	for id, w := range want {
+		m, err := r.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameBits(t, id, servedBy(t, m), w)
+	}
+}
+
+func readRawManifest(t *testing.T, root, id string) manifest {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(root, id, manifestFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+func writeRawManifest(t *testing.T, root, id string, v any) {
+	t.Helper()
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, id, manifestFile), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStoredCurvesSurviveRestartBitForBit checks that every tenant serves
+// the identical curves and prices after a clean Close→Open and after an
+// abandoned registry (no Close, as after kill -9) is reopened.
+func TestStoredCurvesSurviveRestartBitForBit(t *testing.T) {
+	root := t.TempDir()
+	cfg := Config{Root: root, Commission: 0.1, Sync: journal.SyncAlways, Logf: t.Logf}
+	r, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := listAndBuy(t, r, curveTenants())
+	for id, s := range want {
+		if got := len(readRawManifest(t, root, id).Curves); got != len(s.losses) {
+			t.Fatalf("%s: manifest stores %d curves for %d losses", id, got, len(s.losses))
+		}
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r2, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireServes(t, r2, want)
+	// Abandon r2 without Close, as kill -9 would.
+	r3, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r3.Close()
+	requireServes(t, r3, want)
+}
+
+// TestRecoveryServesStoredCurvesNotTheTransform tampers with each stored
+// curve — scaled by a constant, which keeps it monotone and its prices
+// arbitrage-free — and checks the reopened tenants serve the tampered
+// values: recovery took the curves from the manifest and did not re-run
+// the Monte-Carlo transform.
+func TestRecoveryServesStoredCurvesNotTheTransform(t *testing.T) {
+	root := t.TempDir()
+	cfg := Config{Root: root, Commission: 0.1, Sync: journal.SyncAlways, Logf: t.Logf}
+	r, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenants := curveTenants()
+	listAndBuy(t, r, tenants)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tampered := map[string][]float64{}
+	for _, l := range tenants {
+		id := l.spec.ID
+		m := readRawManifest(t, root, id)
+		errs := m.Curves[0].Errs
+		for i := range errs {
+			errs[i] *= 1.5
+		}
+		tampered[id+"/"+m.Curves[0].Loss] = errs
+		writeRawManifest(t, root, id, m)
+	}
+
+	r2, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	for _, l := range tenants {
+		m, err := r2.Get(l.spec.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := servedBy(t, m)
+		loss := s.losses[0]
+		want := tampered[l.spec.ID+"/"+loss]
+		rows := s.rows[loss]
+		if len(rows) != len(want) {
+			t.Fatalf("%s: %d rows, want %d", l.spec.ID, len(rows), len(want))
+		}
+		for i, row := range rows {
+			if math.Float64bits(row.Error) != math.Float64bits(want[i]) {
+				t.Fatalf("%s/%s point %d serves error %v, the tampered manifest says %v: recovery re-ran the transform",
+					l.spec.ID, loss, i, row.Error, want[i])
+			}
+		}
+	}
+}
+
+// TestManifestWithoutCurvesRecoversAndIsUpgraded recovers tenants whose
+// manifests predate stored curves: they go through the full listing
+// pipeline, serve the same curves as before, and have their manifests
+// rewritten with those curves.
+func TestManifestWithoutCurvesRecoversAndIsUpgraded(t *testing.T) {
+	root := t.TempDir()
+	cfg := Config{Root: root, Commission: 0.1, Sync: journal.SyncAlways, Logf: t.Logf}
+	r, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := listAndBuy(t, r, curveTenants())
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for id := range want {
+		// The old format: the bare normalized spec.
+		writeRawManifest(t, root, id, readRawManifest(t, root, id).Spec)
+		data, err := os.ReadFile(filepath.Join(root, id, manifestFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(data, []byte("curves")) {
+			t.Fatalf("%s: old-format manifest still carries curves", id)
+		}
+	}
+
+	r2, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	requireServes(t, r2, want)
+	for id, s := range want {
+		m := readRawManifest(t, root, id)
+		if len(m.Curves) != len(s.losses) {
+			t.Fatalf("%s: upgraded manifest stores %d curves for %d losses", id, len(m.Curves), len(s.losses))
+		}
+		for i, c := range m.Curves {
+			rows := s.rows[s.losses[i]]
+			if c.Loss != s.losses[i] || len(c.Errs) != len(rows) {
+				t.Fatalf("%s: upgraded curve %d is %s with %d points", id, i, c.Loss, len(c.Errs))
+			}
+			for k, e := range c.Errs {
+				if math.Float64bits(e) != math.Float64bits(rows[k].Error) {
+					t.Fatalf("%s/%s point %d stored %v, served %v", id, c.Loss, k, e, rows[k].Error)
+				}
+			}
+		}
+	}
+}
+
+// TestDamagedStoredCurvesFailOpen checks that a stored curve that does not
+// fit the tenant's spec, or is not a valid error curve, fails Open with an
+// error naming the tenant and leaves no recovered tenant open.
+func TestDamagedStoredCurvesFailOpen(t *testing.T) {
+	cases := []struct {
+		name   string
+		damage func(m *manifest)
+		text   func(data []byte) []byte // edits the encoded manifest instead
+	}{
+		{name: "grid length", damage: func(m *manifest) {
+			c := &m.Curves[0]
+			c.Xs, c.Errs = c.Xs[:len(c.Xs)-1], c.Errs[:len(c.Errs)-1]
+		}},
+		{name: "grid point", damage: func(m *manifest) { m.Curves[1].Xs[2] += 0.5 }},
+		{name: "missing loss", damage: func(m *manifest) { m.Curves = m.Curves[:1] }},
+		{name: "extra loss", damage: func(m *manifest) {
+			extra := m.Curves[0]
+			extra.Loss = "hinge"
+			m.Curves = append(m.Curves, extra)
+		}},
+		{name: "wrong loss", damage: func(m *manifest) { m.Curves[1].Loss = "hinge" }},
+		{name: "increasing errs", damage: func(m *manifest) {
+			errs := m.Curves[0].Errs
+			errs[len(errs)-1] = 2 * errs[0]
+		}},
+		{name: "NaN", text: func(data []byte) []byte {
+			i := bytes.Index(data, []byte(`"errs": [`)) + len(`"errs": [`)
+			j := i + bytes.IndexByte(data[i:], ',')
+			return append(append(append([]byte(nil), data[:i]...), "NaN"...), data[j:]...)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			// SyncInterval gives every open journal a flusher goroutine, so
+			// a recovered tenant left open shows as a goroutine that never
+			// exits. "aaa" is recovered before "zzz" fails.
+			cfg := Config{Root: root, Commission: 0.1, Sync: journal.SyncInterval, SyncEvery: time.Hour, Logf: t.Logf}
+			r, err := Open(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			listAndBuy(t, r, []listing{
+				{spec: cheapSpec("aaa", 1)},
+				{spec: Spec{ID: "zzz", Generator: "Simulated2", Rows: 150, Grid: 8, Samples: 24, Seed: 5}},
+			})
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.damage != nil {
+				m := readRawManifest(t, root, "zzz")
+				tc.damage(&m)
+				writeRawManifest(t, root, "zzz", m)
+			} else {
+				path := filepath.Join(root, "zzz", manifestFile)
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, tc.text(data), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			base := runtime.NumGoroutine()
+			r2, err := Open(cfg)
+			if err == nil {
+				r2.Close()
+				t.Fatal("Open accepted a damaged stored curve")
+			}
+			if !strings.Contains(err.Error(), "zzz") {
+				t.Fatalf("error does not name the failing tenant: %v", err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > base {
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutines: %d at Open, %d now — a recovered tenant's journal was left open",
+						base, runtime.NumGoroutine())
+				}
+				time.Sleep(10 * time.Millisecond)
+			}
+		})
+	}
+}

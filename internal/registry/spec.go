@@ -13,10 +13,10 @@ import (
 
 // Spec describes how one tenant market is built: which dataset backs it
 // (a named generator or seller-uploaded CSV), which model is sold, and the
-// listing parameters of the Figure 2 pipeline. The spec is the tenant's
-// manifest — it is persisted verbatim in the tenant directory so a restart
-// can rebuild the market from source (datasets and trained models are
-// reproducible; only the sale ledger, which the journal carries, is not).
+// listing parameters of the Figure 2 pipeline. The spec is the recipe in
+// the tenant's manifest: a restart rebuilds the dataset and model from it
+// and reuses the error curves stored beside it (see manifest), so the
+// Monte-Carlo transform is not re-run; the sale ledger rides the journal.
 type Spec struct {
 	// Version guards the on-disk manifest format.
 	Version int `json:"version,omitempty"`
@@ -183,15 +183,16 @@ func buildDataset(spec Spec, csvData []byte) (*dataset.Dataset, error) {
 // buildBroker runs the full listing pipeline for the spec on a fresh
 // sharded broker: generate/parse the dataset, split it, train, transform,
 // optimize prices, and list the offering. This is the slow part of List —
-// the registry runs it outside its lock.
-func buildBroker(spec Spec, csvData []byte, commission float64) (*market.Broker, error) {
+// the registry runs it outside its lock. Non-nil curves, the ones the
+// offering served before a restart, replace the transform.
+func buildBroker(spec Spec, csvData []byte, commission float64, curves []*pricing.ErrorCurve) (*market.Broker, *market.Offering, error) {
 	d, err := buildDataset(spec, csvData)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	pair, err := dataset.NewPair(d, rng.New(spec.Seed+1))
 	if err != nil {
-		return nil, fmt.Errorf("registry: market %s: %w", spec.ID, err)
+		return nil, nil, fmt.Errorf("registry: market %s: %w", spec.ID, err)
 	}
 	scale := spec.ValueScale
 	seller, err := market.NewSeller(pair, market.Research{
@@ -199,13 +200,14 @@ func buildBroker(spec Spec, csvData []byte, commission float64) (*market.Broker,
 		Demand: func(e float64) float64 { return 1 },
 	})
 	if err != nil {
-		return nil, fmt.Errorf("registry: market %s: %w", spec.ID, err)
+		return nil, nil, fmt.Errorf("registry: market %s: %w", spec.ID, err)
 	}
 	cfg := market.OfferingConfig{
 		Seller:  seller,
 		Grid:    pricing.DefaultGrid(spec.Grid),
 		Samples: spec.Samples,
 		Seed:    spec.Seed + 3,
+		Curves:  curves,
 	}
 	switch spec.Model {
 	case "auto":
@@ -224,12 +226,13 @@ func buildBroker(spec Spec, csvData []byte, commission float64) (*market.Broker,
 	}
 	b := market.NewBroker(spec.Seed + 2)
 	if err := b.SetCommission(commission); err != nil {
-		return nil, fmt.Errorf("registry: market %s: %w", spec.ID, err)
+		return nil, nil, fmt.Errorf("registry: market %s: %w", spec.ID, err)
 	}
-	if _, err := b.List(cfg); err != nil {
-		return nil, fmt.Errorf("registry: listing market %s: %w", spec.ID, err)
+	o, err := b.List(cfg)
+	if err != nil {
+		return nil, nil, fmt.Errorf("registry: listing market %s: %w", spec.ID, err)
 	}
-	return b, nil
+	return b, o, nil
 }
 
 // Source renders the spec's dataset source for logs and API responses:
@@ -255,4 +258,3 @@ func validOption(option string) bool {
 	}
 	return false
 }
-
