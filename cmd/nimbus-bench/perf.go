@@ -68,7 +68,7 @@ func perfRun(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		count    = fs.Int("n", 0, "exact load request count (0 = run for -duration)")
 		seed     = fs.Int64("seed", 42, "seed for the market build and the replayable traffic mix")
 		markets  = fs.Int("markets", 0, "when > 1, also record a multi_load point: the same load profile spread across this many registry tenant markets")
-		jsync    = fs.String("journal-sync", "group", "harness journal fsync policy: always, group, interval or never")
+		jsync    = fs.String("journal-sync", "always", "harness journal fsync policy: always, interval or never")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2

@@ -64,7 +64,7 @@ func main() {
 	flag.IntVar(&cfg.gridN, "grid", 50, "offered quality grid size")
 	flag.Float64Var(&cfg.rate, "rate", 50, "per-client request rate limit (requests/second; 0 disables)")
 	flag.Float64Var(&cfg.commission, "commission", 0.1, "broker's cut of each sale, in [0, 1)")
-	flag.StringVar(&cfg.journalSync, "journal-sync", "interval", "journal fsync policy: always, group, interval or never")
+	flag.StringVar(&cfg.journalSync, "journal-sync", "interval", "journal fsync policy: always, interval or never")
 	flag.DurationVar(&cfg.journalSyncEvry, "journal-sync-every", journal.DefaultSyncEvery, "flush interval under -journal-sync=interval")
 	flag.Int64Var(&cfg.journalSegBytes, "journal-segment-bytes", journal.DefaultSegmentBytes, "journal segment rotation threshold")
 	flag.StringVar(&cfg.dataDir, "data-dir", "", "data directory: each dataset market keeps its spec and journal here and is recovered at startup (empty = memory only)")

@@ -24,8 +24,8 @@ import (
 // invariant a refactor cannot silently drop: the MBP broker is a
 // money-handling serving loop, and an unlocked ledger access corrupts
 // revenue totals rather than crashing (Section 1's real-time marketplace
-// loop; ROADMAP's sharded serving stack makes every future PR a chance
-// to reintroduce one).
+// loop; a concurrent serving stack makes every future PR a chance to
+// reintroduce one).
 type MutexDiscipline struct{}
 
 func (MutexDiscipline) Name() string { return "mutex-discipline" }

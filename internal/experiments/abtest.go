@@ -130,8 +130,8 @@ func RunABTest(cfg ABConfig) (*ABResult, error) {
 	res := &ABResult{
 		Baseline:    cfg.BaselineName,
 		Buyers:      cfg.Buyers,
-		SalesMBP:    len(brokerA.Sales()),
-		SalesBase:   len(brokerB.Sales()),
+		SalesMBP:    brokerA.SaleCount(),
+		SalesBase:   brokerB.SaleCount(),
 		RevenueMBP:  brokerA.TotalRevenue(),
 		RevenueBase: brokerB.TotalRevenue(),
 	}

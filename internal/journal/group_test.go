@@ -99,20 +99,17 @@ func TestIntervalFlushesIdleTail(t *testing.T) {
 	}
 }
 
+// TestGroupCommitSingleAppend: an uncontended append is a batch of one —
+// one fsync, acknowledged only after it returns.
 func TestGroupCommitSingleAppend(t *testing.T) {
 	dir := t.TempDir()
 	reg := telemetry.NewRegistry()
-	j, err := Open(dir, Options{Sync: SyncGroup, Telemetry: reg})
+	j, err := Open(dir, Options{Sync: SyncAlways, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Append([]byte("solo")); err != nil {
 		t.Fatal(err)
-	}
-	// An uncontended append is a batch of one: one group commit, one fsync,
-	// acknowledged only after the fsync — SyncAlways semantics.
-	if got := reg.Counter("nimbus_journal_group_commits_total").Value(); got != 1 {
-		t.Fatalf("group commits %d, want 1", got)
 	}
 	if got := reg.Counter("nimbus_journal_fsyncs_total").Value(); got != 1 {
 		t.Fatalf("fsyncs %d, want 1", got)
@@ -130,10 +127,13 @@ func TestGroupCommitSingleAppend(t *testing.T) {
 	}
 }
 
+// TestGroupCommitConcurrentAppendsAllDurable: concurrent appenders under
+// SyncAlways each get their own fsync, and every acknowledged record is
+// recovered.
 func TestGroupCommitConcurrentAppendsAllDurable(t *testing.T) {
 	dir := t.TempDir()
 	reg := telemetry.NewRegistry()
-	j, err := Open(dir, Options{Sync: SyncGroup, Telemetry: reg})
+	j, err := Open(dir, Options{Sync: SyncAlways, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,16 +156,9 @@ func TestGroupCommitConcurrentAppendsAllDurable(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Every acknowledged append is on disk, and the flush count is the
-	// batch count: contended appends shared fsyncs instead of queueing for
-	// their own.
-	commits := reg.Counter("nimbus_journal_group_commits_total").Value()
-	fsyncs := reg.Counter("nimbus_journal_fsyncs_total").Value()
-	if commits < 1 || commits > workers*appends {
-		t.Fatalf("group commits %d outside [1, %d]", commits, workers*appends)
-	}
-	if fsyncs != commits {
-		t.Fatalf("fsyncs %d != group commits %d", fsyncs, commits)
+	// Every acknowledged append was covered by an fsync of its own.
+	if got := reg.Counter("nimbus_journal_fsyncs_total").Value(); got != workers*appends {
+		t.Fatalf("fsyncs %d, want %d", got, workers*appends)
 	}
 
 	j2, err := Open(dir, Options{Sync: SyncNever})
@@ -224,13 +217,13 @@ func TestAppendManyFailureRollsBackWholeBatch(t *testing.T) {
 }
 
 // TestEveryPrefixOfGroupBatchesRecovers is the crash-recovery property
-// over group-committed batches: however many bytes of a batched record
-// stream survive a crash, recovery replays a prefix of the acknowledged
-// sequence — a torn batch tail loses records only from the end, never
-// from the middle of a batch.
+// over AppendMany batches: however many bytes of a batched record stream
+// survive a crash, recovery replays a prefix of the acknowledged sequence
+// — a torn batch tail loses records only from the end, never from the
+// middle of a batch.
 func TestEveryPrefixOfGroupBatchesRecovers(t *testing.T) {
 	master := t.TempDir()
-	j, err := Open(master, Options{Sync: SyncGroup})
+	j, err := Open(master, Options{Sync: SyncAlways})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,6 +269,43 @@ func TestEveryPrefixOfGroupBatchesRecovers(t *testing.T) {
 	}
 	if prevK != len(flat) {
 		t.Fatalf("full journal recovered %d of %d records", prevK, len(flat))
+	}
+}
+
+// TestBatchRecordsHistogram: nimbus_journal_group_batch_records takes one
+// sample per AppendMany call, sized in records, under every sync policy.
+func TestBatchRecordsHistogram(t *testing.T) {
+	for _, policy := range []SyncPolicy{SyncAlways, SyncInterval, SyncNever} {
+		t.Run(policy.String(), func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			j, err := Open(t.TempDir(), Options{Sync: policy, Telemetry: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			if err := j.AppendMany([][]byte{[]byte("a"), []byte("b"), []byte("c")}); err != nil {
+				t.Fatal(err)
+			}
+			h, ok := reg.Snapshot().HistogramValue("nimbus_journal_group_batch_records")
+			if !ok || h.Count != 1 {
+				t.Fatalf("after one AppendMany: %d samples (registered %v), want 1", h.Count, ok)
+			}
+			for _, b := range h.Buckets {
+				want := uint64(0)
+				if b.LE >= 4 {
+					want = 1
+				}
+				if b.Count != want {
+					t.Fatalf("3-record batch: bucket le=%v holds %d, want %d", b.LE, b.Count, want)
+				}
+			}
+			if err := j.AppendMany([][]byte{[]byte("d")}); err != nil {
+				t.Fatal(err)
+			}
+			if h, _ := reg.Snapshot().HistogramValue("nimbus_journal_group_batch_records"); h.Count != 2 {
+				t.Fatalf("after two AppendMany calls: %d samples, want 2", h.Count)
+			}
+		})
 	}
 }
 

@@ -23,10 +23,11 @@
 // recovery refuse rather than silently drop sales (ErrCorrupt).
 //
 // Durability is configurable per deployment via SyncPolicy: fsync every
-// append (no completed sale is ever lost), group commit (the same
-// guarantee, with concurrent appenders sharing one frame write and one
-// fsync), fsync on an interval (bounded loss window, near-zero fsync
-// amplification), or leave flushing to the OS (benchmarks).
+// append call (no completed sale is ever lost), fsync on an interval
+// (bounded loss window, near-zero fsync amplification), or leave flushing
+// to the OS (benchmarks). Batching concurrent sales into one AppendMany —
+// one frame write and one fsync — is the caller's job; the broker's
+// commit queue does it.
 package journal
 
 import (
@@ -44,9 +45,10 @@ import (
 type SyncPolicy int
 
 const (
-	// SyncAlways fsyncs after every append: a sale acknowledged to the
-	// buyer is on stable storage before the response leaves the broker.
-	// Costs one disk flush per sale.
+	// SyncAlways fsyncs after every Append or AppendMany call: a sale
+	// acknowledged to the buyer is on stable storage before the response
+	// leaves the broker. Costs one disk flush per call, which the broker's
+	// commit queue makes one per batch of concurrent sales.
 	SyncAlways SyncPolicy = iota
 	// SyncInterval marks appends dirty and fsyncs at most once per
 	// Options.SyncEvery (plus at rotation, compaction and Close). A crash
@@ -57,13 +59,6 @@ const (
 	// process dying is survivable, not the machine; meant for benchmarks
 	// and tests.
 	SyncNever
-	// SyncGroup is group commit: every append is acknowledged only after
-	// an fsync covering its record returns — SyncAlways durability — but
-	// concurrent appenders batch into a single frame-buffer write and a
-	// single fsync, so the flush rate is one per batch, not one per
-	// record. An uncontended append degrades to exactly the SyncAlways
-	// path (a batch of one).
-	SyncGroup
 )
 
 // ParseSyncPolicy maps the CLI spellings onto a policy.
@@ -75,10 +70,8 @@ func ParseSyncPolicy(s string) (SyncPolicy, error) {
 		return SyncInterval, nil
 	case "never":
 		return SyncNever, nil
-	case "group":
-		return SyncGroup, nil
 	}
-	return 0, fmt.Errorf("journal: unknown sync policy %q (want always, group, interval or never)", s)
+	return 0, fmt.Errorf("journal: unknown sync policy %q (want always, interval or never)", s)
 }
 
 func (p SyncPolicy) String() string {
@@ -87,8 +80,6 @@ func (p SyncPolicy) String() string {
 		return "always"
 	case SyncInterval:
 		return "interval"
-	case SyncGroup:
-		return "group"
 	default:
 		return "never"
 	}
@@ -144,11 +135,6 @@ type Journal struct {
 	closed   bool   // guarded by mu
 	buf      []byte // guarded by mu; frame scratch, reused across appends
 
-	// group is the SyncGroup batching seam; it has its own lock so a
-	// batch can accumulate arrivals while the previous batch's leader is
-	// inside the fsync under mu.
-	group groupState
-
 	// flushc arms the interval flush countdown: the first append to dirty
 	// the tail sends one token, and syncLoop flushes SyncEvery later — the
 	// durability window is anchored to the append itself, and an idle
@@ -187,8 +173,7 @@ type journalTelemetry struct {
 	recoveredRecs  *telemetry.Counter
 	truncatedBytes *telemetry.Counter
 	segments       *telemetry.Gauge
-	groupCommits   *telemetry.Counter
-	groupBatchRecs *telemetry.Histogram
+	batchRecs      *telemetry.Histogram
 }
 
 func (j *Journal) initTelemetry(reg *telemetry.Registry) {
@@ -201,8 +186,7 @@ func (j *Journal) initTelemetry(reg *telemetry.Registry) {
 	reg.Help("nimbus_journal_recovered_records_total", "Records replayed from the journal at startup.")
 	reg.Help("nimbus_journal_recovered_truncated_bytes_total", "Torn-tail bytes truncated during recovery.")
 	reg.Help("nimbus_journal_segments", "Segment files currently on disk.")
-	reg.Help("nimbus_journal_group_commits_total", "Group-commit batches flushed under the group sync policy.")
-	reg.Help("nimbus_journal_group_batch_records", "Records per group-commit batch.")
+	reg.Help("nimbus_journal_group_batch_records", "Records per append call: one sample per batch the broker's commit queue flushes.")
 	j.tel = journalTelemetry{
 		appendLatency:  reg.Histogram("nimbus_journal_append_seconds", nil),
 		appends:        reg.Counter("nimbus_journal_appends_total"),
@@ -213,8 +197,7 @@ func (j *Journal) initTelemetry(reg *telemetry.Registry) {
 		recoveredRecs:  reg.Counter("nimbus_journal_recovered_records_total"),
 		truncatedBytes: reg.Counter("nimbus_journal_recovered_truncated_bytes_total"),
 		segments:       reg.Gauge("nimbus_journal_segments"),
-		groupCommits:   reg.Counter("nimbus_journal_group_commits_total"),
-		groupBatchRecs: reg.Histogram("nimbus_journal_group_batch_records", []float64{1, 2, 4, 8, 16, 32, 64, 128}),
+		batchRecs:      reg.Histogram("nimbus_journal_group_batch_records", []float64{1, 2, 4, 8, 16, 32, 64, 128}),
 	}
 }
 
@@ -240,7 +223,6 @@ func Open(dir string, opts Options) (*Journal, error) {
 		return nil, fmt.Errorf("journal: creating %s: %w", dir, err)
 	}
 	j := &Journal{dir: dir, opts: opts, fs: opts.FS}
-	j.group.cond = sync.NewCond(&j.group.mu)
 	j.initTelemetry(opts.Telemetry)
 	if err := j.recover(); err != nil {
 		return nil, err
@@ -294,39 +276,18 @@ func checkRecord(rec []byte) error {
 // policy, and returns once the record is on the tail segment. Appends are
 // atomic with respect to recovery: a crash mid-append loses at most this
 // record, never an earlier one.
-//
-//lint:hotpath write-ahead step of every durable sale
 func (j *Journal) Append(rec []byte) error {
-	if err := checkRecord(rec); err != nil {
-		return err
-	}
-	start := time.Now()
-	var err error
-	if j.opts.Sync == SyncGroup {
-		//lint:allocok one-element view; groupCommit copies the element out, so escape analysis keeps it on this stack
-		err = j.groupCommit([][]byte{rec})
-	} else {
-		j.mu.Lock()
-		//lint:allocok one-element view; writeLocked only ranges over it, so escape analysis keeps it on this stack
-		err = j.writeLocked([][]byte{rec}, j.opts.Sync == SyncAlways)
-		j.mu.Unlock()
-	}
-	if err != nil {
-		return err
-	}
-	j.tel.appendLatency.Observe(time.Since(start).Seconds())
-	return nil
+	return j.AppendMany([][]byte{rec})
 }
 
 // AppendMany writes a run of records as one frame-buffer write, making
-// them durable according to the sync policy before returning. The batch
-// is atomic against failure: if the write cannot complete, the tail is
-// truncated back so none of the batch's frames remain on disk (a torn
-// tail a crash leaves behind is still recovered to a prefix of the
-// batch). Under SyncGroup the whole run joins the in-flight batch as a
-// unit, preserving its internal order.
+// them durable according to the sync policy before returning — under
+// SyncAlways, one fsync for the whole run. The batch is atomic against
+// failure: if the write cannot complete, the tail is truncated back so
+// none of the batch's frames remain on disk (a torn tail a crash leaves
+// behind is still recovered to a prefix of the batch).
 //
-//lint:hotpath batched write-ahead step of the group-commit path
+//lint:hotpath write-ahead step of every durable sale, one call per commit-queue batch
 func (j *Journal) AppendMany(recs [][]byte) error {
 	if len(recs) == 0 {
 		return nil
@@ -337,18 +298,14 @@ func (j *Journal) AppendMany(recs [][]byte) error {
 		}
 	}
 	start := time.Now()
-	var err error
-	if j.opts.Sync == SyncGroup {
-		err = j.groupCommit(recs)
-	} else {
-		j.mu.Lock()
-		err = j.writeLocked(recs, j.opts.Sync == SyncAlways)
-		j.mu.Unlock()
-	}
+	j.mu.Lock()
+	err := j.writeLocked(recs, j.opts.Sync == SyncAlways)
+	j.mu.Unlock()
 	if err != nil {
 		return err
 	}
 	j.tel.appendLatency.Observe(time.Since(start).Seconds())
+	j.tel.batchRecs.Observe(float64(len(recs)))
 	return nil
 }
 
@@ -410,71 +367,6 @@ func (j *Journal) writeLocked(recs [][]byte, fsync bool) error {
 	j.tel.appends.Add(uint64(len(recs)))
 	j.tel.appendBytes.Add(uint64(payload))
 	return nil
-}
-
-// groupState is the SyncGroup batching seam. Arrivals append their
-// records to the current batch; the first arrival with no flush in
-// flight becomes the batch's leader, steals it, and performs one
-// writeLocked(fsync) for everyone. Waiters are woken when their batch's
-// flush completes and a new leader self-promotes from the next batch, so
-// no background goroutine is needed and an abandoned batch cannot exist
-// (every batch contains at least the caller that created it).
-type groupState struct {
-	mu       sync.Mutex
-	cond     *sync.Cond  // signals flush completion; waiters re-check their batch
-	cur      *groupBatch // guarded by mu; the batch accumulating arrivals
-	flushing bool        // guarded by mu; a leader is inside write+fsync
-}
-
-// groupBatch is one group-commit unit. Its fields are owned by the
-// groupState lock until the batch is stolen by its leader; recs is then
-// read only by that leader.
-type groupBatch struct {
-	recs [][]byte
-	done bool
-	err  error
-}
-
-// groupCommit appends recs to the forming batch and returns once a
-// flush covering them has completed — the caller's records are on stable
-// storage when this returns nil, exactly the SyncAlways guarantee.
-func (j *Journal) groupCommit(recs [][]byte) error {
-	g := &j.group
-	g.mu.Lock()
-	if g.cur == nil {
-		//lint:allocok one batch header per group-commit window, amortized over every record in the batch
-		g.cur = &groupBatch{}
-	}
-	b := g.cur
-	//lint:allocok batch slice grows toward the window's size; the doubling amortizes across the batch
-	b.recs = append(b.recs, recs...)
-	for g.flushing && !b.done {
-		g.cond.Wait()
-	}
-	if b.done {
-		// Another caller led our batch while we waited; its verdict is ours.
-		err := b.err
-		g.mu.Unlock()
-		return err
-	}
-	// No flush in flight and our batch not yet flushed: lead it. New
-	// arrivals start the next batch and wait for us to finish.
-	g.flushing = true
-	g.cur = nil
-	g.mu.Unlock()
-
-	j.mu.Lock()
-	err := j.writeLocked(b.recs, true)
-	j.mu.Unlock()
-	j.tel.groupCommits.Inc()
-	j.tel.groupBatchRecs.Observe(float64(len(b.recs)))
-
-	g.mu.Lock()
-	b.done, b.err = true, err
-	g.flushing = false
-	g.cond.Broadcast()
-	g.mu.Unlock()
-	return err
 }
 
 // armFlushLocked starts one SyncEvery countdown if none is pending, so

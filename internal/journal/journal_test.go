@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -242,7 +243,7 @@ func TestRepeatedCompaction(t *testing.T) {
 }
 
 func TestSyncPolicyParsing(t *testing.T) {
-	for _, s := range []string{"always", "group", "interval", "never"} {
+	for _, s := range []string{"always", "interval", "never"} {
 		p, err := ParseSyncPolicy(s)
 		if err != nil {
 			t.Fatal(err)
@@ -251,8 +252,17 @@ func TestSyncPolicyParsing(t *testing.T) {
 			t.Fatalf("round trip %q -> %q", s, p.String())
 		}
 	}
-	if _, err := ParseSyncPolicy("sometimes"); err == nil {
-		t.Fatal("bogus policy accepted")
+	// The removed "group" policy is refused like any unknown spelling.
+	for _, s := range []string{"sometimes", "group"} {
+		_, err := ParseSyncPolicy(s)
+		if err == nil {
+			t.Fatalf("policy %q accepted", s)
+		}
+		for _, want := range []string{"always", "interval", "never"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not name %q", err, want)
+			}
+		}
 	}
 }
 

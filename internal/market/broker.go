@@ -18,11 +18,12 @@ import (
 // optimal instance — no retraining per sale, which is what makes the
 // marketplace real-time (Section 1, "Our Solution").
 //
-// A Broker is safe for concurrent use, and built so purchases scale with
-// offering count: the ledger is partitioned into brokerShards shards keyed
-// by offering hash, so sales of different offerings never share a lock,
-// and the read-heavy browse path (Menu, Offering, saleTerms) is lock-free —
-// it loads one atomically-published immutable snapshot.
+// A Broker is safe for concurrent use. The read-heavy browse path (Menu,
+// Offering, saleTerms) is lock-free — it loads one atomically-published
+// immutable snapshot — and durable sales batch through one commit queue,
+// so concurrent buyers share a journal write and fsync. Partitioning lives
+// one level up: the registry gives each tenant its own broker, ledger and
+// journal.
 type Broker struct {
 	// menu is the browse-path state: offerings, the sorted menu, the
 	// commission rate and the journal handle, published as an immutable
@@ -34,9 +35,33 @@ type Broker struct {
 	// SetTelemetry). Readers never take it.
 	regmu sync.Mutex
 
-	// shards partition the sale ledger and its running aggregates by
-	// offering hash; see Broker.shard.
-	shards [brokerShards]shard
+	// mu guards the ledger: every sale in acknowledgement order, plus the
+	// running totals folded from it.
+	mu      sync.RWMutex
+	sales   []Purchase                // guarded by mu
+	books   map[string]*offeringBooks // guarded by mu; running per-offering totals
+	fees    float64                   // guarded by mu; commission running total
+	revenue float64                   // guarded by mu; gross running total
+	payout  float64                   // guarded by mu; seller-proceeds running total
+
+	// src is the sale-time noise source, seeded at NewBroker so draws are
+	// replayable.
+	src *rng.Locked
+
+	// jmu guards the commit queue. The queue exists so that the
+	// write-ahead pair (journal append, then ledger append) keeps one
+	// order without holding any lock across the journal I/O: concurrent
+	// sales enqueue under jmu, one caller becomes the batch's leader,
+	// journals the whole batch with jmu released, then appends the batch
+	// to the ledger in enqueue order. jmu is never held together with mu,
+	// but the declared order documents that jmu work precedes mu work on
+	// the sale path:
+	//
+	//lint:lockorder jmu < mu
+	jmu      sync.Mutex
+	jcond    *sync.Cond   // signals batch completion; waiters re-check their batch
+	jbatch   *commitBatch // guarded by jmu; the batch accumulating sales
+	jleading bool         // guarded by jmu; a leader is journaling a batch
 
 	// tel is the broker's sale-path instrumentation; brokerTelemetry's
 	// handles are nil-safe, so an uninstrumented broker pays only nil
@@ -45,46 +70,8 @@ type Broker struct {
 	tel brokerTelemetry
 }
 
-// brokerShards is the ledger partition count. Offerings hash onto shards,
-// so the worst case — every buyer hammering one offering — degrades to the
-// old single-lock behavior for that offering only, while a multi-offering
-// mix spreads across independent locks, journal queues and noise sources.
-const brokerShards = 16
-
-// shard is one ledger partition: the sales of the offerings that hash
-// here, their running financial aggregates, a noise source, and the
-// commit queue that group-orders journal appends with ledger appends.
-type shard struct {
-	mu      sync.RWMutex
-	sales   []Purchase                // guarded by mu
-	books   map[string]*offeringBooks // guarded by mu; running per-offering totals
-	fees    float64                   // guarded by mu; commission running total
-	revenue float64                   // guarded by mu; gross running total
-	payout  float64                   // guarded by mu; seller-proceeds running total
-
-	// src is this shard's sale-time noise source. Per-shard streams keep
-	// draws replayable (seeded at NewBroker) without a global rng lock.
-	src *rng.Locked
-
-	// jmu guards the shard's commit queue. The queue exists so that the
-	// write-ahead pair (journal append, then ledger append) keeps one
-	// order per shard without holding any lock across the journal I/O:
-	// concurrent sales enqueue under jmu, one caller becomes the batch's
-	// leader, journals the whole batch with jmu released, then appends the
-	// batch to the ledger in enqueue order. jmu is never held together
-	// with mu, but the declared order documents that jmu work precedes mu
-	// work on the sale path:
-	//
-	//lint:lockorder jmu < mu
-	jmu      sync.Mutex
-	jcond    *sync.Cond   // signals batch completion; waiters re-check their batch
-	jbatch   *commitBatch // guarded by jmu; the batch accumulating sales
-	jleading bool         // guarded by jmu; a leader is journaling a batch
-}
-
-// offeringBooks is one offering's running financial totals. An offering
-// hashes onto exactly one shard, so its books live whole in that shard —
-// Statement merges them without ever rescanning the ledger.
+// offeringBooks is one offering's running financial totals, so Statement
+// never rescans the ledger.
 type offeringBooks struct {
 	sales  int
 	gross  float64
@@ -92,28 +79,14 @@ type offeringBooks struct {
 	payout float64
 }
 
-// commitBatch is one shard's in-flight group of sales. Its fields are
-// owned by jmu until the batch is stolen by its leader; recs and sales
-// are then read only by that leader until done is set.
+// commitBatch is one in-flight group of sales. Its fields are owned by
+// jmu until the batch is stolen by its leader; recs and sales are then
+// read only by that leader until done is set.
 type commitBatch struct {
 	recs  [][]byte
 	sales []Purchase
-	// err is the whole-batch verdict (batch journals are all-or-nothing);
-	// errs holds per-record verdicts from the per-record fallback path.
-	err  error
-	errs []error
-	done bool
-}
-
-// result returns the verdict for the record enqueued at idx.
-func (bt *commitBatch) result(idx int) error {
-	if bt.err != nil {
-		return bt.err
-	}
-	if bt.errs != nil {
-		return bt.errs[idx]
-	}
-	return nil
+	err   error // the whole-batch verdict: a batch is journaled all-or-nothing
+	done  bool
 }
 
 // menuSnapshot is the immutable browse-path state. A published snapshot
@@ -133,19 +106,10 @@ type menuSnapshot struct {
 }
 
 // SaleJournal is the broker's durability hook: an append-only log that
-// must acknowledge each encoded Purchase before the sale becomes visible
-// in the ledger. internal/journal's *Journal satisfies it directly.
+// must acknowledge a run of encoded Purchases, all or nothing, before the
+// sales become visible in the ledger. internal/journal's *Journal
+// satisfies it; the commit queue hands it one batch per call.
 type SaleJournal interface {
-	Append(rec []byte) error
-}
-
-// BatchJournal is the optional batching extension of SaleJournal: a
-// journal that can make a run of records durable in one call (one frame
-// write, one fsync under the always/group policies). internal/journal's
-// *Journal satisfies it. The shard commit queue uses it to flush a whole
-// batch at once; a plain SaleJournal falls back to per-record appends.
-type BatchJournal interface {
-	SaleJournal
 	AppendMany(recs [][]byte) error
 }
 
@@ -165,13 +129,13 @@ func (b *Broker) SetJournal(j SaleJournal) {
 	b.menu.Store(next)
 }
 
-// ReplaySale appends a recovered purchase to its shard's ledger — and its
-// running aggregates — without drawing noise, charging, or re-journaling:
+// ReplaySale appends a recovered purchase to the ledger — and its running
+// aggregates — without drawing noise, charging, or re-journaling:
 // it is the restart-time inverse of finalize, fed from the journal.
 // Per-offering sale counters are not re-incremented — telemetry counts
 // this process's sales, the ledger counts all of them.
 func (b *Broker) ReplaySale(p Purchase) {
-	b.shard(p.Offering).record(p)
+	b.record(p)
 }
 
 // brokerTelemetry bundles the broker's metric handles so the hot path
@@ -259,32 +223,17 @@ type Purchase struct {
 var ErrUnknownOffering = errors.New("market: unknown offering")
 
 // NewBroker returns an empty broker whose sale-time noise is seeded with
-// seed. Each shard derives its own stream from the seed, so draws stay
-// replayable without a broker-global rng lock.
+// seed.
 func NewBroker(seed int64) *Broker {
-	b := &Broker{}
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.src = rng.NewLocked(seed + int64(i))
-		sh.jcond = sync.NewCond(&sh.jmu)
-		// No other goroutine can reach b yet, but books is mu-guarded, so
-		// honor the contract anyway — one uncontended lock at startup.
-		sh.mu.Lock()
-		sh.books = make(map[string]*offeringBooks)
-		sh.mu.Unlock()
-	}
+	b := &Broker{src: rng.NewLocked(seed)}
+	b.jcond = sync.NewCond(&b.jmu)
+	// No other goroutine can reach b yet, but books is mu-guarded, so
+	// honor the contract anyway — one uncontended lock at startup.
+	b.mu.Lock()
+	b.books = make(map[string]*offeringBooks)
+	b.mu.Unlock()
 	b.menu.Store(&menuSnapshot{offerings: map[string]*Offering{}})
 	return b
-}
-
-// shard maps an offering name onto its ledger partition (FNV-1a).
-func (b *Broker) shard(offering string) *shard {
-	h := uint32(2166136261)
-	for i := 0; i < len(offering); i++ {
-		h ^= uint32(offering[i])
-		h *= 16777619
-	}
-	return &b.shards[h%brokerShards]
 }
 
 // cloneMenu copies the published snapshot so a writer can mutate the copy
@@ -424,12 +373,12 @@ func (b *Broker) buy(offering, loss string, mode buyMode, arg float64) (*Purchas
 	return b.finalize(o, loss, pt)
 }
 
-// finalize samples the noisy instance from the offering's shard stream,
-// makes the sale durable (when a journal is set, the encoded purchase is
-// appended and acknowledged before it becomes visible), records it in the
-// shard ledger and returns the purchase. The purchase record is marshalled
-// here, outside every lock — only the journal I/O and the ledger append
-// are serialized, and only within the offering's shard.
+// finalize samples the noisy instance from the broker's stream, makes the
+// sale durable (when a journal is set, the encoded purchase is appended
+// and acknowledged before it becomes visible), records it in the ledger
+// and returns the purchase. The purchase record is marshalled here,
+// outside every lock — only the journal I/O and the ledger append are
+// serialized, through the commit queue.
 //
 //lint:hotpath per-sale critical section between quote and acknowledgment
 func (b *Broker) finalize(o *Offering, loss string, pt pricing.PriceErrorPoint) (*Purchase, error) {
@@ -439,10 +388,9 @@ func (b *Broker) finalize(o *Offering, loss string, pt pricing.PriceErrorPoint) 
 		b.recordReject(err)
 		return nil, err
 	}
-	sh := b.shard(o.Name)
 	delta := 1 / pt.X
 	drawStart := time.Now()
-	weights := o.Mechanism.Perturb(o.Optimal, delta, sh.src.Split())
+	weights := o.Mechanism.Perturb(o.Optimal, delta, b.src.Split())
 	b.tel.noiseDraw.Observe(time.Since(drawStart).Seconds())
 	fee, j := b.saleTerms(pt.Price)
 	p := Purchase{
@@ -459,7 +407,7 @@ func (b *Broker) finalize(o *Offering, loss string, pt pricing.PriceErrorPoint) 
 	if j != nil {
 		rec, err := MarshalSale(p)
 		if err == nil {
-			err = sh.commit(j, rec, p)
+			err = b.commit(j, rec, p)
 		}
 		if err != nil {
 			//lint:allocok failure path: the sale did not go through
@@ -468,7 +416,7 @@ func (b *Broker) finalize(o *Offering, loss string, pt pricing.PriceErrorPoint) 
 			return nil, err
 		}
 	} else {
-		sh.record(p)
+		b.record(p)
 	}
 	o.sales.Inc()
 	b.tel.revenue.Add(pt.Price)
@@ -484,95 +432,67 @@ func (b *Broker) saleTerms(price float64) (fee float64, j SaleJournal) {
 	return snap.commission * price, snap.journal
 }
 
-// commit runs one sale through the shard's group-commit queue: write-ahead
+// commit runs one sale through the broker's commit queue: write-ahead
 // (journal append acknowledged first), then visible (ledger append), with
-// per-shard journal order equal to per-shard ledger order. The sale joins
-// the forming batch; the first caller that finds no flush in flight leads
-// the batch — one journal call and one ledger splice for everyone —
-// while later arrivals accumulate the next batch. No lock is held across
-// the journal I/O.
+// journal order equal to ledger order. The sale joins the forming batch;
+// the first caller that finds no flush in flight leads the batch — one
+// journal call and one ledger splice for everyone — while later arrivals
+// accumulate the next batch. No lock is held across the journal I/O.
 //
-//lint:hotpath every durable sale serializes through the shard's commit queue
-func (sh *shard) commit(j SaleJournal, rec []byte, p Purchase) error {
-	sh.jmu.Lock()
-	if sh.jbatch == nil {
+//lint:hotpath every durable sale serializes through the commit queue
+func (b *Broker) commit(j SaleJournal, rec []byte, p Purchase) error {
+	b.jmu.Lock()
+	if b.jbatch == nil {
 		//lint:allocok one batch header per flush window, amortized over every sale in the batch
-		sh.jbatch = &commitBatch{}
+		b.jbatch = &commitBatch{}
 	}
-	bt := sh.jbatch
-	idx := len(bt.recs)
+	bt := b.jbatch
 	//lint:allocok batch slices grow toward the flush window's size; the doubling amortizes across the batch
 	bt.recs = append(bt.recs, rec)
 	//lint:allocok same amortized growth as recs above
 	bt.sales = append(bt.sales, p)
-	for sh.jleading && !bt.done {
-		sh.jcond.Wait()
+	for b.jleading && !bt.done {
+		b.jcond.Wait()
 	}
 	if bt.done {
-		// Another caller led our batch while we waited; its verdict on our
-		// record is ours.
-		err := bt.result(idx)
-		sh.jmu.Unlock()
+		// Another caller led our batch while we waited; its verdict is
+		// ours.
+		err := bt.err
+		b.jmu.Unlock()
 		return err
 	}
 	// No leader in flight and our batch not yet flushed: lead it.
-	sh.jleading = true
-	sh.jbatch = nil
-	sh.jmu.Unlock()
+	b.jleading = true
+	b.jbatch = nil
+	b.jmu.Unlock()
 
-	sh.flush(j, bt)
+	bt.err = j.AppendMany(bt.recs)
+	if bt.err == nil {
+		b.recordBatch(bt.sales)
+	}
 
-	sh.jmu.Lock()
+	b.jmu.Lock()
 	bt.done = true
-	sh.jleading = false
-	sh.jcond.Broadcast()
-	sh.jmu.Unlock()
-	return bt.result(idx)
+	b.jleading = false
+	b.jcond.Broadcast()
+	b.jmu.Unlock()
+	return bt.err
 }
 
-// flush makes one batch durable and, on success, visible. A BatchJournal
-// takes the whole batch in one call with all-or-nothing semantics; the
-// per-record fallback gives each record its own verdict, and the records
-// the journal accepted still enter the ledger in journal order.
-func (sh *shard) flush(j SaleJournal, bt *commitBatch) {
-	if bj, ok := j.(BatchJournal); ok {
-		if err := bj.AppendMany(bt.recs); err != nil {
-			bt.err = err
-			return
-		}
-		sh.recordBatch(bt.sales)
-		return
-	}
-	//lint:allocok per-record fallback only: one verdict slot per batched sale
-	bt.errs = make([]error, len(bt.recs))
-	accepted := bt.sales[:0:0]
-	for i, rec := range bt.recs {
-		if err := j.Append(rec); err != nil {
-			bt.errs[i] = err
-			continue
-		}
-		//lint:allocok per-record fallback only; grows to at most the batch size
-		accepted = append(accepted, bt.sales[i])
-	}
-	if len(accepted) > 0 {
-		sh.recordBatch(accepted)
-	}
-}
-
-// record appends one purchase to the shard ledger and aggregates.
-func (sh *shard) record(p Purchase) {
-	sh.mu.Lock()
-	sh.recordLocked(p)
-	sh.mu.Unlock()
+// record appends one purchase to the ledger and aggregates.
+func (b *Broker) record(p Purchase) {
+	b.mu.Lock()
+	b.recordLocked(p)
+	b.mu.Unlock()
 }
 
 // recordBatch appends a run of purchases under one lock acquisition.
-func (sh *shard) recordBatch(ps []Purchase) {
-	sh.mu.Lock()
+func (b *Broker) recordBatch(ps []Purchase) {
+	b.mu.Lock()
 	for _, p := range ps {
-		sh.recordLocked(p)
+		b.recordLocked(p)
 	}
-	sh.mu.Unlock()
+	b.mu.Unlock()
 }
 
 // recordLocked appends the purchase to the ledger and folds it into the
@@ -580,89 +500,64 @@ func (sh *shard) recordBatch(ps []Purchase) {
 // ledger. Caller holds mu.
 //
 //lint:holds mu
-func (sh *shard) recordLocked(p Purchase) {
-	//lint:allocok the ledger is the product; slice doubling amortizes across the shard's sale history
-	sh.sales = append(sh.sales, p)
-	bk := sh.books[p.Offering]
+func (b *Broker) recordLocked(p Purchase) {
+	//lint:allocok the ledger is the product; slice doubling amortizes across the broker's sale history
+	b.sales = append(b.sales, p)
+	bk := b.books[p.Offering]
 	if bk == nil {
-		//lint:allocok one books entry per offering for the shard's lifetime, amortized over every sale of that offering
+		//lint:allocok one books entry per offering for the broker's lifetime, amortized over every sale of that offering
 		bk = &offeringBooks{}
-		sh.books[p.Offering] = bk
+		b.books[p.Offering] = bk
 	}
 	bk.sales++
 	bk.gross += p.Price
 	bk.fees += p.BrokerFee
 	bk.payout += p.SellerProceeds
-	sh.fees += p.BrokerFee
-	sh.revenue += p.Price
-	sh.payout += p.SellerProceeds
+	b.fees += p.BrokerFee
+	b.revenue += p.Price
+	b.payout += p.SellerProceeds
 }
 
 // Payouts returns the seller proceeds accumulated per offering — what the
 // broker owes each seller after taking its cut. The result is a fresh map
-// merged from the shards' running books; no ledger rescan.
+// copied from the running books; no ledger rescan.
 func (b *Broker) Payouts() map[string]float64 {
-	out := make(map[string]float64)
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.mu.RLock()
-		for name, bk := range sh.books {
-			out[name] += bk.payout
-		}
-		sh.mu.RUnlock()
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	out := make(map[string]float64, len(b.books))
+	for name, bk := range b.books {
+		out[name] = bk.payout
 	}
 	return out
 }
 
-// TotalFees sums the broker's commission earnings from the shard
-// aggregates.
+// TotalFees reports the broker's commission earnings.
 func (b *Broker) TotalFees() float64 {
-	var s float64
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.mu.RLock()
-		s += sh.fees
-		sh.mu.RUnlock()
-	}
-	return s
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return b.fees
 }
 
-// TotalRevenue sums gross revenue from the shard aggregates.
+// TotalRevenue reports gross revenue.
 func (b *Broker) TotalRevenue() float64 {
-	var s float64
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.mu.RLock()
-		s += sh.revenue
-		sh.mu.RUnlock()
-	}
-	return s
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return b.revenue
 }
 
-// Sales returns a copy of the sale ledger: each shard's sales in order,
-// shards concatenated in index order. Within a shard the order is exactly
-// the order sales were acknowledged (and journaled); across shards there
-// is no global order — concurrent sales of different offerings never
-// synchronized with each other in the first place.
+// Sales returns a copy of the sale ledger in the order sales were
+// acknowledged, which is also the order they were journaled.
 func (b *Broker) Sales() []Purchase {
-	out := make([]Purchase, 0, b.SaleCount())
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.mu.RLock()
-		out = append(out, sh.sales...)
-		sh.mu.RUnlock()
-	}
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	out := make([]Purchase, len(b.sales))
+	copy(out, b.sales)
 	return out
 }
 
 // SaleCount reports the ledger length without copying the ledger.
 func (b *Broker) SaleCount() int {
-	n := 0
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.mu.RLock()
-		n += len(sh.sales)
-		sh.mu.RUnlock()
-	}
-	return n
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return len(b.sales)
 }

@@ -53,13 +53,15 @@ type recordingJournal struct {
 	fail error
 }
 
-func (r *recordingJournal) Append(rec []byte) error {
+func (r *recordingJournal) AppendMany(recs [][]byte) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.fail != nil {
 		return r.fail
 	}
-	r.recs = append(r.recs, append([]byte(nil), rec...))
+	for _, rec := range recs {
+		r.recs = append(r.recs, append([]byte(nil), rec...))
+	}
 	return nil
 }
 
@@ -98,42 +100,57 @@ func TestJournalAppendFailureRejectsSale(t *testing.T) {
 
 // TestJournalOrderMatchesLedger hammers the buy path concurrently and
 // checks the invariant the write-ahead design promises: the journal's
-// record sequence is exactly the ledger's sale sequence.
+// record sequence is exactly the ledger's sale sequence — across
+// offerings too, since one broker keeps one ledger.
 func TestJournalOrderMatchesLedger(t *testing.T) {
-	b := NewBroker(93)
-	o := listRegression(t, b)
-	rj := &recordingJournal{}
-	b.SetJournal(rj)
-
 	const workers, buys = 4, 6
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < buys; i++ {
-				if _, err := b.BuyAtQuality(o.Name, "squared", float64(1+(w+i)%5)); err != nil {
-					t.Error(err)
-					return
+	run := func(t *testing.T, b *Broker, names []string) {
+		rj := &recordingJournal{}
+		b.SetJournal(rj)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < buys; i++ {
+					name := names[(w+i)%len(names)]
+					if _, err := b.BuyAtQuality(name, "squared", float64(1+(w+i)%5)); err != nil {
+						t.Error(err)
+						return
+					}
 				}
-			}
-		}(w)
-	}
-	wg.Wait()
+			}(w)
+		}
+		wg.Wait()
 
-	sales := b.Sales()
-	if len(sales) != workers*buys || len(rj.recs) != len(sales) {
-		t.Fatalf("%d sales, %d journal records", len(sales), len(rj.recs))
-	}
-	for i, rec := range rj.recs {
-		p, err := UnmarshalSale(rec)
-		if err != nil {
-			t.Fatal(err)
+		sales := b.Sales()
+		if len(sales) != workers*buys || len(rj.recs) != len(sales) {
+			t.Fatalf("%d sales, %d journal records", len(sales), len(rj.recs))
 		}
-		if !reflect.DeepEqual(p, sales[i]) {
-			t.Fatalf("journal record %d does not match ledger entry %d", i, i)
+		for i, rec := range rj.recs {
+			p, err := UnmarshalSale(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(p, sales[i]) {
+				t.Fatalf("journal record %d (%s) does not match ledger entry %d (%s)", i, p.Offering, i, sales[i].Offering)
+			}
 		}
 	}
+	t.Run("one offering", func(t *testing.T) {
+		b := NewBroker(93)
+		o := listRegression(t, b)
+		run(t, b, []string{o.Name})
+	})
+	t.Run("two offerings", func(t *testing.T) {
+		// Every worker alternates between the two offerings, so the
+		// journal interleaves them; Sales() must interleave them the
+		// same way.
+		b := NewBroker(93)
+		east := listSmall(t, b, "east", 300)
+		west := listSmall(t, b, "west", 310)
+		run(t, b, []string{east.Name, west.Name})
+	})
 }
 
 // buyN makes n purchases at varying qualities and returns the ledger.
@@ -147,8 +164,9 @@ func buyN(t *testing.T, b *Broker, name string, n int) []Purchase {
 	return b.Sales()
 }
 
-// recoverInto replays a journal directory into a fresh broker, exactly as
-// cmd/nimbusd does at startup: snapshot first, then the record tail.
+// recoverInto replays a journal directory into a fresh broker, as the
+// registry's recoverTenant does at startup (through openTenantJournal):
+// snapshot first, then the record tail.
 func recoverInto(t *testing.T, dir string) *Broker {
 	t.Helper()
 	j, err := journal.Open(dir, journal.Options{Sync: journal.SyncNever})

@@ -52,26 +52,15 @@ func (b *Broker) RestoreLedger(r io.Reader) error {
 	if snap.Version != ledgerVersion {
 		return fmt.Errorf("market: ledger snapshot version %d, want %d", snap.Version, ledgerVersion)
 	}
-	// Hold every shard lock so the emptiness check and the routed inserts
-	// are one atomic step; restore runs at startup, so the locks are
-	// uncontended.
-	for i := range b.shards {
-		b.shards[i].mu.Lock()
+	// Hold mu across the emptiness check and the inserts so they are one
+	// atomic step; restore runs at startup, so the lock is uncontended.
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(b.sales) > 0 {
+		return errors.New("market: refusing to restore over a non-empty ledger")
 	}
-	defer func() {
-		for i := range b.shards {
-			b.shards[i].mu.Unlock()
-		}
-	}()
-	for i := range b.shards {
-		if len(b.shards[i].sales) > 0 {
-			return errors.New("market: refusing to restore over a non-empty ledger")
-		}
-	}
-	// Route each sale to its offering's shard; per-shard relative order is
-	// preserved, so a save→restore round-trip reproduces Sales() exactly.
 	for _, p := range snap.Sales {
-		b.shard(p.Offering).recordLocked(p)
+		b.recordLocked(p)
 	}
 	return nil
 }

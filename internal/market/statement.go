@@ -25,74 +25,60 @@ type StatementLine struct {
 	Payout   float64 `json:"payout"`
 }
 
-// Statement builds the accounting report from the shards' running books —
-// O(offerings), never a ledger rescan. An offering hashes onto exactly one
-// shard, so each line is a copy of that shard's books entry; the totals sum
-// the shard running totals in index order, the same floating-point
-// association recordLocked used to build them. rescanStatement (test-only)
+// Statement builds the accounting report from the running books —
+// O(offerings), never a ledger rescan. rescanStatement (test-only)
 // rebuilds the identical report from the raw ledger so the two stay
 // bit-for-bit cross-checkable.
 func (b *Broker) Statement() *Statement {
-	st := &Statement{}
-	for i := range b.shards {
-		sh := &b.shards[i]
-		sh.mu.RLock()
-		for name, bk := range sh.books {
-			st.Lines = append(st.Lines, StatementLine{
-				Offering: name,
-				Sales:    bk.sales,
-				Gross:    bk.gross,
-				Fees:     bk.fees,
-				Payout:   bk.payout,
-			})
-		}
-		st.Sales += len(sh.sales)
-		st.Gross += sh.revenue
-		st.BrokerFees += sh.fees
-		st.Payouts += sh.payout
-		sh.mu.RUnlock()
+	b.mu.RLock()
+	st := &Statement{
+		Sales:      len(b.sales),
+		Gross:      b.revenue,
+		BrokerFees: b.fees,
+		Payouts:    b.payout,
 	}
+	for name, bk := range b.books {
+		st.Lines = append(st.Lines, StatementLine{
+			Offering: name,
+			Sales:    bk.sales,
+			Gross:    bk.gross,
+			Fees:     bk.fees,
+			Payout:   bk.payout,
+		})
+	}
+	b.mu.RUnlock()
 	sort.Slice(st.Lines, func(i, j int) bool { return st.Lines[i].Offering < st.Lines[j].Offering })
 	return st
 }
 
-// rescanStatement rebuilds the statement from the raw ledger, one shard at
-// a time. It exists only as the audit cross-check for the running books:
-// per shard it replays the sales in ledger order — the order recordLocked
-// folded them into the books — and combines shard subtotals in index
-// order, so a correct broker produces a bit-identical Statement both ways.
-// Production reads go through Statement; tests assert the equivalence.
+// rescanStatement rebuilds the statement from the raw ledger. It exists
+// only as the audit cross-check for the running books: it replays the
+// sales in ledger order — the order recordLocked folded them into the
+// books — so a correct broker produces a bit-identical Statement both
+// ways. Production reads go through Statement; tests assert the
+// equivalence.
 func (b *Broker) rescanStatement() *Statement {
 	st := &Statement{}
-	for i := range b.shards {
-		sh := &b.shards[i]
-		lines := map[string]*StatementLine{}
-		var sales int
-		var gross, fees, payout float64
-		sh.mu.RLock()
-		for _, p := range sh.sales {
-			line, ok := lines[p.Offering]
-			if !ok {
-				line = &StatementLine{Offering: p.Offering}
-				lines[p.Offering] = line
-			}
-			line.Sales++
-			line.Gross += p.Price
-			line.Fees += p.BrokerFee
-			line.Payout += p.SellerProceeds
-			sales++
-			gross += p.Price
-			fees += p.BrokerFee
-			payout += p.SellerProceeds
+	lines := map[string]*StatementLine{}
+	b.mu.RLock()
+	for _, p := range b.sales {
+		line, ok := lines[p.Offering]
+		if !ok {
+			line = &StatementLine{Offering: p.Offering}
+			lines[p.Offering] = line
 		}
-		sh.mu.RUnlock()
-		for _, line := range lines {
-			st.Lines = append(st.Lines, *line)
-		}
-		st.Sales += sales
-		st.Gross += gross
-		st.BrokerFees += fees
-		st.Payouts += payout
+		line.Sales++
+		line.Gross += p.Price
+		line.Fees += p.BrokerFee
+		line.Payout += p.SellerProceeds
+		st.Sales++
+		st.Gross += p.Price
+		st.BrokerFees += p.BrokerFee
+		st.Payouts += p.SellerProceeds
+	}
+	b.mu.RUnlock()
+	for _, line := range lines {
+		st.Lines = append(st.Lines, *line)
 	}
 	sort.Slice(st.Lines, func(i, j int) bool { return st.Lines[i].Offering < st.Lines[j].Offering })
 	return st

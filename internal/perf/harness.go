@@ -32,10 +32,10 @@ type LoadOptions struct {
 	// and 60, the integration-test shape).
 	Grid    int
 	Samples int
-	// Sync is the tenant journals' fsync policy ("always", "group",
-	// "interval", "never"). Default "group": SyncAlways durability with
-	// concurrent sales amortized into shared fsyncs — the policy the
-	// sharded buy path is built around.
+	// Sync is the tenant journals' fsync policy ("always", "interval",
+	// "never"). Default "always": no acknowledged sale is lost, and each
+	// broker's commit queue amortizes concurrent sales into shared
+	// fsyncs.
 	Sync string
 	// Markets is how many one-offering tenant markets the registry lists
 	// (default 1); loadgen round-robins buys across all of them.
@@ -64,7 +64,7 @@ func (o *LoadOptions) setDefaults() {
 		o.Samples = 60
 	}
 	if o.Sync == "" {
-		o.Sync = "group"
+		o.Sync = "always"
 	}
 	if o.Markets <= 0 {
 		o.Markets = 1

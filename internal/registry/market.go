@@ -43,19 +43,19 @@ const (
 	stateClosed
 )
 
-// Market is one tenant's live marketplace: its own sharded broker, pricing
-// curves, and (when the registry is durable) its own journal directory.
-// Markets are created by Registry.List or recovered by Open, and torn down
-// by Delist — callers outside the package interact with the exported
-// fields read-only and purchase through Buy, which participates in the
-// drain protocol.
+// Market is one tenant's live marketplace: its own broker (one ledger and
+// one commit queue), pricing curves, and (when the registry is durable)
+// its own journal directory. Markets are created by Registry.List or
+// recovered by Open, and torn down by Delist — callers outside the
+// package interact with the exported fields read-only and purchase
+// through Buy, which participates in the drain protocol.
 type Market struct {
 	// ID is the dataset ID the market is keyed by.
 	ID string
 	// Spec is the normalized listing the market was built from.
 	Spec Spec
-	// Broker is the tenant's own sharded broker, carrying exactly the
-	// offerings this tenant listed.
+	// Broker is the tenant's own broker, carrying exactly the offering
+	// this tenant listed.
 	Broker *market.Broker
 
 	jnl *journal.Journal // nil when the registry is memory-only

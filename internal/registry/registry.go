@@ -1,8 +1,9 @@
 // Package registry is the Nimbus marketplace: one daemon serving many
 // sellers and many datasets. Each listed dataset gets its own Market — a
-// dedicated sharded broker with its own pricing curves and, when the
+// dedicated broker with its own pricing curves, ledger and, when the
 // registry has a root directory, its own write-ahead journal — keyed by a
-// dataset ID. The registry owns the lifecycle: List trains and prices a
+// dataset ID. This is where the marketplace is partitioned: tenants never
+// share a lock, a ledger or a journal. The registry owns the lifecycle: List trains and prices a
 // new market, Delist drains in-flight purchases, compacts the journal and
 // archives the tenant directory, and Open recovers every live tenant
 // after a restart. A registry with no root is the same marketplace held

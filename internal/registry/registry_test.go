@@ -18,8 +18,8 @@ import (
 )
 
 // cheapSpec is a listing small enough that tests can build several
-// markets: the same CASP stand-in sizing the market package's shard tests
-// use.
+// markets: the same CASP stand-in sizing the market package's concurrency
+// tests use.
 func cheapSpec(id string, seed int64) Spec {
 	return Spec{
 		ID:        id,

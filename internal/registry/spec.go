@@ -181,7 +181,7 @@ func buildDataset(spec Spec, csvData []byte) (*dataset.Dataset, error) {
 }
 
 // buildBroker runs the full listing pipeline for the spec on a fresh
-// sharded broker: generate/parse the dataset, split it, train, transform,
+// broker: generate/parse the dataset, split it, train, transform,
 // optimize prices, and list the offering. This is the slow part of List —
 // the registry runs it outside its lock. Non-nil curves, the ones the
 // offering served before a restart, replace the transform.

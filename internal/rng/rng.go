@@ -21,7 +21,7 @@ type Source struct {
 
 // New returns a Source seeded with seed.
 //
-//lint:allocok the fresh source is the function's product; hot paths make one per request stream, not per draw
+//lint:allocok the fresh source is the function's product; the buy path makes one per sale, through the per-sale Split in market's Broker.finalize — a known per-sale reseed, not an amortized one
 func New(seed int64) *Source {
 	return &Source{r: rand.New(rand.NewSource(seed))}
 }
