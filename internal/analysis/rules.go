@@ -64,6 +64,10 @@ func DefaultRules(modulePath string) []Rule {
 			SourceFuncs:   []FuncRef{{Pkg: internal("ml"), Name: "Fit"}},
 			Sanitizers:    []FuncRef{{Pkg: internal("noise"), Name: "Perturb"}},
 			SanitizerName: "noise.Mechanism.Perturb",
+			// The journal codec writes binary records, not JSON, so it
+			// is named here rather than caught by the encoding/json
+			// builtins.
+			Sinks: []FuncRef{{Pkg: internal("market"), Name: "MarshalSale"}},
 			Scope: []string{
 				internal("market"),
 				internal("server"),

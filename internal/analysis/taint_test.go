@@ -60,6 +60,21 @@ func TestNoiseTaintCrossPackage(t *testing.T) {
 	checkGoldenGroup(t, "taintipa", []Rule{rule})
 }
 
+// TestNoiseTaintJournalSink runs the shipped noise-taint configuration
+// over a miniature of internal/market whose MarshalSale writes a binary
+// record: DefaultRules must name MarshalSale as a release sink, since no
+// encoding/json call remains to catch a raw model on its way to the
+// journal.
+func TestNoiseTaintJournalSink(t *testing.T) {
+	var rules []Rule
+	for _, r := range DefaultRules("nimbus/internal/analysis/testdata/src/taintsink") {
+		if r.Name() == "noise-taint" {
+			rules = append(rules, r)
+		}
+	}
+	checkGoldenGroup(t, "taintsink", rules)
+}
+
 // TestNoiseTaintScope checks that a scoped rule only reports inside the
 // named packages even though summaries are computed over the whole group.
 func TestNoiseTaintScope(t *testing.T) {

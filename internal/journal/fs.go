@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -31,6 +32,7 @@ type File interface {
 	io.Closer
 	Sync() error
 	Truncate(size int64) error
+	Stat() (os.FileInfo, error)
 }
 
 // OSFS is the real filesystem.
@@ -65,13 +67,21 @@ func (OSFS) SyncDir(dir string) error {
 	return err
 }
 
-// readFile reads name in full through fsys.
+// readFile reads name in full through fsys, into one buffer allocated at
+// the size Stat reports rather than regrown across a multi-MiB segment.
 func readFile(fsys FS, name string) ([]byte, error) {
 	f, err := fsys.OpenFile(name, os.O_RDONLY, 0)
 	if err != nil {
 		return nil, err
 	}
-	data, err := io.ReadAll(f)
+	var data []byte
+	fi, err := f.Stat()
+	if err == nil {
+		// The spare MinRead bytes let ReadFrom see EOF without growing.
+		buf := bytes.NewBuffer(make([]byte, 0, fi.Size()+bytes.MinRead))
+		_, err = buf.ReadFrom(f)
+		data = buf.Bytes()
+	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -398,3 +398,30 @@ func TestParseSeqRejectsStrays(t *testing.T) {
 		t.Fatalf("parseSeq round trip: %d %v", seq, ok)
 	}
 }
+
+// TestReadFileAllocatesOnce checks that recovery reads a segment into one
+// buffer sized from Stat instead of regrowing it across the file.
+func TestReadFileAllocatesOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), segName(1))
+	want := bytes.Repeat([]byte("journal!"), 1<<17) // 1 MiB
+	if err := os.WriteFile(path, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := readFile(OSFS{}, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("read %d bytes, want the %d written", len(got), len(want))
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := readFile(OSFS{}, path); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Opening, Stat and the buffer take a handful; io.ReadAll regrowing a
+	// 1 MiB buffer takes about 30.
+	if allocs > 10 {
+		t.Fatalf("reading a %d-byte file made %.0f allocations, want at most 10", len(want), allocs)
+	}
+}

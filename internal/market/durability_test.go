@@ -1,7 +1,9 @@
 package market
 
 import (
+	"encoding/hex"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -24,6 +26,9 @@ func TestSaleRecordRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if rec[0] != saleRecordV2 {
+		t.Fatalf("record starts with %#x, want the v2 version byte", rec[0])
+	}
 	back, err := UnmarshalSale(rec)
 	if err != nil {
 		t.Fatal(err)
@@ -31,19 +36,147 @@ func TestSaleRecordRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(back, *p) {
 		t.Fatalf("round trip mismatch:\n%+v\n%+v", back, *p)
 	}
+	// Awkward floats survive bit for bit: negative zero, the smallest
+	// subnormal, the extremes, and a value with no short decimal form.
+	odd := goldenPurchase()
+	odd.NCP = math.Copysign(0, -1)
+	odd.Weights = append(odd.Weights, math.Nextafter(1, 2), -math.SmallestNonzeroFloat64, math.MaxFloat64)
+	if rec, err = MarshalSale(odd); err != nil {
+		t.Fatal(err)
+	}
+	if back, err = UnmarshalSale(rec); err != nil {
+		t.Fatal(err)
+	}
+	requireSameBits(t, back, odd)
+}
+
+// requireSameBits fails unless got and want hold the same strings and
+// bit-identical floats (reflect.DeepEqual would equate 0 and -0).
+func requireSameBits(t *testing.T, got, want Purchase) {
+	t.Helper()
+	bits := func(p Purchase) []uint64 {
+		out := []uint64{
+			math.Float64bits(p.X), math.Float64bits(p.NCP), math.Float64bits(p.Price),
+			math.Float64bits(p.BrokerFee), math.Float64bits(p.SellerProceeds), math.Float64bits(p.ExpectedError),
+		}
+		for _, w := range p.Weights {
+			out = append(out, math.Float64bits(w))
+		}
+		return out
+	}
+	if got.Offering != want.Offering || got.Loss != want.Loss || !reflect.DeepEqual(bits(got), bits(want)) {
+		t.Fatalf("decoded\n%+v\nwant\n%+v", got, want)
+	}
+}
+
+// goldenPurchase is the sale behind the golden records below.
+func goldenPurchase() Purchase {
+	return Purchase{
+		Offering: "CASP/linear-regression", Loss: "squared",
+		X: 4, NCP: 0.25, Price: 12.345678901234567, BrokerFee: 1.2345678901234567,
+		SellerProceeds: 11.11111101111111, ExpectedError: 0.07031249999999999,
+		Weights: []float64{0.1, -2.5e-7, 1234567.891, math.SmallestNonzeroFloat64, -math.MaxFloat64, 0, 3},
+	}
+}
+
+// TestSaleRecordV1Golden pins compatibility with journals written before
+// the binary format: this is goldenPurchase exactly as the JSON encoder
+// wrote it, and it must still decode to the same purchase bit for bit.
+func TestSaleRecordV1Golden(t *testing.T) {
+	const v1 = `{"v":1,"purchase":{"offering":"CASP/linear-regression","loss":"squared","x":4,"ncp":0.25,` +
+		`"price":12.345678901234567,"broker_fee":1.2345678901234567,"seller_proceeds":11.11111101111111,` +
+		`"expected_error":0.07031249999999999,"weights":[0.1,-2.5e-7,1234567.891,5e-324,-1.7976931348623157e+308,0,3]}}`
+	p, err := UnmarshalSale([]byte(v1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameBits(t, p, goldenPurchase())
+}
+
+// TestSaleRecordV2Layout pins the v2 byte layout on a tiny sale.
+func TestSaleRecordV2Layout(t *testing.T) {
+	p := Purchase{Offering: "o", Loss: "ls", X: 1, NCP: 1, Price: 2, BrokerFee: 0.5, SellerProceeds: 1.5, ExpectedError: -2, Weights: []float64{1}}
+	want := "02" + "01000000" + "6f" + "02000000" + "6c73" +
+		"000000000000f03f" + "000000000000f03f" + "0000000000000040" +
+		"000000000000e03f" + "000000000000f83f" + "00000000000000c0" +
+		"01000000" + "000000000000f03f"
+	rec, err := MarshalSale(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(rec); got != want {
+		t.Fatalf("v2 record\n got %s\nwant %s", got, want)
+	}
+}
+
+func TestMarshalSaleRefusesNonFinite(t *testing.T) {
+	fields := []func(*Purchase) *float64{
+		func(p *Purchase) *float64 { return &p.X },
+		func(p *Purchase) *float64 { return &p.NCP },
+		func(p *Purchase) *float64 { return &p.Price },
+		func(p *Purchase) *float64 { return &p.BrokerFee },
+		func(p *Purchase) *float64 { return &p.SellerProceeds },
+		func(p *Purchase) *float64 { return &p.ExpectedError },
+		func(p *Purchase) *float64 { return &p.Weights[2] },
+	}
+	for i, field := range fields {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p := goldenPurchase()
+			*field(&p) = bad
+			if rec, err := MarshalSale(p); err == nil {
+				t.Errorf("field %d = %v encoded as %x", i, bad, rec)
+			}
+		}
+	}
 }
 
 func TestUnmarshalSaleRejects(t *testing.T) {
 	for _, rec := range []string{
+		``,
 		`{nope`,
 		`{"v": 99, "purchase": {}}`,
 		`{"v": 1, "purchase": {}, "extra": true}`,
 		`{"v": 1, "purchase": {"offering": "x", "bogus_field": 1}}`,
+		`{"v": 1, "purchase": {"offering": "x"}}garbage`,
+		`{"v": 1, "purchase": {"offering": "x"}}{"v": 1, "purchase": {}}`,
+		"\x03",
 	} {
 		if _, err := UnmarshalSale([]byte(rec)); err == nil {
 			t.Errorf("record %q accepted", rec)
 		}
 	}
+
+	valid, err := MarshalSale(goldenPurchase())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every proper prefix is a truncated field.
+	for cut := 1; cut < len(valid); cut++ {
+		if _, err := UnmarshalSale(valid[:cut]); err == nil {
+			t.Errorf("record truncated to %d of %d bytes accepted", cut, len(valid))
+		}
+	}
+	// The weight count sits right before the weights.
+	countAt := len(valid) - 8*len(goldenPurchase().Weights) - 4
+	bad := map[string][]byte{
+		"trailing byte":                append(append([]byte(nil), valid...), 0),
+		"weight count past the end":    patched(valid, countAt, 0x7f),
+		"offering length past the end": patched(valid, 1, 0xff, 0xff, 0xff, 0x7f),
+		"NaN price":                    patched(valid, countAt-8*4, 0, 0, 0, 0, 0, 0, 0xf8, 0x7f),
+		"+Inf weight":                  patched(valid, countAt+4, 0, 0, 0, 0, 0, 0, 0xf0, 0x7f),
+	}
+	for name, rec := range bad {
+		if _, err := UnmarshalSale(rec); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// patched returns a copy of rec with b written at offset at.
+func patched(rec []byte, at int, b ...byte) []byte {
+	out := append([]byte(nil), rec...)
+	copy(out[at:], b)
+	return out
 }
 
 // recordingJournal captures appends; fail makes every append refuse.
@@ -204,16 +337,22 @@ func recoverInto(t *testing.T, dir string) *Broker {
 // prefix of the sales sequence, with TotalRevenue matching the replayed
 // receipts exactly.
 func TestEveryJournalPrefixRecoversALedgerPrefix(t *testing.T) {
-	master := t.TempDir()
-	j, err := journal.Open(master, journal.Options{Sync: journal.SyncNever, SegmentBytes: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
 	b := NewBroker(94)
 	if err := b.SetCommission(0.1); err != nil {
 		t.Fatal(err)
 	}
 	o := listRegression(t, b)
+	// Every sale of o encodes to the same length, so a segment that
+	// rotates at two records' worth of bytes holds two framed records.
+	rec, err := MarshalSale(Purchase{Offering: o.Name, Loss: "squared", Weights: make([]float64, len(o.Optimal))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	master := t.TempDir()
+	j, err := journal.Open(master, journal.Options{Sync: journal.SyncNever, SegmentBytes: int64(2 * len(rec))})
+	if err != nil {
+		t.Fatal(err)
+	}
 	b.SetJournal(j)
 	sales := buyN(t, b, o.Name, 6)
 	if err := j.Close(); err != nil {

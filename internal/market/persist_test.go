@@ -65,6 +65,15 @@ func TestRestoreLedgerRejects(t *testing.T) {
 	if err := b.RestoreLedger(strings.NewReader(`{"version": 1, "sales": [], "extra": true}`)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
+	// Anything after the snapshot: junk, or a second snapshot.
+	for _, trailing := range []string{"garbage", `{"version": 1, "sales": []}`} {
+		if err := b.RestoreLedger(strings.NewReader(whole + "\n" + trailing)); err == nil {
+			t.Fatalf("snapshot followed by %q accepted", trailing)
+		}
+	}
+	if len(b.Sales()) != 0 {
+		t.Fatal("failed restores must leave the ledger empty")
+	}
 	// Non-empty ledger.
 	withSales := NewBroker(84)
 	o := listRegression(t, withSales)

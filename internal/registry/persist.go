@@ -201,7 +201,8 @@ func (r *Registry) openTenantJournal(b *market.Broker, dir string) (*journal.Jou
 // recoverTenants rebuilds every live tenant found under root. Dot-prefixed
 // entries (the archive) and stray files are skipped; a tenant that fails
 // to recover fails Open — better a loud restart than silently trading
-// without a tenant's ledger.
+// without a tenant's ledger. Each tenant's recovery time is logged and,
+// with telemetry, published as nimbus_registry_recover_seconds{market}.
 func (r *Registry) recoverTenants() error {
 	entries, err := os.ReadDir(r.cfg.Root)
 	if err != nil {
@@ -216,9 +217,14 @@ func (r *Registry) recoverTenants() error {
 		if err != nil {
 			return fmt.Errorf("registry: recovering tenant %s: %w", e.Name(), err)
 		}
+		took := time.Since(start)
 		r.publish(m)
+		if reg := r.cfg.Telemetry; reg != nil {
+			//lint:ignore telemetry-label-literal market IDs pass ValidID and the live set is capped at Config.MaxMarkets, so label cardinality is bounded by listings, not requests
+			reg.Gauge("nimbus_registry_recover_seconds", "market", m.ID).Set(took.Seconds())
+		}
 		r.logf("registry: recovered market %s (%s) in %v: %d sales, revenue %.2f",
-			m.ID, m.Spec.Source(), time.Since(start).Round(time.Millisecond), m.Broker.SaleCount(), m.Broker.TotalRevenue())
+			m.ID, m.Spec.Source(), took.Round(time.Millisecond), m.Broker.SaleCount(), m.Broker.TotalRevenue())
 	}
 	return nil
 }

@@ -6,13 +6,16 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"nimbus/internal/journal"
+	"nimbus/internal/market"
 	"nimbus/internal/pricing"
+	"nimbus/internal/telemetry"
 )
 
 // listing is one tenant to list: a spec plus, for CSV sources, its data.
@@ -365,5 +368,164 @@ func TestDamagedStoredCurvesFailOpen(t *testing.T) {
 				time.Sleep(10 * time.Millisecond)
 			}
 		})
+	}
+}
+
+// v1SaleRecord encodes p as the JSON sale record (format v1) that builds
+// before the binary record journaled, and that recovery must still read.
+func v1SaleRecord(t *testing.T, p market.Purchase) []byte {
+	t.Helper()
+	rec, err := json.Marshal(struct {
+		V        int             `json:"v"`
+		Purchase market.Purchase `json:"purchase"`
+	}{1, p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rec
+}
+
+// TestJSONJournalUpgradesMidSegment recovers a tenant whose journal an
+// earlier build wrote in v1 JSON records and left uncompacted, as a
+// SIGKILL leaves it. The sales made after reopening append v2 records to
+// the same segment, and the mixed journal must recover the same ledger
+// and books as a run that journaled v2 throughout.
+func TestJSONJournalUpgradesMidSegment(t *testing.T) {
+	const id, early, late = "mixed", 4, 3
+	offering := offeringOf(id)
+	// crashAndOpen recovers root; the caller abandons the previous
+	// registry without Close, as a crash leaves it.
+	crashAndOpen := func(root string) *Registry {
+		t.Helper()
+		r, err := Open(Config{Root: root, Commission: 0.1, Sync: journal.SyncAlways, Logf: t.Logf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	buy := func(r *Registry, n int) *market.Broker {
+		t.Helper()
+		m, err := r.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < n; k++ {
+			if _, err := m.Buy(offering, "squared", "quality", float64(1+k%4)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return m.Broker
+	}
+
+	// The v2 run: list, sell, crash, recover, sell, crash, recover.
+	v2Root := t.TempDir()
+	r := crashAndOpen(v2Root)
+	if _, err := r.List(cheapSpec(id, 31), nil); err != nil {
+		t.Fatal(err)
+	}
+	earlySales := buy(r, early).Sales()
+	buy(crashAndOpen(v2Root), late)
+	pure := crashAndOpen(v2Root)
+	defer pure.Close()
+
+	// The upgrade run: the same listing, with the early sales journaled
+	// as v1 records behind an empty snapshot.
+	mixedRoot := t.TempDir()
+	r = crashAndOpen(mixedRoot)
+	if _, err := r.List(cheapSpec(id, 31), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	jdir := filepath.Join(mixedRoot, id, journalDir)
+	j, err := journal.Open(jdir, journal.Options{Sync: journal.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range earlySales {
+		if err := j.Append(v1SaleRecord(t, p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	buy(crashAndOpen(mixedRoot), late)
+
+	// One segment holds both formats: the v1 records, then the v2 ones.
+	segs, err := filepath.Glob(filepath.Join(jdir, "seg-*.wal"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("want one journal segment, got %v (%v)", segs, err)
+	}
+	j, err = journal.Open(jdir, journal.Options{Sync: journal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var formats []byte
+	if err := j.Replay(func(rec []byte) error {
+		formats = append(formats, rec[0])
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if want := strings.Repeat("{", early) + strings.Repeat("\x02", late); string(formats) != want {
+		t.Fatalf("record formats %q, want %q", formats, want)
+	}
+
+	mixed := crashAndOpen(mixedRoot)
+	defer mixed.Close()
+	got, want := buy(mixed, 0), buy(pure, 0) // no sales: just the brokers
+	if len(want.Sales()) != early+late || !reflect.DeepEqual(got.Sales(), want.Sales()) {
+		t.Fatalf("mixed journal recovered %d sales, the v2 run %d, or they differ", len(got.Sales()), len(want.Sales()))
+	}
+	if !reflect.DeepEqual(got.Payouts(), want.Payouts()) || got.TotalRevenue() != want.TotalRevenue() ||
+		got.TotalFees() != want.TotalFees() || !reflect.DeepEqual(got.Statement(), want.Statement()) {
+		t.Fatal("mixed journal recovered different books")
+	}
+}
+
+// TestRecoverSecondsGaugePerTenant checks that a reopened registry
+// publishes one recovery-time series per recovered tenant.
+func TestRecoverSecondsGaugePerTenant(t *testing.T) {
+	root := t.TempDir()
+	cfg := Config{Root: root, Commission: 0.1, Sync: journal.SyncNever, Logf: t.Logf}
+	r, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []string{"east", "west"}
+	for i, id := range ids {
+		if _, err := r.List(cheapSpec(id, int64(50+i)), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.Telemetry = telemetry.NewRegistry()
+	r, err = Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	snap := cfg.Telemetry.Snapshot()
+	var series []string
+	for _, name := range snap.SeriesNames() {
+		if strings.HasPrefix(name, "nimbus_registry_recover_seconds") {
+			series = append(series, name)
+		}
+	}
+	if len(series) != len(ids) {
+		t.Fatalf("recovery series %v, want one per tenant %v", series, ids)
+	}
+	for _, id := range ids {
+		if v := snap.GaugeValue("nimbus_registry_recover_seconds", "market", id); v <= 0 {
+			t.Errorf("tenant %s recovery time %v", id, v)
+		}
 	}
 }

@@ -88,6 +88,7 @@ func Open(cfg Config) (*Registry, error) {
 		reg.Help("nimbus_registry_listed_total", "Datasets listed since startup.")
 		r.delisted = reg.Counter("nimbus_registry_delisted_total")
 		reg.Help("nimbus_registry_delisted_total", "Datasets delisted since startup.")
+		reg.Help("nimbus_registry_recover_seconds", "Time each tenant market took to recover at startup.")
 	}
 	if cfg.Root != "" {
 		if err := os.MkdirAll(cfg.Root, 0o755); err != nil {
