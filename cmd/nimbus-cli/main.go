@@ -171,8 +171,7 @@ func run(addr string, args []string) error {
 		fs.StringVar(&spec.Model, "model", "", "linear-regression, logistic-regression or auto (default: task default)")
 		fs.IntVar(&spec.Rows, "rows", 0, "generated dataset size (generator sources)")
 		fs.IntVar(&spec.Grid, "grid", 0, "offered quality grid size")
-		fs.IntVar(&spec.Samples, "samples", 0, "Monte-Carlo models per grid point")
-		fs.Int64Var(&spec.Seed, "seed", 0, "seed for generation, split and curve estimation")
+		fs.Int64Var(&spec.Seed, "seed", 0, "seed for the generated data, the split, model selection and the sale noise")
 		fs.Float64Var(&spec.ValueScale, "value-scale", 0, "seller research: buyers value an error-e model at scale/(1+e)")
 		if err := fs.Parse(args[1:]); err != nil {
 			return err

@@ -76,7 +76,7 @@ func TestCLIDatasetCommands(t *testing.T) {
 	if err := run(srv.URL, []string{"list-dataset",
 		"-id", "acme-houses", "-owner", "acme",
 		"-csv", csvPath, "-task", "regression", "-target", "price",
-		"-grid", "8", "-samples", "24", "-seed", "5"}); err != nil {
+		"-grid", "8", "-seed", "5"}); err != nil {
 		t.Fatalf("list-dataset: %v", err)
 	}
 	if err := run(srv.URL, []string{"datasets"}); err != nil {

@@ -42,7 +42,6 @@ type config struct {
 	addr       string
 	scale      float64
 	seed       int64
-	samples    int
 	gridN      int
 	rate       float64
 	commission float64
@@ -60,7 +59,6 @@ func main() {
 	flag.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	flag.Float64Var(&cfg.scale, "scale", 1e-3, "Table 3 row-count scale (1.0 = paper size)")
 	flag.Int64Var(&cfg.seed, "seed", 42, "random seed")
-	flag.IntVar(&cfg.samples, "samples", 200, "Monte-Carlo models per NCP when building curves")
 	flag.IntVar(&cfg.gridN, "grid", 50, "offered quality grid size")
 	flag.Float64Var(&cfg.rate, "rate", 50, "per-client request rate limit (requests/second; 0 disables)")
 	flag.Float64Var(&cfg.commission, "commission", 0.1, "broker's cut of each sale, in [0, 1)")
@@ -121,7 +119,6 @@ func seedSuite(r *registry.Registry, cfg config, logf func(format string, args .
 			Generator: name,
 			Rows:      dataset.Table3Rows(name, cfg.scale),
 			Grid:      cfg.gridN,
-			Samples:   cfg.samples,
 			Seed:      cfg.seed + int64(i),
 		}
 		start := time.Now()

@@ -16,7 +16,7 @@ import (
 // curves meet their SLA, and progress is logged along the way.
 func TestBuildBrokerListsAllSixDatasets(t *testing.T) {
 	var logs []string
-	cfg := config{scale: 2e-4, seed: 7, samples: 30, gridN: 8, journalSync: "interval"}
+	cfg := config{scale: 2e-4, seed: 7, gridN: 8, journalSync: "interval"}
 	r, err := openRegistry(cfg, nil, func(format string, args ...any) {
 		logs = append(logs, format)
 	})
@@ -65,7 +65,7 @@ var table3Models = map[string]string{
 // second boot recovers them from their manifests instead of re-seeding.
 func TestSeedSuiteListsAndRecovers(t *testing.T) {
 	root := t.TempDir()
-	cfg := config{scale: 1e-9, seed: 3, samples: 10, gridN: 4}
+	cfg := config{scale: 1e-9, seed: 3, gridN: 4}
 	quiet := func(string, ...any) {}
 	open := func() *registry.Registry {
 		r, err := registry.Open(registry.Config{Root: root, Sync: journal.SyncNever})
@@ -104,7 +104,7 @@ func TestSeedSuiteListsAndRecovers(t *testing.T) {
 // is seeded with the Table 3 suite, so a bare nimbusd sells the same six
 // offerings.
 func TestMemoryOnlyBoot(t *testing.T) {
-	cfg := config{scale: 1e-9, seed: 3, samples: 10, gridN: 4, journalSync: "interval"}
+	cfg := config{scale: 1e-9, seed: 3, gridN: 4, journalSync: "interval"}
 	r, err := openRegistry(cfg, nil, func(string, ...any) {})
 	if err != nil {
 		t.Fatal(err)
@@ -127,7 +127,6 @@ func TestJournalSurvivesRestarts(t *testing.T) {
 	cfg := config{
 		scale:           1e-9,
 		seed:            3,
-		samples:         10,
 		gridN:           4,
 		commission:      0.1,
 		journalSync:     "always",

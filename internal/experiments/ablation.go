@@ -59,8 +59,8 @@ func RunRelaxationGap(n int) ([]RelaxationGapResult, error) {
 	return out, nil
 }
 
-// ErrorInverseResult compares the analytic squared-loss transformation with
-// the Monte-Carlo estimate on the same grid.
+// ErrorInverseResult compares the analytic squared-loss transformation
+// (pricing.GaussianTransform) with the Monte-Carlo estimate on the same grid.
 type ErrorInverseResult struct {
 	Dataset        string  `json:"dataset"`
 	MaxRelDiff     float64 `json:"max_rel_diff"`
@@ -93,7 +93,7 @@ func RunErrorInverseAblation(scale float64, samples int, seed int64) ([]ErrorInv
 			return nil, err
 		}
 		analyticElapsed := stopwatch()
-		analytic, err := pricing.AnalyticSquaredTransform(optimal, loss, pair.Test, grid)
+		analytic, err := pricing.GaussianTransform(optimal, loss, pair.Test, grid)
 		analyticTime := analyticElapsed()
 		if err != nil {
 			return nil, err

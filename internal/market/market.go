@@ -77,16 +77,18 @@ type OfferingConfig struct {
 	// Grid is the offered quality grid (x = 1/NCP); empty means the
 	// paper's grid of 100 points in [1, 100].
 	Grid []float64
-	// Samples is the Monte-Carlo sample count per grid point for the error
-	// transformation; 0 means 500. (The paper uses 2000; the default trades
-	// a little smoothness for setup latency, and the isotonic projection
-	// removes the extra jitter.)
+	// Samples is the Monte-Carlo sample count per grid point, used only
+	// where the error transformation is estimated: a non-Gaussian
+	// Mechanism, or a loss that is not an ml.ExpectedLoss. The Gaussian
+	// mechanism's curves of the ml losses are computed exactly. 0 means
+	// 500. (The paper uses 2000; the default trades a little smoothness for
+	// setup latency, and the isotonic projection removes the extra jitter.)
 	Samples int
 	// Seed drives the error-transformation Monte Carlo.
 	Seed int64
 	// Curves, when set, are error curves this offering served before (see
-	// Offering.ErrorCurves), used in place of the Monte-Carlo transform so
-	// relisting after a restart skips its one expensive step. There must
+	// Offering.ErrorCurves), used in place of the error transformation so
+	// a relisted offering keeps the terms it served. There must
 	// be exactly one per reporting loss, in LossNames order, each over
 	// exactly Grid; the buyer points, prices and SLA check are derived
 	// from them as from a fresh transform.
@@ -203,16 +205,22 @@ func newOffering(cfg OfferingConfig) (*Offering, error) {
 	} else {
 		errCurves = make(map[string]*pricing.ErrorCurve, len(losses))
 		seed := cfg.Seed
+		_, gaussian := mech.(noise.Gaussian)
 		for _, loss := range losses {
-			ec, err := pricing.MonteCarloTransform(pricing.TransformConfig{
-				Optimal:   optimal,
-				Loss:      loss,
-				Data:      pair.Test,
-				Mechanism: mech,
-				Xs:        grid,
-				Samples:   samples,
-				Seed:      seed,
-			})
+			var ec *pricing.ErrorCurve
+			if el, ok := loss.(ml.ExpectedLoss); ok && gaussian {
+				ec, err = pricing.GaussianTransform(optimal, el, pair.Test, grid)
+			} else {
+				ec, err = pricing.MonteCarloTransform(pricing.TransformConfig{
+					Optimal:   optimal,
+					Loss:      loss,
+					Data:      pair.Test,
+					Mechanism: mech,
+					Xs:        grid,
+					Samples:   samples,
+					Seed:      seed,
+				})
+			}
 			if err != nil {
 				return nil, fmt.Errorf("market: error transformation for %s: %w", loss.Name(), err)
 			}

@@ -8,6 +8,7 @@ import (
 
 	"nimbus/internal/dataset"
 	"nimbus/internal/ml"
+	"nimbus/internal/noise"
 	"nimbus/internal/opt"
 	"nimbus/internal/pricing"
 	"nimbus/internal/rng"
@@ -176,6 +177,66 @@ func TestClassificationOfferingSupportsZeroOne(t *testing.T) {
 	pts := c.Points()
 	if pts[len(pts)-1].Error >= pts[0].Error {
 		t.Fatal("zero-one curve not decreasing")
+	}
+}
+
+// plainLoss hides a loss's closed-form expectation, leaving only ml.Loss.
+type plainLoss struct{ ml.Loss }
+
+func TestListPicksTheErrorTransform(t *testing.T) {
+	// The Gaussian mechanism's curves are the exact expectations; another
+	// mechanism, or a loss without a closed form, keeps the Monte-Carlo
+	// estimate with one seed per loss in listing order.
+	seller, grid := clsSeller(t), pricing.DefaultGrid(8)
+	hinge := ml.HingeLoss{Reg: 1e-4}
+	list := func(mech noise.Mechanism, extra ml.Loss) *Offering {
+		t.Helper()
+		o, err := NewBroker(20).List(OfferingConfig{
+			Seller: seller, Model: ml.LogisticRegression{Ridge: 1e-4}, Mechanism: mech,
+			Grid: grid, Samples: 30, Seed: 21, ExtraLosses: []ml.Loss{extra},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	same := func(label string, got, want *pricing.ErrorCurve) {
+		t.Helper()
+		for i := range want.Errs {
+			if math.Float64bits(got.Errs[i]) != math.Float64bits(want.Errs[i]) {
+				t.Fatalf("%s %s curve at x=%v: %v, want %v", label, want.LossName, want.Xs[i], got.Errs[i], want.Errs[i])
+			}
+		}
+	}
+	losses := []ml.ExpectedLoss{ml.LogisticLoss{Reg: 1e-4}, ml.ZeroOneLoss{}, hinge}
+	gauss := list(nil, hinge)
+	for k, ec := range gauss.ErrorCurves() {
+		want, err := pricing.GaussianTransform(gauss.Optimal, losses[k], seller.Pair.Test, grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		same("gaussian", ec, want)
+	}
+	for _, c := range []struct {
+		label string
+		o     *Offering
+		mech  noise.Mechanism
+		mc    []int // indexes of the Monte-Carlo curves
+	}{
+		{"laplace", list(noise.Laplace{}, hinge), noise.Laplace{}, []int{0, 1, 2}},
+		{"gaussian without a closed form", list(nil, plainLoss{hinge}), noise.Gaussian{}, []int{2}},
+	} {
+		curves := c.o.ErrorCurves()
+		for _, k := range c.mc {
+			want, err := pricing.MonteCarloTransform(pricing.TransformConfig{
+				Optimal: c.o.Optimal, Loss: losses[k], Data: seller.Pair.Test, Mechanism: c.mech,
+				Xs: grid, Samples: 30, Seed: 21 + int64(k),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			same(c.label, curves[k], want)
+		}
 	}
 }
 

@@ -1,0 +1,108 @@
+package ml
+
+import (
+	"math"
+	"testing"
+
+	"nimbus/internal/dataset"
+	"nimbus/internal/vec"
+)
+
+func expectedLosses() []ExpectedLoss {
+	return []ExpectedLoss{SquaredLoss{Reg: 0.01}, LogisticLoss{Reg: 0.01}, HingeLoss{Reg: 0.01}, ZeroOneLoss{}}
+}
+
+func TestGaussHermiteMoments(t *testing.T) {
+	// A k-node rule integrates polynomials up to degree 2k−1 exactly:
+	// E[Z^j] is 0 for odd j and (j−1)!! for even j.
+	want := []float64{1, 0, 1, 0, 3, 0, 15, 0, 105}
+	for _, k := range []int{5, hermiteNodes, 2 * hermiteNodes, 100} {
+		q := gaussHermite(k)
+		for j, m := range want {
+			if 2*k-1 < j {
+				break
+			}
+			var got float64
+			for i, z := range q.nodes {
+				got += q.weights[i] * math.Pow(z, float64(j))
+			}
+			if math.Abs(got-m) > 1e-10*math.Max(1, m) {
+				t.Errorf("k=%d: E[Z^%d] = %v, want %v", k, j, got, m)
+			}
+		}
+	}
+}
+
+func TestExpectedLogisticNodeCount(t *testing.T) {
+	// The fixed rule is converged on the generators' test sets over the
+	// whole default quality grid: doubling the nodes moves the mean
+	// expected loss by less than 1e-8.
+	twice := gaussHermite(2 * hermiteNodes)
+	datasets := []*dataset.Dataset{clsData(t, 600)}
+	for _, name := range []string{"CovType", "SUSY"} {
+		d, err := dataset.StandIn(name, dataset.GenConfig{Rows: 600, Seed: 23})
+		if err != nil {
+			t.Fatal(err)
+		}
+		datasets = append(datasets, d)
+	}
+	for _, d := range datasets {
+		w, err := LogisticRegression{Ridge: 1e-4}.Fit(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, x := range []float64{1, 2, 5, 10, 50, 100} {
+			delta := 1 / x
+			var base, fine float64
+			for i := 0; i < d.N(); i++ {
+				row, y := d.Row(i)
+				m, sigma := vec.Dot(w, row), math.Sqrt(delta*vec.SqNorm2(row)/float64(len(w)))
+				base += expectedLogistic(m, sigma, y, hermite)
+				fine += expectedLogistic(m, sigma, y, twice)
+			}
+			if diff := math.Abs(base-fine) / float64(d.N()); diff > 1e-8 {
+				t.Errorf("%s δ=%v: %d and %d nodes differ by %v", d.Name, delta, hermiteNodes, 2*hermiteNodes, diff)
+			}
+		}
+	}
+}
+
+func TestExpectedEvalNoiseFree(t *testing.T) {
+	// At δ = 0 the expectation is the loss itself.
+	w := make([]float64, 20)
+	for i := range w {
+		w[i] = 0.3 * float64(i%3-1)
+	}
+	for _, d := range []*dataset.Dataset{regData(t, 80), clsData(t, 80)} {
+		for _, l := range expectedLosses() {
+			got := l.ExpectedEval(w, d, []float64{0})[0]
+			if want := l.Eval(w, d); math.Abs(got-want) > 1e-12*math.Max(1, want) {
+				t.Errorf("%s on %s: ExpectedEval at δ=0 = %v, Eval = %v", l.Name(), d.Name, got, want)
+			}
+		}
+	}
+}
+
+func TestExpectedEvalZeroNormRow(t *testing.T) {
+	// A zero feature row has margin 0 under any noise, so its expected loss
+	// is its noiseless loss: the zero-one tie rule predicts −1 (two misses
+	// in three rows) and the hinge loss is 1 for either label.
+	x := vec.NewMatrix(3, 3)
+	d, err := dataset.New("zeros", dataset.Classification, x, []float64{1, 1, -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := []float64{0.5, -2, 1}
+	deltas := []float64{0, 0.5, 1}
+	hinge := HingeLoss{Reg: 0.1}
+	zo, hl := ZeroOneLoss{}.ExpectedEval(w, d, deltas), hinge.ExpectedEval(w, d, deltas)
+	for k, delta := range deltas {
+		if want := (ZeroOneLoss{}).Eval(w, d); zo[k] != want || want != 2.0/3 {
+			t.Errorf("δ=%v: expected zero-one %v, Eval %v, want 2/3", delta, zo[k], want)
+		}
+		// Eval carries Reg·‖w‖²; the expectation adds Reg·δ for the noise.
+		if want := hinge.Eval(w, d) + hinge.Reg*delta; math.Abs(hl[k]-want) > 1e-15 {
+			t.Errorf("δ=%v: expected hinge %v, want %v", delta, hl[k], want)
+		}
+	}
+}

@@ -164,9 +164,9 @@ func (l HingeLoss) Grad(w []float64, d *dataset.Dataset) []float64 {
 }
 
 // ZeroOneLoss is the misclassification rate 1/n Σ 1[y ≠ sign(wᵀx)], the
-// paper's reporting error ε for classification models. It is not convex; the
-// pricing layer handles it through the empirical (Monte-Carlo) error
-// transformation.
+// paper's reporting error ε for classification models. It is not convex, so
+// its expected error need not fall monotonically as the NCP shrinks; the
+// pricing layer projects its error curve onto the non-increasing cone.
 type ZeroOneLoss struct{}
 
 // Name implements Loss.
@@ -175,7 +175,7 @@ func (ZeroOneLoss) Name() string { return "zero-one" }
 // StrictlyConvex implements Loss.
 func (ZeroOneLoss) StrictlyConvex() bool { return false }
 
-// Eval implements Loss. Points exactly on the hyperplane count as positive
+// Eval implements Loss. Points exactly on the hyperplane count as negative
 // predictions, matching the paper's 1{y = (wᵀx > 0)} convention.
 func (ZeroOneLoss) Eval(w []float64, d *dataset.Dataset) float64 {
 	n := d.N()

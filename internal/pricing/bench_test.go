@@ -54,12 +54,12 @@ func BenchmarkMonteCarloTransform(b *testing.B) {
 	}
 }
 
-func BenchmarkAnalyticSquaredTransform(b *testing.B) {
+func BenchmarkGaussianTransform(b *testing.B) {
 	pair, w := benchFixture(b)
 	grid := DefaultGrid(100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := AnalyticSquaredTransform(w, ml.SquaredLoss{}, pair.Test, grid); err != nil {
+		if _, err := GaussianTransform(w, ml.SquaredLoss{}, pair.Test, grid); err != nil {
 			b.Fatal(err)
 		}
 	}

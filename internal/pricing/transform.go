@@ -37,9 +37,10 @@ func newErrorCurve(lossName string, xs, errs []float64) (*ErrorCurve, error) {
 	if err := checkGrid(xs, errs); err != nil {
 		return nil, err
 	}
-	// Monte-Carlo estimates fluctuate; project onto the non-increasing cone
-	// so the curve is a valid transformation (the true curve is monotone by
-	// Theorem 4).
+	// Monte-Carlo estimates fluctuate, and the exact zero-one curve need
+	// not be monotone; project onto the non-increasing cone so the curve is
+	// a valid transformation. For strictly convex ε the exact curve is
+	// already monotone (Theorem 4) and the projection leaves it unchanged.
 	smooth, err := isotone.RegressAntitonic(errs, nil)
 	if err != nil {
 		return nil, err
@@ -195,8 +196,8 @@ func DefaultGrid(n int) []float64 {
 // MonteCarloTransform estimates the error curve empirically. It works for
 // any reporting loss, including the non-convex zero-one error.
 //
-// Grid points are evaluated concurrently (this is the broker's listing
-// bottleneck); each point derives its own noise stream from the base seed,
+// Grid points are evaluated concurrently (the cost is grid × samples × n ×
+// d); each point derives its own noise stream from the base seed,
 // so results are deterministic and independent of GOMAXPROCS.
 func MonteCarloTransform(cfg TransformConfig) (*ErrorCurve, error) {
 	if cfg.Optimal == nil {
@@ -258,38 +259,31 @@ func MonteCarloTransform(cfg TransformConfig) (*ErrorCurve, error) {
 	return newErrorCurve(cfg.Loss.Name(), xs, errs)
 }
 
-// AnalyticSquaredTransform computes the error curve for the squared loss in
-// closed form. For the calibrated mechanisms with per-coordinate variance
-// δ/d,
-//
-//	E[λ(h* + w, D)] = λ(h*, D) + (δ/d)·tr(XᵀX)/(2n) + Reg·δ,
-//
-// since the cross terms vanish in expectation. This is exact, so the
-// ablation benches compare it against the Monte-Carlo estimate.
-func AnalyticSquaredTransform(optimal []float64, loss ml.SquaredLoss, data *dataset.Dataset, xs []float64) (*ErrorCurve, error) {
+// GaussianTransform computes the error curve of the Gaussian mechanism
+// exactly rather than by sampling: the loss averages its closed-form
+// expectation (ml.ExpectedLoss) at each δ = 1/x, so the cost is one pass
+// over the data for the margins plus a scalar per row and grid point, with
+// no noise stream. MonteCarloTransform stays for the other mechanisms and
+// for losses without a closed form.
+func GaussianTransform(optimal []float64, loss ml.ExpectedLoss, data *dataset.Dataset, xs []float64) (*ErrorCurve, error) {
 	if len(xs) == 0 {
 		xs = DefaultGrid(100)
 	}
-	base := loss.Eval(optimal, data)
-	trace := data.Features.Gram().Trace()
-	d := float64(data.D())
-	n := float64(data.N())
-	errs := make([]float64, len(xs))
+	deltas := make([]float64, len(xs))
 	for i, x := range xs {
 		if x <= 0 {
 			return nil, fmt.Errorf("pricing: quality grid point %v must be positive", x)
 		}
-		delta := 1 / x
-		errs[i] = base + delta/d*trace/(2*n) + loss.Reg*delta
+		deltas[i] = 1 / x
 	}
-	return newErrorCurve(loss.Name(), xs, errs)
+	return newErrorCurve(loss.Name(), xs, loss.ExpectedEval(optimal, data, deltas))
 }
 
 // ExactCurve wraps an analytically-known expected-error sequence in an
-// ErrorCurve. Callers with closed-form error laws (the linear-regression
-// squared loss, the Example 1 aggregate mechanisms) use this instead of
-// Monte Carlo; the sequence must be over an increasing positive grid and is
-// projected to monotone like every other curve.
+// ErrorCurve. Callers with closed-form error laws (the Example 1 aggregate
+// mechanisms) use this instead of Monte Carlo; the sequence must be over an
+// increasing positive grid and is projected to monotone like every other
+// curve.
 func ExactCurve(lossName string, xs, errs []float64) (*ErrorCurve, error) {
 	return newErrorCurve(lossName, xs, errs)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nimbus/internal/dataset"
+	"nimbus/internal/isotone"
 	"nimbus/internal/ml"
 	"nimbus/internal/noise"
 )
@@ -132,7 +133,7 @@ func TestMonteCarloMatchesAnalytic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := AnalyticSquaredTransform(w, loss, pair.Test, xs)
+	an, err := GaussianTransform(w, loss, pair.Test, xs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,6 +141,90 @@ func TestMonteCarloMatchesAnalytic(t *testing.T) {
 		rel := math.Abs(mc.Errs[i]-an.Errs[i]) / an.Errs[i]
 		if rel > 0.06 {
 			t.Fatalf("x=%v: MC %v vs analytic %v (rel %v)", xs[i], mc.Errs[i], an.Errs[i], rel)
+		}
+	}
+}
+
+// exactLosses are the reporting losses with a closed-form Gaussian
+// expectation, regularized where the loss allows it so that the Reg·δ
+// term is exercised too.
+func exactLosses() []ml.ExpectedLoss {
+	return []ml.ExpectedLoss{
+		ml.SquaredLoss{Reg: 1e-3}, ml.LogisticLoss{Reg: 1e-3}, ml.HingeLoss{Reg: 1e-3}, ml.ZeroOneLoss{},
+	}
+}
+
+// testSet is a fixture's test set with its optimal model.
+type testSet struct {
+	data *dataset.Dataset
+	w    []float64
+}
+
+// testSets returns the regression and classification fixtures.
+func testSets(t *testing.T) []testSet {
+	regPair, regW := regFixture(t)
+	clsPair, clsW := clsFixture(t)
+	return []testSet{{regPair.Test, regW}, {clsPair.Test, clsW}}
+}
+
+func TestGaussianTransformMatchesMonteCarlo(t *testing.T) {
+	// Cross-check the two transforms without the monotone projection: at
+	// each δ the raw Monte-Carlo mean of the Gaussian mechanism lies within
+	// 5 standard errors of the exact expectation.
+	const samples = 2000
+	deltas := []float64{1, 0.1, 0.01}
+	src := newSrc()
+	for _, f := range testSets(t) {
+		for _, loss := range exactLosses() {
+			exact := loss.ExpectedEval(f.w, f.data, deltas)
+			for k, delta := range deltas {
+				var sum, sumSq float64
+				for s := 0; s < samples; s++ {
+					v := loss.Eval(noise.Gaussian{}.Perturb(f.w, delta, src), f.data)
+					sum += v
+					sumSq += v * v
+				}
+				mean := sum / samples
+				se := math.Sqrt(math.Max(sumSq/samples-mean*mean, 0) / (samples - 1))
+				if diff := math.Abs(mean - exact[k]); diff > 5*se+1e-12 {
+					t.Errorf("%s on %s, δ=%v: Monte-Carlo %v ± %v, exact %v (%.1f SE)",
+						loss.Name(), f.data.Name, delta, mean, se, exact[k], diff/se)
+				}
+			}
+		}
+	}
+}
+
+func TestGaussianTransformTheorem4(t *testing.T) {
+	// For a strictly convex ε the exact expected error is already
+	// non-increasing in x (Theorem 4), so the antitonic projection returns
+	// it bit for bit. The non-convex zero-one error keeps the projection.
+	xs := DefaultGrid(50)
+	deltas := make([]float64, len(xs))
+	for i, x := range xs {
+		deltas[i] = 1 / x
+	}
+	for _, f := range testSets(t) {
+		for _, loss := range exactLosses() {
+			curve, err := GaussianTransform(f.w, loss, f.data, xs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw := loss.ExpectedEval(f.w, f.data, deltas)
+			want := raw
+			if !loss.StrictlyConvex() {
+				if want, err = isotone.RegressAntitonic(raw, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := range xs {
+				if i > 0 && loss.StrictlyConvex() && !(raw[i] < raw[i-1]) {
+					t.Errorf("%s on %s: exact error rises at x=%v (%v after %v)", loss.Name(), f.data.Name, xs[i], raw[i], raw[i-1])
+				}
+				if math.Float64bits(curve.Errs[i]) != math.Float64bits(want[i]) {
+					t.Errorf("%s on %s: curve at x=%v is %v, want %v", loss.Name(), f.data.Name, xs[i], curve.Errs[i], want[i])
+				}
+			}
 		}
 	}
 }
@@ -195,8 +280,8 @@ func TestTransformConfigValidation(t *testing.T) {
 	if _, err := SquaredToOptimalCurve([]float64{0, 1}); err == nil {
 		t.Error("non-positive grid accepted")
 	}
-	if _, err := AnalyticSquaredTransform(w, ml.SquaredLoss{}, pair.Test, []float64{-1, 2}); err == nil {
-		t.Error("analytic transform accepted bad grid")
+	if _, err := GaussianTransform(w, ml.SquaredLoss{}, pair.Test, []float64{-1, 2}); err == nil {
+		t.Error("Gaussian transform accepted bad grid")
 	}
 }
 

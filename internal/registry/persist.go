@@ -40,10 +40,11 @@ const (
 func tenantDir(root, id string) string { return filepath.Join(root, id) }
 
 // manifest is the on-disk form of manifest.json: the spec plus the error
-// curves the market's offering serves. The curves are the one expensive,
-// random product of a listing (the Monte-Carlo transform), so recovery
-// reuses them instead of re-estimating them; everything else is rebuilt
-// from the spec. They live here, not in Spec, because Spec is also the
+// curves the market's offering serves. Recovery reuses the curves instead
+// of recomputing them, so a market keeps the terms it served even when a
+// later build transforms differently (markets listed by builds that
+// estimated curves by Monte Carlo keep those estimates); everything else is
+// rebuilt from the spec. They live here, not in Spec, because Spec is also the
 // listing request body — a seller can never supply curves. A manifest
 // without curves (written before they were kept) still reads, and
 // recovers through the full listing pipeline.

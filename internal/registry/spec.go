@@ -16,7 +16,7 @@ import (
 // listing parameters of the Figure 2 pipeline. The spec is the recipe in
 // the tenant's manifest: a restart rebuilds the dataset and model from it
 // and reuses the error curves stored beside it (see manifest), so the
-// Monte-Carlo transform is not re-run; the sale ledger rides the journal.
+// market keeps the terms it served; the sale ledger rides the journal.
 type Spec struct {
 	// Version guards the on-disk manifest format.
 	Version int `json:"version,omitempty"`
@@ -48,9 +48,14 @@ type Spec struct {
 	Model string `json:"model,omitempty"`
 	// Grid is the offered quality-grid size (default 20).
 	Grid int `json:"grid,omitempty"`
-	// Samples is the Monte-Carlo sample count per grid point (default 60).
+	// Samples is the Monte-Carlo sample count per grid point (default 60),
+	// for Monte-Carlo mechanisms only. Registry markets sell through the
+	// Gaussian mechanism, whose error curves are exact, so it has no effect
+	// on them; the field stays so that stored manifests and requests that
+	// carry it still decode.
 	Samples int `json:"samples,omitempty"`
-	// Seed drives the dataset generation, split, and curve estimation.
+	// Seed drives the dataset generation, the split, model selection and
+	// the sale noise.
 	Seed int64 `json:"seed,omitempty"`
 	// ValueScale parameterizes the seller's market research — buyers value
 	// an error-e model at ValueScale/(1+e) with unit demand (default 100).

@@ -98,6 +98,8 @@ type (
 	Model = ml.Model
 	// Loss is an error function λ or ε.
 	Loss = ml.Loss
+	// ExpectedLoss is a Loss with an exact expectation under Gaussian noise.
+	ExpectedLoss = ml.ExpectedLoss
 	// LinearRegression is least squares, fit in closed form.
 	LinearRegression = ml.LinearRegression
 	// LogisticRegression is L2 logistic regression fit by Newton's method.
@@ -181,8 +183,8 @@ var (
 	NewPriceFunction = pricing.NewFunction
 	// MonteCarloTransform estimates the error transformation empirically.
 	MonteCarloTransform = pricing.MonteCarloTransform
-	// AnalyticSquaredTransform computes it in closed form for squared loss.
-	AnalyticSquaredTransform = pricing.AnalyticSquaredTransform
+	// GaussianTransform computes it exactly for the Gaussian mechanism.
+	GaussianTransform = pricing.GaussianTransform
 	// DefaultGrid is the paper's quality grid of n points in [1, 100].
 	DefaultGrid = pricing.DefaultGrid
 	// CheckSubadditiveOnGrid verifies Theorem 5's subadditivity condition.
