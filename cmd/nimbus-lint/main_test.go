@@ -114,11 +114,11 @@ func TestRulesFlagFiltersAndValidates(t *testing.T) {
 		t.Errorf("selected rule did not fire: exit = %d, stdout:\n%s", code, stdout)
 	}
 	// -list reflects the filter.
-	code, stdout, _ = runLint(t, "-rules", "unlock-path", "-list")
+	code, stdout, _ = runLint(t, "-rules", "lock-contract", "-list")
 	if code != 0 {
 		t.Fatalf("-rules -list exit = %d, want 0", code)
 	}
-	if !strings.Contains(stdout, "unlock-path") || strings.Contains(stdout, "no-naked-rand") {
+	if !strings.Contains(stdout, "lock-contract") || strings.Contains(stdout, "no-naked-rand") {
 		t.Errorf("-list ignored the -rules filter:\n%s", stdout)
 	}
 	// A typo is an error naming the valid set, not a silently empty run.
@@ -248,7 +248,7 @@ func TestSARIFOutput(t *testing.T) {
 	for _, r := range run.Tool.Driver.Rules {
 		ruleIDs[r.ID] = true
 	}
-	for _, want := range []string{"no-naked-rand", "mutex-discipline", "lock-order", "goroutine-leak", "unlock-path"} {
+	for _, want := range []string{"no-naked-rand", "goroutine-leak", "lock-contract"} {
 		if !ruleIDs[want] {
 			t.Errorf("driver rules missing %s", want)
 		}

@@ -124,20 +124,8 @@ func TestTelemetryLabelGolden(t *testing.T) {
 	checkGolden(t, "telemetrylabels", []Rule{TelemetryLabel{TelemetryPath: "nimbus/internal/telemetry"}})
 }
 
-func TestMutexDisciplineGolden(t *testing.T) {
-	checkGolden(t, "mutexguard", []Rule{MutexDiscipline{}})
-}
-
-func TestLockOrderGolden(t *testing.T) {
-	checkGolden(t, "lockorder", []Rule{LockOrder{}})
-}
-
 func TestGoroutineLeakGolden(t *testing.T) {
 	checkGolden(t, "goroleak", []Rule{GoroutineLeak{}})
-}
-
-func TestUnlockPathGolden(t *testing.T) {
-	checkGolden(t, "unlockpath", []Rule{UnlockPath{}})
 }
 
 func TestSuppressionGolden(t *testing.T) {
@@ -178,8 +166,7 @@ func TestDefaultRulesCoverTheSuite(t *testing.T) {
 	}
 	for _, want := range []string{
 		"no-naked-rand", "no-float-eq", "no-wallclock", "no-dropped-error", "telemetry-label-literal",
-		"mutex-discipline", "lock-order", "goroutine-leak", "unlock-path",
-		"noise-taint", "lock-contract", "hotpath-alloc",
+		"goroutine-leak", "noise-taint", "lock-contract",
 		"snapshot-immutability", "resource-lifecycle", "waitgroup-balance", "atomic-plain-mix",
 	} {
 		if !names[want] {

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 )
 
 // This file builds a conservative call graph over a *package group* — the
@@ -309,6 +310,15 @@ func (g *CallGraph) addLits(pkg *Package, parent string, root ast.Node) {
 		}
 		return true
 	})
+}
+
+// shortFuncName strips the directory part of a node name:
+// "nimbus/internal/market.(*Broker).Buy" → "market.(*Broker).Buy".
+func shortFuncName(name string) string {
+	if i := strings.LastIndexByte(name, '/'); i >= 0 {
+		return name[i+1:]
+	}
+	return name
 }
 
 func declName(pkg *Package, d *ast.FuncDecl) string {

@@ -3,16 +3,17 @@ package analysis
 // Lockset dataflow shared by the concurrency rules. The lattice element
 // is a map from a lock's access path (rendered like "b.mu") to how it is
 // held (read or write) plus where it was acquired; defer-scheduled
-// releases are tracked alongside so unlock-path can credit them at every
-// exit. Two join disciplines are offered: must (intersection — a lock
-// counts as held only when every incoming path holds it; what guarded
-// field accesses and exit checks need) and may (union — a lock counts if
-// any path might hold it; what lock-order violations need).
+// releases are tracked alongside so lock-contract can credit them at
+// every exit. Two join disciplines are offered: must (intersection — a
+// lock counts as held only when every incoming path holds it; what
+// guarded field accesses, //lint:holds call sites and exit checks need)
+// and may (union — a lock counts if any path might hold it; what lock
+// order violations need).
 //
-// The rules read three source-level contracts:
+// lock-contract reads three source-level contracts:
 //
 //	n int // guarded by mu              field annotation, struct siblings
-//	//lint:lockorder jmu < mu [< ...]   package-level acquisition order
+//	//lint:lockorder jmu < mu [< ...]   acquisition order, by field name
 //	//lint:holds mu[,mu2]               func doc: caller holds these locks
 //
 // Lock operations are recognized through go/types: a call to a method
@@ -202,8 +203,8 @@ type lockFlow struct {
 	info *types.Info
 	// entry is the lockset on function entry (from //lint:holds).
 	entry lockFact
-	// union selects may-join (lock-order) over must-join (discipline,
-	// unlock-path).
+	// union selects may-join (the lock order check) over must-join
+	// (everything else).
 	union bool
 }
 
@@ -304,22 +305,36 @@ func isPanicCall(info *types.Info, call *ast.CallExpr) bool {
 	return ok && b.Name() == "panic"
 }
 
+// hasSucc reports whether target is one of b's successors.
+func hasSucc(b, target *Block) bool {
+	for _, s := range b.Succs {
+		if s == target {
+			return true
+		}
+	}
+	return false
+}
+
+// exitPoint names the way blk leaves the function and where to report it.
+func exitPoint(info *types.Info, blk *Block, body *ast.BlockStmt) (token.Pos, string) {
+	if len(blk.Nodes) > 0 {
+		switch last := blk.Nodes[len(blk.Nodes)-1].(type) {
+		case *ast.ReturnStmt:
+			return last.Pos(), "return"
+		case *ast.ExprStmt:
+			if call, isCall := last.X.(*ast.CallExpr); isCall && isPanicCall(info, call) {
+				return last.Pos(), "panic"
+			}
+		}
+	}
+	return body.Rbrace, "end of the function"
+}
+
 // funcBody is one analyzable function: a declaration or a literal.
 type funcBody struct {
 	decl *ast.FuncDecl // nil for literals
 	lit  *ast.FuncLit  // nil for declarations
 	body *ast.BlockStmt
-}
-
-func (fb funcBody) recvName() string {
-	if fb.decl == nil || fb.decl.Recv == nil || len(fb.decl.Recv.List) == 0 {
-		return ""
-	}
-	names := fb.decl.Recv.List[0].Names
-	if len(names) == 0 {
-		return ""
-	}
-	return names[0].Name
 }
 
 // funcBodies enumerates every function body in the pass: declarations and
@@ -353,47 +368,8 @@ func lockCFG(p *Pass, body *ast.BlockStmt) *CFG {
 // phrase so prose that merely mentions a guard does not bind a contract.
 var guardedRe = regexp.MustCompile(`^//\s*guarded by ([A-Za-z_][A-Za-z0-9_]*)\s*(?:[.;].*)?$`)
 
-// collectGuards maps each annotated struct field object to the name of
-// its guarding sibling. Annotations may sit on the field's line comment
-// or its doc comment. A guard that names no sibling field is reported
-// through report (the annotation is dead otherwise, which is worse than
-// noisy).
-func collectGuards(p *Pass, report func(pos token.Pos, format string, args ...any)) map[types.Object]string {
-	guards := make(map[types.Object]string)
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			st, ok := n.(*ast.StructType)
-			if !ok || st.Fields == nil {
-				return true
-			}
-			siblings := make(map[string]bool)
-			for _, fld := range st.Fields.List {
-				for _, name := range fld.Names {
-					siblings[name.Name] = true
-				}
-			}
-			for _, fld := range st.Fields.List {
-				guard := guardAnnotation(fld)
-				if guard == "" {
-					continue
-				}
-				if !siblings[guard] {
-					report(fld.Pos(), "guarded-by annotation names %q, which is not a sibling field", guard)
-					continue
-				}
-				for _, name := range fld.Names {
-					if obj := p.Info.Defs[name]; obj != nil {
-						guards[obj] = guard
-					}
-				}
-			}
-			return true
-		})
-	}
-	return guards
-}
-
-// guardAnnotation extracts the guard name from a field's comments.
+// guardAnnotation extracts the guard name from a field's comments: its
+// line comment or its doc comment.
 func guardAnnotation(fld *ast.Field) string {
 	for _, group := range []*ast.CommentGroup{fld.Doc, fld.Comment} {
 		if group == nil {
@@ -408,10 +384,13 @@ func guardAnnotation(fld *ast.Field) string {
 	return ""
 }
 
-// lockOrderPrefix declares a package-wide acquisition order between lock
-// field names: //lint:lockorder a < b [< c ...]. Multiple directives
-// compose; the relation is closed transitively.
+// lockOrderPrefix declares an acquisition order between lock field
+// names: //lint:lockorder a < b [< c ...]. Multiple directives compose;
+// the relation is closed transitively.
 const lockOrderPrefix = "//lint:lockorder"
+
+// lockIdentRe is one lock name in a //lint:lockorder directive.
+var lockIdentRe = regexp.MustCompile(`^[A-Za-z_][A-Za-z0-9_]*$`)
 
 // lockOrder is the declared partial order: before[a][b] means a must be
 // acquired before b on any path holding both.
@@ -432,6 +411,25 @@ func (lo *lockOrder) add(a, b string, pos token.Pos) {
 	if _, ok := lo.decls[a+"<"+b]; !ok {
 		lo.decls[a+"<"+b] = pos
 	}
+}
+
+// parse adds the pairs of one directive's payload ("a < b < c") to the
+// order and reports whether the payload was well formed.
+func (lo *lockOrder) parse(rest string, pos token.Pos) bool {
+	names := strings.Split(rest, "<")
+	for i := range names {
+		names[i] = strings.TrimSpace(names[i])
+		if !lockIdentRe.MatchString(names[i]) {
+			return false
+		}
+	}
+	if len(names) < 2 {
+		return false
+	}
+	for i := 0; i+1 < len(names); i++ {
+		lo.add(names[i], names[i+1], pos)
+	}
+	return true
 }
 
 // close computes the transitive closure and reports any cycle (an order
@@ -459,46 +457,6 @@ func (lo *lockOrder) close(report func(pos token.Pos, format string, args ...any
 	}
 }
 
-// collectLockOrder parses every //lint:lockorder directive in the pass.
-// Malformed directives are reported and skipped.
-func collectLockOrder(p *Pass, report func(pos token.Pos, format string, args ...any)) *lockOrder {
-	lo := &lockOrder{}
-	ident := regexp.MustCompile(`^[A-Za-z_][A-Za-z0-9_]*$`)
-	for _, f := range p.Files {
-		for _, group := range f.Comments {
-			for _, c := range group.List {
-				if !strings.HasPrefix(c.Text, lockOrderPrefix) {
-					continue
-				}
-				rest := strings.TrimPrefix(c.Text, lockOrderPrefix)
-				if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
-					continue
-				}
-				parts := strings.Split(rest, "<")
-				valid := len(parts) >= 2
-				names := make([]string, 0, len(parts))
-				for _, part := range parts {
-					name := strings.TrimSpace(part)
-					if !ident.MatchString(name) {
-						valid = false
-						break
-					}
-					names = append(names, name)
-				}
-				if !valid {
-					report(c.Pos(), "malformed directive: want //lint:lockorder <lock> < <lock> [< <lock> ...]")
-					continue
-				}
-				for i := 0; i+1 < len(names); i++ {
-					lo.add(names[i], names[i+1], c.Pos())
-				}
-			}
-		}
-	}
-	lo.close(report)
-	return lo
-}
-
 // holdsPrefix marks a function whose caller is contractually holding
 // locks on entry: //lint:holds mu[,mu2]. Names are resolved against the
 // receiver (holds "mu" on a method with receiver b means "b.mu"); a name
@@ -513,11 +471,8 @@ func holdsAnnotation(fd *ast.FuncDecl) (names []string, pos token.Pos, found boo
 		return nil, token.NoPos, false
 	}
 	for _, c := range fd.Doc.List {
-		if !strings.HasPrefix(c.Text, holdsPrefix) {
-			continue
-		}
-		rest := strings.TrimPrefix(c.Text, holdsPrefix)
-		if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
+		rest, ok := directiveRest(c.Text, holdsPrefix)
+		if !ok {
 			continue
 		}
 		fields := strings.Fields(rest)
@@ -529,54 +484,29 @@ func holdsAnnotation(fd *ast.FuncDecl) (names []string, pos token.Pos, found boo
 	return nil, token.NoPos, false
 }
 
-// resolveHolds renders the entry lockset keys for a function's holds
-// directive. Locks held by contract carry token.NoPos so unlock-path
-// never demands the callee release them.
-func resolveHolds(names []string, recvName string) lockFact {
+// entryFact computes a function's entry lockset from its holds directive;
+// a nil fd (a function literal) holds nothing on entry. Locks held by
+// contract carry token.NoPos, so the exit check never demands the callee
+// release them.
+func entryFact(fd *ast.FuncDecl) lockFact {
+	if fd == nil {
+		return lockFact{}
+	}
+	names, _, _ := holdsAnnotation(fd)
+	if names == nil {
+		return lockFact{}
+	}
+	recv := ""
+	if fd.Recv != nil && len(fd.Recv.List) > 0 && len(fd.Recv.List[0].Names) > 0 {
+		recv = fd.Recv.List[0].Names[0].Name
+	}
 	f := lockFact{held: make(map[string]heldLock), deferred: make(map[string]bool)}
 	for _, name := range names {
 		key := name
-		if !strings.Contains(name, ".") && recvName != "" {
-			key = recvName + "." + name
+		if !strings.Contains(name, ".") && recv != "" {
+			key = recv + "." + name
 		}
 		f.held[key] = heldLock{mode: lockW, pos: token.NoPos}
 	}
 	return f
-}
-
-// collectHolds indexes every declared function's holds contract by its
-// type object, so call sites can be checked. Malformed directives are
-// reported.
-func collectHolds(p *Pass, report func(pos token.Pos, format string, args ...any)) map[types.Object][]string {
-	holds := make(map[types.Object][]string)
-	for _, f := range p.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			names, pos, found := holdsAnnotation(fd)
-			if !found {
-				continue
-			}
-			if names == nil {
-				report(pos, "malformed directive: want %s <lock>[,<lock>...]", holdsPrefix)
-				continue
-			}
-			if obj := p.Info.Defs[fd.Name]; obj != nil {
-				holds[obj] = names
-			}
-		}
-	}
-	return holds
-}
-
-// entryFact computes a body's entry lockset from its holds directive.
-func entryFact(fb funcBody) lockFact {
-	if fb.decl != nil {
-		if names, _, found := holdsAnnotation(fb.decl); found && names != nil {
-			return resolveHolds(names, fb.recvName())
-		}
-	}
-	return lockFact{}
 }

@@ -5,78 +5,110 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
+	"sort"
+	"strings"
 )
 
-// LockContract lifts the tree's lock contracts across function and
-// package boundaries, where the per-package rules cannot see:
+// LockContract machine-checks the tree's lock contracts:
 //
-//   - //lint:holds obligations are verified at *cross-package* call
-//     sites: a helper in internal/journal that documents "caller holds
-//     mu" is only as safe as the broker call sites that import it, and
-//     those live in a different package than the directive.
-//     Same-package call sites stay with mutex-discipline, so no finding
-//     is ever reported twice.
-//   - //lint:lockorder declarations are checked across call edges using
-//     per-function acquisition summaries: a call made while a lock may
-//     be held is flagged when the callee — transitively, through the
-//     group call graph — may acquire a lock the declared order says
-//     must come first. The intraprocedural rule sees only acquisitions
-//     spelled out in the same body; this closes the "helper takes the
-//     journal mutex for you" gap that makes ABBA deadlocks survive
-//     refactors.
+//	sales []Purchase // guarded by mu   field; mu is a sibling field
+//	//lint:holds mu[,mu2]               func doc: the caller holds these
+//	//lint:lockorder jmu < mu [< ...]   acquisition order, by field name
+//
+// The directives are collected once over the whole package group, so a
+// contract declared in one package binds every call site in every other.
+// Each function body is then analyzed with the lockset dataflow
+// (lockflow.go) in up to two passes:
+//
+//   - A must-join pass, where a lock counts as held only when every path
+//     holds it. A guarded field may be read only with its lock held — the
+//     guard resolved against the access path, so c.sales demands c.mu —
+//     and written only with it held exclusively (an RLock admits reads).
+//     A call to a //lint:holds function needs the named locks held. And
+//     every lock the body acquires must be released, or its unlock
+//     deferred, on every return, panic and fall-off-the-end exit; only a
+//     defer runs during a panic. Locks held on entry by contract are the
+//     caller's to release.
+//   - A may-join pass, run only when an order is declared, where a lock
+//     counts if any path may hold it. An acquisition made while a lock the
+//     order places after it may be held is the ABBA deadlock shape. It is
+//     flagged where the body spells it out and where a callee performs it
+//     transitively, through the group call graph.
 //
 // Acquisition summaries follow call, dynamic-dispatch and defer edges.
-// go-statement edges are excluded (the spawned goroutine acquires on
-// its own stack), and bare function references are excluded (a stored
-// closure runs at an unknowable time; the call through the variable is
-// checked wherever it is resolvable). Locks are matched by field name,
-// the same convention the intraprocedural lock-order rule uses.
+// go-statement edges are excluded (the spawned goroutine acquires on its
+// own stack), and so are bare function references (a stored closure runs
+// at an unknowable time). A function literal is analyzed as its own body:
+// a goroutine or callback does not inherit the enclosing critical section.
+//
+// The broker is a money-handling serving loop (Figure 1). An unlocked
+// ledger access corrupts revenue totals rather than crashing, and an early
+// return while locked blocks the next request forever.
 type LockContract struct{}
 
 func (LockContract) Name() string { return "lock-contract" }
 
 func (LockContract) Doc() string {
-	return "cross-package call sites must satisfy the callee's //lint:holds contract, " +
-		"and no call may transitively acquire a lock that //lint:lockorder places " +
-		"before one already held"
+	return "fields annotated `// guarded by <mu>` need <mu> held on every path (exclusively, for writes); " +
+		"calls to //lint:holds functions need the named locks held; every acquired lock is released on " +
+		"every return and panic path; and no acquisition, direct or through a callee, may break a //lint:lockorder"
 }
 
-// Inspect is a no-op: the rule only has group-wide work.
+// Inspect is a no-op: contracts cross package boundaries, so the rule
+// does all of its work over the group.
 func (LockContract) Inspect(*Pass) {}
+
+// lockContracts is every lock directive in a package group.
+type lockContracts struct {
+	guards map[types.Object]string   // field → name of its guarding sibling
+	holds  map[types.Object][]string // function → locks its caller holds
+	order  lockOrder
+}
 
 // lockAcqSummary maps each lock field name a function may acquire —
 // directly or transitively — to one representative acquisition position
 // for diagnostics.
 type lockAcqSummary map[string]token.Pos
 
-func (r LockContract) InspectGroup(gp *GroupPass) {
-	holds := r.collectGroupHolds(gp)
-	order := r.mergedLockOrder(gp)
-	if len(holds) == 0 && len(order.before) == 0 {
-		return
-	}
+func (LockContract) InspectGroup(gp *GroupPass) {
+	c := collectLockContracts(gp)
 	var acq map[*FuncNode]lockAcqSummary
-	if len(order.before) > 0 {
-		acq = r.acquireSummaries(gp.Graph)
+	if len(c.order.before) > 0 {
+		acq = acquireSummaries(gp.Graph)
 	}
 	for _, fn := range gp.Graph.Nodes {
-		if fn.Body() == nil {
+		info := fn.Pkg.Info
+		cfg := BuildCFG(fn.Body(), CFGOptions{IsExit: func(call *ast.CallExpr) bool { return isPanicCall(info, call) }})
+		entry := entryFact(fn.Decl)
+		must := Forward(cfg, &lockFlow{info: info, entry: entry})
+		if len(c.guards) > 0 || len(c.holds) > 0 {
+			must.Walk(func(_ *Block, n ast.Node, before lockFact) {
+				c.checkAccess(gp, info, n, before)
+			})
+		}
+		checkExits(gp, info, cfg, must, fn.Body())
+		if acq == nil {
 			continue
 		}
-		if len(holds) > 0 {
-			r.checkHolds(gp, fn, holds)
+		sites := make(map[ast.Node][]*CallEdge)
+		for _, e := range fn.Out {
+			if e.Kind == EdgeCall || e.Kind == EdgeDynamic {
+				sites[e.Site] = append(sites[e.Site], e)
+			}
 		}
-		if len(order.before) > 0 {
-			r.checkOrder(gp, fn, order, acq)
-		}
+		may := Forward(cfg, &lockFlow{info: info, entry: entry, union: true})
+		may.Walk(func(_ *Block, n ast.Node, before lockFact) {
+			c.checkOrder(gp, info, n, before, sites, acq)
+		})
 	}
 }
 
-// collectGroupHolds indexes every //lint:holds contract in the group by
-// the function's type object. Malformed directives are skipped silently
-// here: mutex-discipline already reports them in the declaring package.
-func (LockContract) collectGroupHolds(gp *GroupPass) map[types.Object][]string {
-	holds := make(map[types.Object][]string)
+// collectLockContracts parses every lock directive in the group and
+// reports the malformed ones: a guard that names no sibling field, a
+// holds directive without exactly one lock list, an unparsable order and
+// an order that forms a cycle.
+func collectLockContracts(gp *GroupPass) *lockContracts {
+	c := &lockContracts{guards: make(map[types.Object]string), holds: make(map[types.Object][]string)}
 	for _, pkg := range gp.Pkgs {
 		for _, f := range pkg.Files {
 			for _, d := range f.Decls {
@@ -84,48 +116,72 @@ func (LockContract) collectGroupHolds(gp *GroupPass) map[types.Object][]string {
 				if !ok {
 					continue
 				}
-				if names, _, found := holdsAnnotation(fd); found && names != nil {
-					if obj := pkg.Info.Defs[fd.Name]; obj != nil {
-						holds[obj] = names
+				names, pos, found := holdsAnnotation(fd)
+				if found && names == nil {
+					gp.Reportf(pos, "malformed directive: want %s <lock>[,<lock>...]", holdsPrefix)
+				} else if obj := pkg.Info.Defs[fd.Name]; names != nil && obj != nil {
+					c.holds[obj] = names
+				}
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if st, ok := n.(*ast.StructType); ok && st.Fields != nil {
+					c.collectGuards(gp, pkg.Info, st)
+				}
+				return true
+			})
+			for _, group := range f.Comments {
+				for _, cm := range group.List {
+					if rest, ok := directiveRest(cm.Text, lockOrderPrefix); ok && !c.order.parse(rest, cm.Pos()) {
+						gp.Reportf(cm.Pos(), "malformed directive: want %s <lock> < <lock> [< <lock> ...]", lockOrderPrefix)
 					}
 				}
 			}
 		}
 	}
-	return holds
+	c.order.close(gp.Reportf)
+	return c
 }
 
-// mergedLockOrder composes every package's //lint:lockorder directives
-// into one group-wide partial order. Malformed directives and cycles
-// are the declaring package's problem (lock-order reports them); the
-// merge only reads well-formed pairs.
-func (LockContract) mergedLockOrder(gp *GroupPass) *lockOrder {
-	silent := func(token.Pos, string, ...any) {}
-	merged := &lockOrder{}
-	for _, pkg := range gp.Pkgs {
-		lo := collectLockOrder(&Pass{Files: pkg.Files}, silent)
-		for a, bs := range lo.before {
-			for b := range bs {
-				merged.add(a, b, lo.decls[a+"<"+b])
+// collectGuards records the guard annotations of one struct's fields. A
+// guard that names no sibling field is reported: the annotation is dead
+// otherwise, which is worse than noisy.
+func (c *lockContracts) collectGuards(gp *GroupPass, info *types.Info, st *ast.StructType) {
+	siblings := make(map[string]bool)
+	for _, fld := range st.Fields.List {
+		for _, name := range fld.Names {
+			siblings[name.Name] = true
+		}
+	}
+	for _, fld := range st.Fields.List {
+		guard := guardAnnotation(fld)
+		if guard == "" {
+			continue
+		}
+		if !siblings[guard] {
+			gp.Reportf(fld.Pos(), "guarded-by annotation names %q, which is not a sibling field", guard)
+			continue
+		}
+		for _, name := range fld.Names {
+			if obj := info.Defs[name]; obj != nil {
+				c.guards[obj] = guard
 			}
 		}
 	}
-	merged.close(silent)
-	return merged
 }
 
 // acquireSummaries computes, bottom-up over SCCs, the set of lock field
 // names each function may acquire.
-func (LockContract) acquireSummaries(g *CallGraph) map[*FuncNode]lockAcqSummary {
+func acquireSummaries(g *CallGraph) map[*FuncNode]lockAcqSummary {
 	return ComputeSummaries(g,
 		func(n *FuncNode, get func(*FuncNode) lockAcqSummary) lockAcqSummary {
 			out := make(lockAcqSummary)
 			for _, op := range lockOpsIn(n.Pkg.Info, n.Body()) {
-				if op.acquire() {
-					name := lastComponent(op.key)
-					if _, ok := out[name]; !ok {
-						out[name] = op.pos
-					}
+				if !op.acquire() {
+					continue
+				}
+				name := lastComponent(op.key)
+				if _, ok := out[name]; !ok {
+					out[name] = op.pos
 				}
 			}
 			for _, e := range n.Out {
@@ -153,103 +209,186 @@ func (LockContract) acquireSummaries(g *CallGraph) map[*FuncNode]lockAcqSummary 
 		})
 }
 
-// nodeEntry is the function's entry lockset from its own holds
-// directive.
-func nodeEntry(fn *FuncNode) lockFact {
-	if fn.Decl != nil {
-		return entryFact(funcBody{decl: fn.Decl, body: fn.Decl.Body})
-	}
-	return lockFact{}
-}
-
-// checkHolds verifies cross-package call sites against the callee's
-// //lint:holds contract under the must-lockset.
-func (LockContract) checkHolds(gp *GroupPass, fn *FuncNode, holds map[types.Object][]string) {
-	info := fn.Pkg.Info
-	cfg := BuildCFG(fn.Body(), CFGOptions{IsExit: func(c *ast.CallExpr) bool { return isPanicCall(info, c) }})
-	res := Forward(cfg, &lockFlow{info: info, entry: nodeEntry(fn)})
-	res.Walk(func(_ *Block, n ast.Node, before lockFact) {
-		if _, isDefer := n.(*ast.DeferStmt); isDefer {
-			// The deferred call runs at exit under an unknowable lockset.
-			return
-		}
-		ast.Inspect(n, func(x ast.Node) bool {
-			switch x := x.(type) {
-			case *ast.FuncLit:
-				return false
-			case *ast.CallExpr:
-				sel, ok := x.Fun.(*ast.SelectorExpr)
-				if !ok {
-					return true
+// checkAccess inspects one CFG node under the must-lockset in force
+// before it: guarded field accesses and //lint:holds call sites.
+func (c *lockContracts) checkAccess(gp *GroupPass, info *types.Info, n ast.Node, fact lockFact) {
+	writes := writeTargets(n)
+	_, inDefer := n.(*ast.DeferStmt)
+	ast.Inspect(n, func(x ast.Node) bool {
+		switch x := x.(type) {
+		case *ast.FuncLit:
+			return false // its body runs at another time; analyzed separately
+		case *ast.SelectorExpr:
+			guard, guarded := c.guards[info.Uses[x.Sel]]
+			if !guarded {
+				return true
+			}
+			base, ok := exprKey(x.X)
+			if !ok {
+				return true
+			}
+			lock := base + "." + guard
+			access, need := "read", lockR
+			if writes[x] {
+				access, need = "written", lockW
+			}
+			h, held := fact.held[lock]
+			switch {
+			case !held:
+				gp.Reportf(x.Pos(), "%s.%s is guarded by %q but is %s without %s held on every path",
+					base, x.Sel.Name, guard, access, lock)
+			case h.mode < need:
+				gp.Reportf(x.Pos(), "%s.%s is guarded by %q but is written while %s is only read-locked; writes need Lock, not RLock",
+					base, x.Sel.Name, guard, lock)
+			}
+		case *ast.CallExpr:
+			if inDefer {
+				// The deferred call runs at function exit, under an
+				// unknowable lockset; only its argument evaluation (which
+				// the SelectorExpr case above sees) happens here.
+				return true
+			}
+			sel, ok := x.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			callee, ok := info.Uses[sel.Sel].(*types.Func)
+			if !ok || len(c.holds[callee]) == 0 {
+				return true
+			}
+			base, ok := exprKey(sel.X)
+			if !ok {
+				return true
+			}
+			for _, name := range c.holds[callee] {
+				lock := name
+				if !strings.Contains(name, ".") {
+					lock = base + "." + name
 				}
-				callee, ok := info.Uses[sel.Sel].(*types.Func)
-				if !ok || callee.Pkg() == nil || callee.Pkg().Path() == fn.Pkg.Path {
-					// Same-package sites belong to mutex-discipline.
-					return true
-				}
-				names := holds[callee]
-				if len(names) == 0 {
-					return true
-				}
-				base, ok := exprKey(sel.X)
-				if !ok {
-					return true
-				}
-				for _, lock := range resolveHoldKeys(names, base) {
-					if _, held := before.held[lock]; !held {
-						gp.Reportf(x.Pos(), "call to %s requires %s held (//lint:holds in %s) but it is not held on every path",
-							fnDisplay(callee), lock, callee.Pkg().Path())
-					}
+				if _, held := fact.held[lock]; !held {
+					gp.Reportf(x.Pos(), "call to %s requires %s held (//lint:holds) but it is not held on every path",
+						fnDisplay(callee), lock)
 				}
 			}
-			return true
-		})
+		}
+		return true
 	})
 }
 
-// checkOrder flags call sites whose callee may — transitively — acquire
-// a lock the declared order places before one the caller may already
-// hold.
-func (LockContract) checkOrder(gp *GroupPass, fn *FuncNode, order *lockOrder, acq map[*FuncNode]lockAcqSummary) {
-	info := fn.Pkg.Info
-	bySite := make(map[ast.Node][]*CallEdge)
-	for _, e := range fn.Out {
-		if e.Kind == EdgeCall || e.Kind == EdgeDynamic {
-			bySite[e.Site] = append(bySite[e.Site], e)
+// writeTargets collects the selector expressions a node mutates: roots of
+// assignment left-hand sides (through indexing and derefs), inc/dec
+// operands, and address-taken operands (conservatively a write — the
+// pointer escapes the critical section otherwise).
+func writeTargets(n ast.Node) map[ast.Expr]bool {
+	w := make(map[ast.Expr]bool)
+	mark := func(e ast.Expr) {
+		for {
+			switch x := e.(type) {
+			case *ast.ParenExpr:
+				e = x.X
+			case *ast.IndexExpr:
+				e = x.X
+			case *ast.StarExpr:
+				e = x.X
+			case *ast.SelectorExpr:
+				w[x] = true
+				return
+			default:
+				return
+			}
 		}
 	}
-	if len(bySite) == 0 {
-		return
+	ast.Inspect(n, func(x ast.Node) bool {
+		switch x := x.(type) {
+		case *ast.FuncLit:
+			return false
+		case *ast.AssignStmt:
+			for _, lhs := range x.Lhs {
+				mark(lhs)
+			}
+		case *ast.IncDecStmt:
+			mark(x.X)
+		case *ast.UnaryExpr:
+			if x.Op == token.AND {
+				mark(x.X)
+			}
+		}
+		return true
+	})
+	return w
+}
+
+// checkExits reports every lock the body acquired that the must-lockset
+// still shows held, with no deferred unlock, on an edge into the exit.
+func checkExits(gp *GroupPass, info *types.Info, cfg *CFG, res *FlowResult[lockFact], body *ast.BlockStmt) {
+	for _, blk := range cfg.Blocks {
+		if !hasSucc(blk, cfg.Exit) {
+			continue
+		}
+		fact, reached := res.After(blk)
+		if !reached {
+			continue
+		}
+		var leaked []string
+		for key, h := range fact.held {
+			if h.pos != token.NoPos && !fact.deferred[key] {
+				leaked = append(leaked, key)
+			}
+		}
+		sort.Strings(leaked)
+		pos, kind := exitPoint(info, blk, body)
+		for _, key := range leaked {
+			gp.Reportf(pos, "%s acquired at line %d is still held at this %s; release it on every path or defer the unlock",
+				key, gp.Fset.Position(fact.held[key].pos).Line, kind)
+		}
 	}
-	cfg := BuildCFG(fn.Body(), CFGOptions{IsExit: func(c *ast.CallExpr) bool { return isPanicCall(info, c) }})
-	res := Forward(cfg, &lockFlow{info: info, entry: nodeEntry(fn), union: true})
-	res.Walk(func(_ *Block, n ast.Node, before lockFact) {
-		ast.Inspect(n, func(x ast.Node) bool {
-			if _, isLit := x.(*ast.FuncLit); isLit {
-				return false
-			}
-			call, isCall := x.(*ast.CallExpr)
-			if !isCall {
-				return true
-			}
-			reported := make(map[string]bool)
-			for _, e := range bySite[call] {
-				for name, pos := range acq[e.Callee] {
-					for heldKey := range before.held {
-						held := lastComponent(heldKey)
-						if name == held || !order.before[name][held] {
-							continue
-						}
-						if key := name + "/" + heldKey; !reported[key] {
-							reported[key] = true
-							p := gp.Fset.Position(pos)
-							gp.Reportf(call.Pos(), "call may acquire %s (%s:%d) while %s may be held; declared lock order is %s < %s",
-								name, filepath.Base(p.Filename), p.Line, heldKey, name, held)
-						}
-					}
+}
+
+// checkOrder inspects one CFG node under the may-lockset in force before
+// it, flagging every acquisition the declared order forbids: those the
+// node spells out, and those a callee at one of its call sites may make.
+func (c *lockContracts) checkOrder(gp *GroupPass, info *types.Info, n ast.Node, before lockFact,
+	sites map[ast.Node][]*CallEdge, acq map[*FuncNode]lockAcqSummary) {
+	cur := before
+	for _, op := range lockOpsIn(info, n) {
+		if op.acquire() {
+			name := lastComponent(op.key)
+			for heldKey := range cur.held {
+				if held := lastComponent(heldKey); heldKey != op.key && c.order.before[name][held] {
+					gp.Reportf(op.pos, "acquiring %s while %s may be held violates the declared lock order %s < %s",
+						op.key, heldKey, name, held)
 				}
 			}
+		}
+		cur = applyLockOp(cur, op)
+	}
+	if len(sites) == 0 {
+		return
+	}
+	ast.Inspect(n, func(x ast.Node) bool {
+		if _, isLit := x.(*ast.FuncLit); isLit {
+			return false
+		}
+		call, isCall := x.(*ast.CallExpr)
+		if !isCall {
 			return true
-		})
+		}
+		reported := make(map[string]bool)
+		for _, e := range sites[call] {
+			for name, pos := range acq[e.Callee] {
+				for heldKey := range before.held {
+					held := lastComponent(heldKey)
+					key := name + "/" + heldKey
+					if name == held || !c.order.before[name][held] || reported[key] {
+						continue
+					}
+					reported[key] = true
+					p := gp.Fset.Position(pos)
+					gp.Reportf(call.Pos(), "call may acquire %s (%s:%d) while %s may be held; declared lock order is %s < %s",
+						name, filepath.Base(p.Filename), p.Line, heldKey, name, held)
+				}
+			}
+		}
+		return true
 	})
 }

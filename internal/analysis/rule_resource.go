@@ -1,7 +1,8 @@
 package analysis
 
-// resource-lifecycle generalizes unlock-path from mutexes to Close-shaped
-// resources: a journal, a file, a connection. A constructor annotated
+// resource-lifecycle generalizes lock-contract's exit check from mutexes
+// to Close-shaped resources: a journal, a file, a connection. A
+// constructor annotated
 //
 //	//lint:owns <why>
 //

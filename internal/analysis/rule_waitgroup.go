@@ -226,7 +226,7 @@ func (r WaitGroupBalance) checkBody(p *Pass, fb funcBody,
 		return
 	}
 	cfg := lockCFG(p, fb.body)
-	res := Forward(cfg, &lockFlow{info: p.Info, entry: entryFact(fb)})
+	res := Forward(cfg, &lockFlow{info: p.Info, entry: entryFact(fb.decl)})
 	res.Walk(func(_ *Block, n ast.Node, before lockFact) {
 		call, isCall := waitCallIn(p.Info, n)
 		if !isCall || len(before.held) == 0 {

@@ -15,17 +15,14 @@ import "strings"
 //     Figure 6–14 replays are reproducible under an injected clock;
 //   - no-dropped-error everywhere;
 //   - telemetry-label-literal everywhere internal/telemetry is used;
-//   - the four CFG/dataflow concurrency rules (mutex-discipline,
-//     lock-order, goroutine-leak, unlock-path) everywhere: their
-//     contracts are opt-in per annotation (`guarded by`, //lint:lockorder,
-//     //lint:holds), so unannotated packages pay nothing, and the rules
-//     stay silent where type information is missing;
-//   - the three interprocedural group rules: noise-taint tracks raw
+//   - goroutine-leak everywhere, on the CFG of every spawned body;
+//   - the two interprocedural group rules: noise-taint tracks raw
 //     optimal models (market.Offering.Optimal, //lint:source fields,
-//     ml Fit outputs) to release sinks across the whole group,
-//     lock-contract verifies //lint:holds and //lint:lockorder across
-//     call and package boundaries, and hotpath-alloc budgets
-//     allocations under the //lint:hotpath roots on the Buy path;
+//     ml Fit outputs) to release sinks across the whole group, and
+//     lock-contract checks the lock contracts (`guarded by` fields,
+//     //lint:holds, //lint:lockorder) at every call site in any package,
+//     plus the release of every acquired lock on every exit; both stay
+//     silent where type information is missing;
 //   - the publication-and-lifecycle family everywhere, annotation- and
 //     shape-gated like the concurrency rules: snapshot-immutability
 //     (atomic.Pointer-published and //lint:immutable values are
@@ -53,10 +50,7 @@ func DefaultRules(modulePath string) []Rule {
 		WallClock{Scope: deterministic},
 		DroppedError{},
 		TelemetryLabel{TelemetryPath: internal("telemetry")},
-		MutexDiscipline{},
-		LockOrder{},
 		GoroutineLeak{},
-		UnlockPath{},
 		NoiseTaint{
 			SourceFields: []FieldRef{
 				{Pkg: internal("market"), Type: "Offering", Field: "Optimal"},
@@ -79,7 +73,6 @@ func DefaultRules(modulePath string) []Rule {
 			},
 		},
 		LockContract{},
-		HotPathAlloc{},
 		SnapshotImmutability{},
 		ResourceLifecycle{},
 		WaitGroupBalance{},

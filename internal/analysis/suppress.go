@@ -20,6 +20,16 @@ import (
 //	t := time.Now()
 const ignorePrefix = "//lint:ignore"
 
+// directiveRest returns the directive's payload when text starts with
+// prefix at a word boundary.
+func directiveRest(text, prefix string) (string, bool) {
+	rest, ok := strings.CutPrefix(text, prefix)
+	if !ok || (rest != "" && rest[0] != ' ' && rest[0] != '\t') {
+		return "", false
+	}
+	return strings.TrimSpace(rest), true
+}
+
 // ignoreKey identifies a (file, line) a directive covers.
 type ignoreKey struct {
 	file string
@@ -43,14 +53,11 @@ func collectIgnores(fset *token.FileSet, files []*ast.File) *ignoreSet {
 	for _, f := range files {
 		for _, group := range f.Comments {
 			for _, c := range group.List {
-				if !strings.HasPrefix(c.Text, ignorePrefix) {
-					continue
-				}
-				pos := fset.Position(c.Pos())
-				rest := strings.TrimPrefix(c.Text, ignorePrefix)
-				if rest != "" && rest[0] != ' ' && rest[0] != '\t' {
+				rest, ok := directiveRest(c.Text, ignorePrefix)
+				if !ok {
 					continue // e.g. //lint:ignorefoo — not our directive
 				}
+				pos := fset.Position(c.Pos())
 				fields := strings.Fields(rest)
 				if len(fields) < 2 {
 					s.malformed = append(s.malformed, Diagnostic{

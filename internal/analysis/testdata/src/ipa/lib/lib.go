@@ -17,8 +17,8 @@ type Store struct {
 //lint:holds Mu
 func (s *Store) MustGet(k string) int { return s.data[k] }
 
-// Get is the same-package call site: mutex-discipline territory, so
-// lock-contract must stay silent about it.
+// Get is a same-package call site that holds Mu, so lock-contract
+// stays silent about it.
 func (s *Store) Get(k string) int {
 	s.Mu.Lock()
 	defer s.Mu.Unlock()
@@ -33,8 +33,8 @@ type Pair struct {
 	Bmu sync.Mutex
 }
 
-// GrabA acquires the lock the order says must come first.
-func (p *Pair) GrabA() { p.Amu.Lock() }
+// GrabA returns holding the lock the order says must come first.
+func (p *Pair) GrabA() { p.Amu.Lock() } // want lock-contract
 
 // ReleaseA undoes GrabA.
 func (p *Pair) ReleaseA() { p.Amu.Unlock() }

@@ -1,4 +1,4 @@
-// Package lockorder is golden input for the lock-order rule.
+// Package lockorder is golden input for lock-contract's lock order check.
 package lockorder
 
 import "sync"
@@ -25,7 +25,7 @@ func (l *Ledger) Good() {
 func (l *Ledger) Bad() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.jmu.Lock() // want lock-order
+	l.jmu.Lock() // want lock-contract
 	l.jmu.Unlock()
 }
 
@@ -36,7 +36,7 @@ func (l *Ledger) BranchBad(b bool) {
 		l.mu.Lock()
 		defer l.mu.Unlock()
 	}
-	l.jmu.Lock() // want lock-order
+	l.jmu.Lock() // want lock-contract
 	l.jmu.Unlock()
 }
 
@@ -64,8 +64,8 @@ func (l *Ledger) Sequential() {
 func (l *Ledger) ReadSide() {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	l.jmu.Lock() // want lock-order
+	l.jmu.Lock() // want lock-contract
 	l.jmu.Unlock()
 }
 
-//lint:lockorder mu < // want lock-order
+//lint:lockorder mu < // want lock-contract

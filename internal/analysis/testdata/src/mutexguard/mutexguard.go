@@ -1,4 +1,4 @@
-// Package mutexguard is golden input for the mutex-discipline rule.
+// Package mutexguard is golden input for lock-contract's guarded-field and //lint:holds checks.
 package mutexguard
 
 import "sync"
@@ -21,7 +21,7 @@ func (c *Counter) Good() {
 
 // Bare touches the field with no lock at all.
 func (c *Counter) Bare() {
-	c.n++ // want mutex-discipline
+	c.n++ // want lock-contract
 }
 
 // OneBranch locks on only one path, so the access after the join is not
@@ -31,7 +31,7 @@ func (c *Counter) OneBranch(lock bool) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
 	}
-	c.n++ // want mutex-discipline
+	c.n++ // want lock-contract
 }
 
 // ReadUnderRLock is enough for a read.
@@ -45,7 +45,7 @@ func (c *Counter) ReadUnderRLock() int {
 func (c *Counter) WriteUnderRLock() {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	c.name = "x" // want mutex-discipline
+	c.name = "x" // want lock-contract
 }
 
 // AfterRelease reads on the early path after the manual unlock.
@@ -53,7 +53,7 @@ func (c *Counter) AfterRelease(early bool) int {
 	c.mu.Lock()
 	if early {
 		c.mu.Unlock()
-		return c.n // want mutex-discipline
+		return c.n // want lock-contract
 	}
 	defer c.mu.Unlock()
 	return c.n
@@ -83,7 +83,7 @@ func (c *Counter) GoodCaller() {
 
 // BadCaller calls the helper without the lock.
 func (c *Counter) BadCaller() {
-	c.bump() // want mutex-discipline
+	c.bump() // want lock-contract
 }
 
 // Spawned is a goroutine body: it cannot inherit the enclosing critical
@@ -92,6 +92,6 @@ func (c *Counter) Spawned() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	go func() {
-		c.n++ // want mutex-discipline
+		c.n++ // want lock-contract
 	}()
 }

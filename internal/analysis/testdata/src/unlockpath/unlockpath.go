@@ -1,4 +1,4 @@
-// Package unlockpath is golden input for the unlock-path rule.
+// Package unlockpath is golden input for lock-contract's exit check.
 package unlockpath
 
 import "sync"
@@ -32,7 +32,7 @@ func (b *Box) Manual(early bool) int {
 func (b *Box) EarlyReturn(bad bool) int {
 	b.mu.Lock()
 	if bad {
-		return -1 // want unlock-path
+		return -1 // want lock-contract
 	}
 	n := b.n
 	b.mu.Unlock()
@@ -44,7 +44,7 @@ func (b *Box) EarlyReturn(bad bool) int {
 func (b *Box) PanicPath(bad bool) {
 	b.mu.Lock()
 	if bad {
-		panic("bad") // want unlock-path
+		panic("bad") // want lock-contract
 	}
 	b.mu.Unlock()
 }
@@ -76,7 +76,7 @@ func (b *Box) SwitchLeak(k int) int {
 		b.mu.Unlock()
 		return 0
 	case 1:
-		return 1 // want unlock-path
+		return 1 // want lock-contract
 	}
 	b.mu.Unlock()
 	return 2
@@ -86,4 +86,4 @@ func (b *Box) SwitchLeak(k int) int {
 func (b *Box) FallsOffEnd() {
 	b.mu.Lock()
 	b.n++
-} // want unlock-path
+} // want lock-contract

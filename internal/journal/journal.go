@@ -266,7 +266,6 @@ func checkRecord(rec []byte) error {
 		return errors.New("journal: empty record")
 	}
 	if int64(len(rec)) > MaxRecordSize {
-		//lint:allocok refusal path: the record is being rejected, not written
 		return fmt.Errorf("journal: record of %d bytes exceeds MaxRecordSize", len(rec))
 	}
 	return nil
@@ -286,8 +285,6 @@ func (j *Journal) Append(rec []byte) error {
 // failure: if the write cannot complete, the tail is truncated back so
 // none of the batch's frames remain on disk (a torn tail a crash leaves
 // behind is still recovered to a prefix of the batch).
-//
-//lint:hotpath write-ahead step of every durable sale, one call per commit-queue batch
 func (j *Journal) AppendMany(recs [][]byte) error {
 	if len(recs) == 0 {
 		return nil
@@ -319,7 +316,6 @@ func (j *Journal) writeLocked(recs [][]byte, fsync bool) error {
 		return ErrClosed
 	}
 	if j.failed != nil {
-		//lint:allocok refusal path: the journal is poisoned and the append is rejected
 		return fmt.Errorf("journal: poisoned by earlier failure: %w", j.failed)
 	}
 	j.buf = j.buf[:0]
@@ -335,19 +331,15 @@ func (j *Journal) writeLocked(recs [][]byte, fsync bool) error {
 		// frame would manufacture exactly the mid-stream corruption
 		// recovery refuses.
 		if terr := j.tail.Truncate(j.tailSize); terr != nil {
-			//lint:allocok failure path: the write already failed
 			j.failed = fmt.Errorf("append failed (%v) and truncate-back failed (%v)", err, terr)
 		}
-		//lint:allocok failure path: the write already failed
 		return fmt.Errorf("journal: append: %w", err)
 	}
 	j.tailSize += int64(len(j.buf))
 	j.dirty = true
 	if fsync {
 		if err := j.tail.Sync(); err != nil {
-			//lint:allocok failure path: the fsync already failed
 			j.failed = fmt.Errorf("fsync failed: %w", err)
-			//lint:allocok failure path: the fsync already failed
 			return fmt.Errorf("journal: append fsync: %w", err)
 		}
 		j.dirty = false
@@ -360,7 +352,6 @@ func (j *Journal) writeLocked(recs [][]byte, fsync bool) error {
 			// The records themselves are safely in the sealed segment;
 			// only the rotation failed. Poison so the operator finds out.
 			j.failed = err
-			//lint:allocok failure path: the rotation already failed
 			return fmt.Errorf("journal: rotating segment: %w", err)
 		}
 	}
@@ -391,7 +382,6 @@ func (j *Journal) armFlushLocked() {
 //lint:holds mu
 func (j *Journal) rotateLocked() error {
 	if err := j.tail.Sync(); err != nil {
-		//lint:allocok failure path: the seal fsync already failed
 		return fmt.Errorf("sealing segment %d: %w", j.tailSeq, err)
 	}
 	j.tel.fsyncs.Inc()
@@ -399,7 +389,6 @@ func (j *Journal) rotateLocked() error {
 	err := j.tail.Close()
 	j.tail = nil // closed either way; Close must not close it again
 	if err != nil {
-		//lint:allocok failure path: the close already failed
 		return fmt.Errorf("closing segment %d: %w", j.tailSeq, err)
 	}
 	f, err := j.createSegment(j.tailSeq + 1)
@@ -420,13 +409,11 @@ func (j *Journal) createSegment(seq uint64) (File, error) {
 	path := filepath.Join(j.dir, segName(seq))
 	f, err := j.fs.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)
 	if err != nil {
-		//lint:allocok failure path: the segment create already failed
 		return nil, fmt.Errorf("creating segment %d: %w", seq, err)
 	}
 	if err := j.fs.SyncDir(j.dir); err != nil {
 		//lint:ignore no-dropped-error best-effort cleanup; the directory-sync failure is what gets reported
 		f.Close()
-		//lint:allocok failure path: the directory sync already failed
 		return nil, fmt.Errorf("syncing journal directory: %w", err)
 	}
 	return f, nil
@@ -542,7 +529,5 @@ func (j *Journal) Dir() string { return j.dir }
 
 // segName and snapName are the on-disk naming scheme; sequence numbers
 // are zero-padded hex so lexical order is numeric order.
-//
-//lint:allocok one name per segment rotation, SegmentBytes apart
 func segName(seq uint64) string  { return fmt.Sprintf("seg-%016x.wal", seq) }
 func snapName(seq uint64) string { return fmt.Sprintf("snap-%016x.snap", seq) }

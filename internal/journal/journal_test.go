@@ -360,3 +360,36 @@ func TestWriteFileAtomic(t *testing.T) {
 		t.Fatal("temp file leaked")
 	}
 }
+
+// TestAppendManyAllocationBudget pins the write-ahead step of a durable
+// sale at zero allocations under every sync policy: frames are built in
+// the journal's reused buffer and written with one call. Rotation, which
+// names a new segment, is out of this budget.
+func TestAppendManyAllocationBudget(t *testing.T) {
+	recs := make([][]byte, 4)
+	for i := range recs {
+		recs[i] = []byte(strings.Repeat(string(rune('a'+i)), 384))
+	}
+	for _, policy := range []SyncPolicy{SyncAlways, SyncInterval, SyncNever} {
+		t.Run(policy.String(), func(t *testing.T) {
+			j, err := Open(t.TempDir(), Options{Sync: policy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if err := j.Close(); err != nil {
+					t.Error(err)
+				}
+			}()
+			appendMany := func() {
+				if err := j.AppendMany(recs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			appendMany() // sizes the frame buffer
+			if got := testing.AllocsPerRun(50, appendMany); got != 0 {
+				t.Errorf("AppendMany of %d records made %v allocations, want 0", len(recs), got)
+			}
+		})
+	}
+}

@@ -306,7 +306,6 @@ func (b *Broker) Menu() []string {
 func (b *Broker) Offering(name string) (*Offering, error) {
 	o, ok := b.menu.Load().offerings[name]
 	if !ok {
-		//lint:allocok refusal path: the request is being rejected, not served
 		return nil, fmt.Errorf("market: %q: %w", name, ErrUnknownOffering)
 	}
 	return o, nil
@@ -344,8 +343,6 @@ func (b *Broker) BuyWithPriceBudget(offering, loss string, budget float64) (*Pur
 // buy resolves the offering and curve, picks the purchase point per the
 // buyer's option, and finalizes the sale, recording any refusal for
 // telemetry.
-//
-//lint:hotpath per-request purchase path; Figure 1's interactive loop
 func (b *Broker) buy(offering, loss string, mode buyMode, arg float64) (*Purchase, error) {
 	o, err := b.Offering(offering)
 	if err != nil {
@@ -379,11 +376,8 @@ func (b *Broker) buy(offering, loss string, mode buyMode, arg float64) (*Purchas
 // and returns the purchase. The purchase record is marshalled here,
 // outside every lock — only the journal I/O and the ledger append are
 // serialized, through the commit queue.
-//
-//lint:hotpath per-sale critical section between quote and acknowledgment
 func (b *Broker) finalize(o *Offering, loss string, pt pricing.PriceErrorPoint) (*Purchase, error) {
 	if pt.X <= 0 {
-		//lint:allocok refusal path: the request is being rejected, not served
 		err := fmt.Errorf("market: purchase at non-positive quality %v", pt.X)
 		b.recordReject(err)
 		return nil, err
@@ -410,7 +404,6 @@ func (b *Broker) finalize(o *Offering, loss string, pt pricing.PriceErrorPoint) 
 			err = b.commit(j, rec, p)
 		}
 		if err != nil {
-			//lint:allocok failure path: the sale did not go through
 			err = fmt.Errorf("%w: %v", ErrJournal, err)
 			b.recordReject(err)
 			return nil, err
@@ -438,18 +431,13 @@ func (b *Broker) saleTerms(price float64) (fee float64, j SaleJournal) {
 // the first caller that finds no flush in flight leads the batch — one
 // journal call and one ledger splice for everyone — while later arrivals
 // accumulate the next batch. No lock is held across the journal I/O.
-//
-//lint:hotpath every durable sale serializes through the commit queue
 func (b *Broker) commit(j SaleJournal, rec []byte, p Purchase) error {
 	b.jmu.Lock()
 	if b.jbatch == nil {
-		//lint:allocok one batch header per flush window, amortized over every sale in the batch
 		b.jbatch = &commitBatch{}
 	}
 	bt := b.jbatch
-	//lint:allocok batch slices grow toward the flush window's size; the doubling amortizes across the batch
 	bt.recs = append(bt.recs, rec)
-	//lint:allocok same amortized growth as recs above
 	bt.sales = append(bt.sales, p)
 	for b.jleading && !bt.done {
 		b.jcond.Wait()
@@ -501,11 +489,9 @@ func (b *Broker) recordBatch(ps []Purchase) {
 //
 //lint:holds mu
 func (b *Broker) recordLocked(p Purchase) {
-	//lint:allocok the ledger is the product; slice doubling amortizes across the broker's sale history
 	b.sales = append(b.sales, p)
 	bk := b.books[p.Offering]
 	if bk == nil {
-		//lint:allocok one books entry per offering for the broker's lifetime, amortized over every sale of that offering
 		bk = &offeringBooks{}
 		b.books[p.Offering] = bk
 	}

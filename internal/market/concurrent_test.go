@@ -75,12 +75,12 @@ func assertAggregatesMatchRescan(t *testing.T, b *Broker) {
 	}
 }
 
-// TestConcurrentBuyAcrossShards hammers the buy path from every side at
+// TestConcurrentBuyOneCommitQueue hammers the buy path from every side at
 // once — purchases on four offerings through one commit queue, menu
 // browsing, commission changes, aggregate reads — then checks the books
 // balance and that the journal replays into an identical ledger. Run with
 // -race in CI.
-func TestConcurrentBuyAcrossShards(t *testing.T) {
+func TestConcurrentBuyOneCommitQueue(t *testing.T) {
 	b := NewBroker(97)
 	if err := b.SetCommission(0.1); err != nil {
 		t.Fatal(err)

@@ -312,7 +312,6 @@ func givenCurves(given []*pricing.ErrorCurve, losses []ml.Loss, grid []float64) 
 func (o *Offering) Curve(lossName string) (*pricing.PriceErrorCurve, error) {
 	c, ok := o.curves[lossName]
 	if !ok {
-		//lint:allocok refusal path: the request is being rejected, not served
 		return nil, fmt.Errorf("market: offering %s has no loss %q (have %v)", o.Name, lossName, o.LossNames())
 	}
 	return c, nil
@@ -320,8 +319,6 @@ func (o *Offering) Curve(lossName string) (*pricing.PriceErrorCurve, error) {
 
 // LossNames lists the reporting losses the offering supports, defaults
 // first, in listing order.
-//
-//lint:allocok the defensive copy is the function's product; hot callers only reach it on refusal paths
 func (o *Offering) LossNames() []string {
 	return append([]string(nil), o.lossOrder...)
 }

@@ -116,8 +116,6 @@ const saleRecordV1 = 1
 // MarshalSale encodes one purchase as a v2 journal record. Like the JSON
 // encoding it replaced, it refuses NaN and ±Inf in any float, so such a
 // sale is rejected (ErrJournal) rather than journaled.
-//
-//lint:allocok the encoded record is the function's product: one buffer of its exact size per sale
 func MarshalSale(p Purchase) ([]byte, error) {
 	scalars := [...]float64{p.X, p.NCP, p.Price, p.BrokerFee, p.SellerProceeds, p.ExpectedError}
 	rec := make([]byte, 0, 1+4+len(p.Offering)+4+len(p.Loss)+8*len(scalars)+4+8*len(p.Weights))

@@ -70,7 +70,6 @@ func (Uniform) Perturb(optimal []float64, delta float64, src *rng.Source) []floa
 
 func perCoordVar(d int, delta float64) float64 {
 	if delta < 0 {
-		//lint:allocok panic on a programming error, not a steady-state allocation
 		panic(fmt.Sprintf("noise: negative NCP %v", delta))
 	}
 	if d == 0 {

@@ -38,9 +38,9 @@ type Microbench struct {
 //   - noise/gaussian/d=90: the per-sale Gaussian model perturbation at
 //     YearMSD dimensionality — the broker's real-time path;
 //   - market/buy/mem: one full in-memory purchase (quote, perturb,
-//     finalize, ledger append) against a pre-listed offering — the
-//     //lint:hotpath closure end to end, so allocation hoists on the buy
-//     path show up here as allocs/op.
+//     finalize, ledger append) against a pre-listed offering — the same
+//     path whose allocation budget TestBuyAllocationBudget pins in
+//     internal/market, here timed and reported as allocs/op.
 func Microbenches() []Microbench {
 	dp := benchProblem(100)
 	bf := benchProblem(8)

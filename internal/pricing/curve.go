@@ -79,7 +79,6 @@ func (c *PriceErrorCurve) ErrorAt(x float64) float64 { return c.errs.Err(x) }
 func (c *PriceErrorCurve) PointForErrorBudget(budget float64) (PriceErrorPoint, error) {
 	x, err := c.errs.XForError(budget)
 	if err != nil {
-		//lint:allocok refusal path: the request is being rejected, not served
 		return PriceErrorPoint{}, fmt.Errorf("pricing: error budget %v: %w", budget, err)
 	}
 	return PriceErrorPoint{X: x, Error: c.errs.Err(x), Price: c.price.Price(x)}, nil
@@ -94,7 +93,6 @@ func (c *PriceErrorCurve) PointForErrorBudget(budget float64) (PriceErrorPoint, 
 // scanning the offered grid (and refining by bisection between grid knots).
 func (c *PriceErrorCurve) PointForPriceBudget(budget float64) (PriceErrorPoint, error) {
 	if budget < c.points[0].Price {
-		//lint:allocok refusal path: the request is being rejected, not served
 		return PriceErrorPoint{}, fmt.Errorf("pricing: budget %v < cheapest price %v: %w",
 			budget, c.points[0].Price, ErrOverBudget)
 	}

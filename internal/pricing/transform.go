@@ -127,7 +127,6 @@ func (c *ErrorCurve) Err(x float64) float64 {
 func (c *ErrorCurve) XForError(target float64) (float64, error) {
 	last := len(c.Xs) - 1
 	if target < c.Errs[last]-1e-12 {
-		//lint:allocok refusal path: the budget is unattainable and the request is rejected
 		return 0, fmt.Errorf("pricing: best offered error is %v, budget %v: %w", c.Errs[last], target, ErrUnattainable)
 	}
 	if target >= c.Errs[0] {

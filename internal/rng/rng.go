@@ -20,8 +20,6 @@ type Source struct {
 }
 
 // New returns a Source seeded with seed.
-//
-//lint:allocok the fresh source is the function's product; the buy path makes one per sale, through the per-sale Split in market's Broker.finalize — a known per-sale reseed, not an amortized one
 func New(seed int64) *Source {
 	return &Source{r: rand.New(rand.NewSource(seed))}
 }
@@ -59,8 +57,6 @@ func (s *Source) Laplace(mean, scale float64) float64 {
 }
 
 // NormalVec fills a length-d vector with IID draws from N(0, variance).
-//
-//lint:allocok the fresh draw vector is the function's product
 func (s *Source) NormalVec(d int, variance float64) []float64 {
 	sd := math.Sqrt(variance)
 	out := make([]float64, d)
@@ -72,8 +68,6 @@ func (s *Source) NormalVec(d int, variance float64) []float64 {
 
 // LaplaceVec fills a length-d vector with IID zero-mean Laplace draws with
 // per-coordinate variance equal to variance (scale = sqrt(variance/2)).
-//
-//lint:allocok the fresh draw vector is the function's product
 func (s *Source) LaplaceVec(d int, variance float64) []float64 {
 	scale := math.Sqrt(variance / 2)
 	out := make([]float64, d)
@@ -85,8 +79,6 @@ func (s *Source) LaplaceVec(d int, variance float64) []float64 {
 
 // UniformVec fills a length-d vector with IID zero-mean uniform draws with
 // per-coordinate variance equal to variance (half-width = sqrt(3*variance)).
-//
-//lint:allocok the fresh draw vector is the function's product
 func (s *Source) UniformVec(d int, variance float64) []float64 {
 	half := math.Sqrt(3 * variance)
 	out := make([]float64, d)

@@ -83,7 +83,7 @@ func (rl *RateLimiter) SetTelemetry(reg *telemetry.Registry) {
 	reg.Help("nimbus_http_throttled_total", "Requests rejected by the per-client rate limiter.")
 	reg.Help("nimbus_ratelimit_evicted_total", "Idle client buckets evicted by the TTL sweep.")
 	// Manual unlock: GaugeFunc below must run outside the lock (its closure
-	// takes rl.mu on every scrape); the unlock-path rule checks the release.
+	// takes rl.mu on every scrape); lock-contract checks the release.
 	rl.mu.Lock()
 	rl.throttled = reg.Counter("nimbus_http_throttled_total")
 	rl.evicted = reg.Counter("nimbus_ratelimit_evicted_total")

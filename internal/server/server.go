@@ -256,12 +256,36 @@ func (s *Server) buy(m *registry.Market, req BuyRequest) (*market.Purchase, erro
 	return p, nil
 }
 
+// Request body caps. A buy request is a few hundred bytes of JSON. A
+// listing carries its CSV inline, so its cap is the largest upload the
+// daemon accepts.
+const (
+	maxBuyBody  = 64 << 10
+	maxListBody = 32 << 20
+)
+
+// decodeBody strictly decodes r's JSON body, read through a limit-byte
+// cap, into v. It answers 413 for an oversized body and 400 for any other
+// decoding failure, and reports whether v was decoded.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	if err == nil {
+		return true
+	}
+	code := http.StatusBadRequest
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		code = http.StatusRequestEntityTooLarge
+	}
+	s.fail(w, code, fmt.Errorf("decoding %s request: %w", what, err))
+	return false
+}
+
 func (s *Server) handleBuy(w http.ResponseWriter, r *http.Request, ms []*registry.Market) {
 	var req BuyRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding buy request: %w", err))
+	if !s.decodeBody(w, r, maxBuyBody, "buy", &req) {
 		return
 	}
 	m, _, err := findOffering(ms, req.Offering)

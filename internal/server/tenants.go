@@ -1,9 +1,7 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 
 	"nimbus/internal/registry"
@@ -78,10 +76,7 @@ func datasetResponse(m *registry.Market) DatasetResponse {
 
 func (s *Server) handleListDataset(w http.ResponseWriter, r *http.Request) {
 	var req ListDatasetRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding list request: %w", err))
+	if !s.decodeBody(w, r, maxListBody, "list", &req) {
 		return
 	}
 	var csvData []byte

@@ -85,7 +85,6 @@ func (r *Registry) Counter(name string, labels ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	//lint:allocok the closure captures nothing (a static func value) and the metric is built once per series
 	return getOrCreate(r, name, labels, func() *Counter { return &Counter{} })
 }
 
@@ -130,11 +129,9 @@ func (r *Registry) Histogram(name string, buckets []float64, labels ...string) *
 // a programming error and panics.
 func getOrCreate[M any](r *Registry, name string, labels []string, mk func() M) M {
 	key := seriesKey(name, labels)
-	//lint:allocok sync.Map keys are interface values; hot callers resolve handles once and cache them
 	if v, ok := r.metrics.Load(key); ok {
 		return assertKind[M](key, v)
 	}
-	//lint:allocok first-use slow path: the series is being created
 	v, _ := r.metrics.LoadOrStore(key, mk())
 	return assertKind[M](key, v)
 }
@@ -142,7 +139,6 @@ func getOrCreate[M any](r *Registry, name string, labels []string, mk func() M) 
 func assertKind[M any](key string, v any) M {
 	m, ok := v.(M)
 	if !ok {
-		//lint:allocok panic on a programming error, not a steady-state allocation
 		panic(fmt.Sprintf("telemetry: series %s already registered as %T", key, v))
 	}
 	return m
@@ -155,14 +151,11 @@ func seriesKey(name string, labels []string) string {
 		return name
 	}
 	if len(labels)%2 != 0 {
-		//lint:allocok panic on a programming error, not a steady-state allocation
 		panic(fmt.Sprintf("telemetry: odd label list for %s: %v", name, labels))
 	}
 	type kv struct{ k, v string }
-	//lint:allocok a handful of label pairs, rendered once per series lookup
 	pairs := make([]kv, 0, len(labels)/2)
 	for i := 0; i < len(labels); i += 2 {
-		//lint:allocok stays within the capacity reserved above
 		pairs = append(pairs, kv{labels[i], labels[i+1]})
 	}
 	// Insertion sort: label lists are one or two pairs, and sort.Slice

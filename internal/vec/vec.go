@@ -76,7 +76,6 @@ func Scale(c float64, a []float64) []float64 {
 // AXPY performs dst += c*a in place and returns dst.
 func AXPY(dst []float64, c float64, a []float64) []float64 {
 	if len(dst) != len(a) {
-		//lint:allocok panic on a programming error, not a steady-state allocation
 		panic(fmt.Sprintf("vec: AXPY length mismatch %d vs %d", len(dst), len(a)))
 	}
 	for i := range dst {
@@ -86,8 +85,6 @@ func AXPY(dst []float64, c float64, a []float64) []float64 {
 }
 
 // Clone returns a copy of a.
-//
-//lint:allocok the fresh copy is the function's product
 func Clone(a []float64) []float64 {
 	out := make([]float64, len(a))
 	copy(out, a)
