@@ -176,7 +176,7 @@ func TestJournalSurvivesRestarts(t *testing.T) {
 	if _, err := m2.Buy(offering, loss, "quality", 3); err != nil {
 		t.Fatal(err)
 	}
-	wantSales, wantRevenue := m2.Broker.Sales(), m2.Broker.TotalRevenue()
+	wantBooks, wantRevenue := m2.Broker.Statement(), m2.Broker.TotalRevenue()
 
 	// Generation 3: snapshot (2 sales) + tail replay (1 sale).
 	r3, m3 := boot()
@@ -184,8 +184,8 @@ func TestJournalSurvivesRestarts(t *testing.T) {
 	if got := m3.Broker.SaleCount(); got != 3 {
 		t.Fatalf("generation 3 recovered %d sales, want 3", got)
 	}
-	if !reflect.DeepEqual(m3.Broker.Sales(), wantSales) {
-		t.Fatal("recovered ledger differs from the pre-crash ledger")
+	if !reflect.DeepEqual(m3.Broker.Statement(), wantBooks) {
+		t.Fatal("recovered books differ from the pre-crash books")
 	}
 	if got := m3.Broker.TotalRevenue(); got != wantRevenue {
 		t.Fatalf("recovered revenue %v, want %v", got, wantRevenue)

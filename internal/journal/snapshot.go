@@ -10,8 +10,8 @@ import (
 // Compact folds everything the journal holds — snapshot plus all appended
 // records — into one fresh snapshot, then deletes the segments it covers.
 // The write callback must serialize the caller's full current state (for
-// the broker: the whole sale ledger); the journal cannot derive it from
-// records alone.
+// the broker: its running books, which fold every sale so far); the
+// journal cannot derive it from records alone.
 //
 // The snapshot is published atomically (temp file + fsync + rename +
 // directory fsync), and the ordering makes every crash window safe:

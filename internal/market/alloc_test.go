@@ -21,8 +21,8 @@ const (
 )
 
 // checkAllocBudget requires buy to allocate exactly budget times per call.
-// One warm-up sale creates the offering's books entry; the ledger's
-// amortized growth averages out below one allocation over the runs.
+// One warm-up sale creates the offering's books entry; after it, folding a
+// sale into the books allocates nothing.
 func checkAllocBudget(t *testing.T, budget int, buy func()) {
 	t.Helper()
 	buy()

@@ -22,7 +22,7 @@ import (
 // Offering, saleTerms) is lock-free — it loads one atomically-published
 // immutable snapshot — and durable sales batch through one commit queue,
 // so concurrent buyers share a journal write and fsync. Partitioning lives
-// one level up: the registry gives each tenant its own broker, ledger and
+// one level up: the registry gives each tenant its own broker, books and
 // journal.
 type Broker struct {
 	// menu is the browse-path state: offerings, the sorted menu, the
@@ -35,25 +35,22 @@ type Broker struct {
 	// SetTelemetry). Readers never take it.
 	regmu sync.Mutex
 
-	// mu guards the ledger: every sale in acknowledgement order, plus the
-	// running totals folded from it.
-	mu      sync.RWMutex
-	sales   []Purchase                // guarded by mu
-	books   map[string]*offeringBooks // guarded by mu; running per-offering totals
-	fees    float64                   // guarded by mu; commission running total
-	revenue float64                   // guarded by mu; gross running total
-	payout  float64                   // guarded by mu; seller-proceeds running total
+	// mu guards the books: running totals folded from every sale in
+	// acknowledgement order. The sales themselves live only in the journal.
+	mu    sync.RWMutex
+	books map[string]*StatementLine // guarded by mu; per-offering running totals
+	total StatementLine             // guarded by mu; all offerings, with the sale count
 
 	// src is the sale-time noise source, seeded at NewBroker so draws are
 	// replayable.
 	src *rng.Locked
 
 	// jmu guards the commit queue. The queue exists so that the
-	// write-ahead pair (journal append, then ledger append) keeps one
-	// order without holding any lock across the journal I/O: concurrent
-	// sales enqueue under jmu, one caller becomes the batch's leader,
-	// journals the whole batch with jmu released, then appends the batch
-	// to the ledger in enqueue order. jmu is never held together with mu,
+	// write-ahead pair (journal append, then books fold) keeps one order
+	// without holding any lock across the journal I/O: concurrent sales
+	// enqueue under jmu, one caller becomes the batch's leader, journals
+	// the whole batch with jmu released, then folds the batch into the
+	// books in enqueue order. jmu is never held together with mu,
 	// but the declared order documents that jmu work precedes mu work on
 	// the sale path:
 	//
@@ -68,15 +65,6 @@ type Broker struct {
 	// checks on the hot path. Deliberately not lock-guarded: SetTelemetry
 	// runs at startup before the broker serves.
 	tel brokerTelemetry
-}
-
-// offeringBooks is one offering's running financial totals, so Statement
-// never rescans the ledger.
-type offeringBooks struct {
-	sales  int
-	gross  float64
-	fees   float64
-	payout float64
 }
 
 // commitBatch is one in-flight group of sales. Its fields are owned by
@@ -107,7 +95,7 @@ type menuSnapshot struct {
 
 // SaleJournal is the broker's durability hook: an append-only log that
 // must acknowledge a run of encoded Purchases, all or nothing, before the
-// sales become visible in the ledger. internal/journal's *Journal
+// sales become visible in the books. internal/journal's *Journal
 // satisfies it; the commit queue hands it one batch per call.
 type SaleJournal interface {
 	AppendMany(recs [][]byte) error
@@ -119,7 +107,7 @@ type SaleJournal interface {
 var ErrJournal = errors.New("market: sale journal append failed")
 
 // SetJournal directs every subsequent purchase through j (write-ahead:
-// append first, then ledger). A nil j turns journaling back off. Set it
+// append first, then books). A nil j turns journaling back off. Set it
 // at startup, after replaying recovered sales.
 func (b *Broker) SetJournal(j SaleJournal) {
 	b.regmu.Lock()
@@ -129,11 +117,11 @@ func (b *Broker) SetJournal(j SaleJournal) {
 	b.menu.Store(next)
 }
 
-// ReplaySale appends a recovered purchase to the ledger — and its running
-// aggregates — without drawing noise, charging, or re-journaling:
-// it is the restart-time inverse of finalize, fed from the journal.
-// Per-offering sale counters are not re-incremented — telemetry counts
-// this process's sales, the ledger counts all of them.
+// ReplaySale folds a recovered purchase into the books without drawing
+// noise, charging, or re-journaling: it is the restart-time inverse of
+// finalize, fed from the journal. Per-offering sale counters are not
+// re-incremented — telemetry counts this process's sales, the books count
+// all of them.
 func (b *Broker) ReplaySale(p Purchase) {
 	b.record(p)
 }
@@ -230,7 +218,7 @@ func NewBroker(seed int64) *Broker {
 	// No other goroutine can reach b yet, but books is mu-guarded, so
 	// honor the contract anyway — one uncontended lock at startup.
 	b.mu.Lock()
-	b.books = make(map[string]*offeringBooks)
+	b.books = make(map[string]*StatementLine)
 	b.mu.Unlock()
 	b.menu.Store(&menuSnapshot{offerings: map[string]*Offering{}})
 	return b
@@ -254,8 +242,8 @@ func (b *Broker) cloneMenu() *menuSnapshot {
 }
 
 // SetCommission sets the broker's cut of every sale as a fraction in
-// [0, 1). It applies to subsequent purchases; existing ledger entries keep
-// the rate they were sold under.
+// [0, 1). It applies to subsequent purchases; sales already in the books
+// keep the rate they were sold under.
 func (b *Broker) SetCommission(rate float64) error {
 	if rate < 0 || rate >= 1 {
 		return fmt.Errorf("market: commission %v outside [0, 1)", rate)
@@ -372,9 +360,9 @@ func (b *Broker) buy(offering, loss string, mode buyMode, arg float64) (*Purchas
 
 // finalize samples the noisy instance from the broker's stream, makes the
 // sale durable (when a journal is set, the encoded purchase is appended
-// and acknowledged before it becomes visible), records it in the ledger
+// and acknowledged before it becomes visible), folds it into the books
 // and returns the purchase. The purchase record is marshalled here,
-// outside every lock — only the journal I/O and the ledger append are
+// outside every lock — only the journal I/O and the books fold are
 // serialized, through the commit queue.
 func (b *Broker) finalize(o *Offering, loss string, pt pricing.PriceErrorPoint) (*Purchase, error) {
 	if pt.X <= 0 {
@@ -426,10 +414,10 @@ func (b *Broker) saleTerms(price float64) (fee float64, j SaleJournal) {
 }
 
 // commit runs one sale through the broker's commit queue: write-ahead
-// (journal append acknowledged first), then visible (ledger append), with
-// journal order equal to ledger order. The sale joins the forming batch;
+// (journal append acknowledged first), then visible (books fold), with
+// the books folded in journal order. The sale joins the forming batch;
 // the first caller that finds no flush in flight leads the batch — one
-// journal call and one ledger splice for everyone — while later arrivals
+// journal call and one books fold for everyone — while later arrivals
 // accumulate the next batch. No lock is held across the journal I/O.
 func (b *Broker) commit(j SaleJournal, rec []byte, p Purchase) error {
 	b.jmu.Lock()
@@ -456,7 +444,7 @@ func (b *Broker) commit(j SaleJournal, rec []byte, p Purchase) error {
 
 	bt.err = j.AppendMany(bt.recs)
 	if bt.err == nil {
-		b.recordBatch(bt.sales)
+		b.record(bt.sales...)
 	}
 
 	b.jmu.Lock()
@@ -467,52 +455,32 @@ func (b *Broker) commit(j SaleJournal, rec []byte, p Purchase) error {
 	return bt.err
 }
 
-// record appends one purchase to the ledger and aggregates.
-func (b *Broker) record(p Purchase) {
+// record folds a run of purchases, in order, into the running books under
+// one lock acquisition. The books are all that Statement, Payouts,
+// TotalFees, TotalRevenue and SaleCount read; the purchases are not kept.
+func (b *Broker) record(ps ...Purchase) {
 	b.mu.Lock()
-	b.recordLocked(p)
-	b.mu.Unlock()
-}
-
-// recordBatch appends a run of purchases under one lock acquisition.
-func (b *Broker) recordBatch(ps []Purchase) {
-	b.mu.Lock()
+	defer b.mu.Unlock()
 	for _, p := range ps {
-		b.recordLocked(p)
+		bk := b.books[p.Offering]
+		if bk == nil {
+			bk = &StatementLine{Offering: p.Offering}
+			b.books[p.Offering] = bk
+		}
+		bk.add(p)
+		b.total.add(p)
 	}
-	b.mu.Unlock()
-}
-
-// recordLocked appends the purchase to the ledger and folds it into the
-// running aggregates, so Payouts/TotalFees/TotalRevenue never rescan the
-// ledger. Caller holds mu.
-//
-//lint:holds mu
-func (b *Broker) recordLocked(p Purchase) {
-	b.sales = append(b.sales, p)
-	bk := b.books[p.Offering]
-	if bk == nil {
-		bk = &offeringBooks{}
-		b.books[p.Offering] = bk
-	}
-	bk.sales++
-	bk.gross += p.Price
-	bk.fees += p.BrokerFee
-	bk.payout += p.SellerProceeds
-	b.fees += p.BrokerFee
-	b.revenue += p.Price
-	b.payout += p.SellerProceeds
 }
 
 // Payouts returns the seller proceeds accumulated per offering — what the
 // broker owes each seller after taking its cut. The result is a fresh map
-// copied from the running books; no ledger rescan.
+// copied from the running books.
 func (b *Broker) Payouts() map[string]float64 {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
 	out := make(map[string]float64, len(b.books))
 	for name, bk := range b.books {
-		out[name] = bk.payout
+		out[name] = bk.Payout
 	}
 	return out
 }
@@ -521,29 +489,19 @@ func (b *Broker) Payouts() map[string]float64 {
 func (b *Broker) TotalFees() float64 {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return b.fees
+	return b.total.Fees
 }
 
 // TotalRevenue reports gross revenue.
 func (b *Broker) TotalRevenue() float64 {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return b.revenue
+	return b.total.Gross
 }
 
-// Sales returns a copy of the sale ledger in the order sales were
-// acknowledged, which is also the order they were journaled.
-func (b *Broker) Sales() []Purchase {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	out := make([]Purchase, len(b.sales))
-	copy(out, b.sales)
-	return out
-}
-
-// SaleCount reports the ledger length without copying the ledger.
+// SaleCount reports how many sales the books hold.
 func (b *Broker) SaleCount() int {
 	b.mu.RLock()
 	defer b.mu.RUnlock()
-	return len(b.sales)
+	return b.total.Sales
 }

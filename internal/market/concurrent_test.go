@@ -44,42 +44,43 @@ func listSmall(t *testing.T, b *Broker, name string, seed int64) *Offering {
 }
 
 // assertAggregatesMatchRescan is the regression check for the running
-// per-offering aggregates: Payouts, TotalFees and TotalRevenue must equal
-// a full rescan of the ledger. The rescan sums in ledger order — the same
-// floating-point association the aggregates use — so the sums are
-// bit-identical, not merely close.
-func assertAggregatesMatchRescan(t *testing.T, b *Broker) {
+// books: SaleCount, Payouts, TotalFees, TotalRevenue and Statement must
+// equal a fold of sales, the purchases the broker journaled, in journal
+// order. The fold sums in the order the books did — the same
+// floating-point association — so the two agree bit for bit, not merely
+// closely.
+func assertAggregatesMatchRescan(t *testing.T, b *Broker, sales []Purchase) {
 	t.Helper()
 	wantPayouts := make(map[string]float64)
 	var wantFees, wantRevenue float64
-	for _, p := range b.Sales() {
+	for _, p := range sales {
 		wantPayouts[p.Offering] += p.SellerProceeds
 		wantFees += p.BrokerFee
 		wantRevenue += p.Price
 	}
+	if got := b.SaleCount(); got != len(sales) {
+		t.Fatalf("SaleCount() %d, journal holds %d sales", got, len(sales))
+	}
 	gotPayouts := b.Payouts()
 	if len(gotPayouts) != len(wantPayouts) || (len(wantPayouts) > 0 && !reflect.DeepEqual(gotPayouts, wantPayouts)) {
-		t.Fatalf("Payouts() %v != ledger rescan %v", gotPayouts, wantPayouts)
+		t.Fatalf("Payouts() %v != journal fold %v", gotPayouts, wantPayouts)
 	}
 	if got := b.TotalFees(); got != wantFees {
-		t.Fatalf("TotalFees() %v != ledger rescan %v", got, wantFees)
+		t.Fatalf("TotalFees() %v != journal fold %v", got, wantFees)
 	}
 	if got := b.TotalRevenue(); got != wantRevenue {
-		t.Fatalf("TotalRevenue() %v != ledger rescan %v", got, wantRevenue)
+		t.Fatalf("TotalRevenue() %v != journal fold %v", got, wantRevenue)
 	}
-	// The statement reads the running books; the ledger rescan is the
-	// test-only cross-check, and the two must agree bit for bit — both
-	// accumulate in ledger order.
-	if got, want := b.Statement(), b.rescanStatement(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("Statement() from running books %+v\n!= ledger rescan %+v", got, want)
+	if got, want := b.Statement(), statementOf(sales); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Statement() from running books %+v\n!= journal fold %+v", got, want)
 	}
 }
 
 // TestConcurrentBuyOneCommitQueue hammers the buy path from every side at
 // once — purchases on four offerings through one commit queue, menu
 // browsing, commission changes, aggregate reads — then checks the books
-// balance and that the journal replays into an identical ledger. Run with
-// -race in CI.
+// balance against the journal and that the journal replays into identical
+// books. Run with -race in CI.
 func TestConcurrentBuyOneCommitQueue(t *testing.T) {
 	b := NewBroker(97)
 	if err := b.SetCommission(0.1); err != nil {
@@ -155,16 +156,17 @@ func TestConcurrentBuyOneCommitQueue(t *testing.T) {
 	if got := b.SaleCount(); got != want {
 		t.Fatalf("SaleCount %d, want %d", got, want)
 	}
-	assertAggregatesMatchRescan(t, b)
+	sales := journalSales(t, dir)
+	assertAggregatesMatchRescan(t, b, sales)
 
-	// Crash-recovery equivalence: replaying the journal in journal order
-	// rebuilds the ledger in acknowledgement order, so the recovered
-	// ledger is the original, sale for sale.
+	// Crash-recovery equivalence: replaying the journal folds the sales
+	// in the order the live books folded them, so the recovered books are
+	// the originals, bit for bit.
 	fresh := recoverInto(t, dir)
-	if !reflect.DeepEqual(fresh.Sales(), b.Sales()) {
-		t.Fatal("journal replay does not reproduce the ledger")
+	if !reflect.DeepEqual(fresh.Statement(), b.Statement()) {
+		t.Fatal("journal replay does not reproduce the books")
 	}
-	assertAggregatesMatchRescan(t, fresh)
+	assertAggregatesMatchRescan(t, fresh, sales)
 }
 
 // TestAggregatesSurviveRestore checks the running aggregates through the
@@ -178,6 +180,8 @@ func TestAggregatesSurviveRestore(t *testing.T) {
 	}
 	east := listSmall(t, b, "east", 300)
 	west := listSmall(t, b, "west", 310)
+	rj := &recordingJournal{}
+	b.SetJournal(rj)
 	for i := 0; i < 5; i++ {
 		if _, err := b.BuyAtQuality(east.Name, "squared", float64(1+i%4)); err != nil {
 			t.Fatal(err)
@@ -186,7 +190,8 @@ func TestAggregatesSurviveRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	assertAggregatesMatchRescan(t, b)
+	sales := rj.purchases(t)
+	assertAggregatesMatchRescan(t, b, sales)
 
 	var buf bytes.Buffer
 	if err := b.SaveLedger(&buf); err != nil {
@@ -196,10 +201,10 @@ func TestAggregatesSurviveRestore(t *testing.T) {
 	if err := fresh.RestoreLedger(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(fresh.Sales(), b.Sales()) {
-		t.Fatal("restored ledger differs from the saved one")
+	if !reflect.DeepEqual(fresh.Statement(), b.Statement()) {
+		t.Fatal("restored books differ from the saved ones")
 	}
-	assertAggregatesMatchRescan(t, fresh)
+	assertAggregatesMatchRescan(t, fresh, sales)
 
 	st := fresh.Statement()
 	if st.Sales != fresh.SaleCount() {

@@ -198,6 +198,42 @@ func (r *recordingJournal) AppendMany(recs [][]byte) error {
 	return nil
 }
 
+// purchases decodes the records the journal received, in journal order.
+func (r *recordingJournal) purchases(t *testing.T) []Purchase {
+	t.Helper()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	out := make([]Purchase, len(r.recs))
+	for i, rec := range r.recs {
+		p, err := UnmarshalSale(rec)
+		if err != nil {
+			t.Fatalf("journal record %d: %v", i, err)
+		}
+		out[i] = p
+	}
+	return out
+}
+
+// journalSales decodes the sale records in a closed journal directory
+// with journal.Replay, in journal order.
+func journalSales(t *testing.T, dir string) []Purchase {
+	t.Helper()
+	j, err := journal.Open(dir, journal.Options{Sync: journal.SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	var out []Purchase
+	if err := j.Replay(func(rec []byte) error {
+		p, err := UnmarshalSale(rec)
+		out = append(out, p)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 func TestJournalAppendFailureRejectsSale(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	b := NewBroker(92)
@@ -209,8 +245,8 @@ func TestJournalAppendFailureRejectsSale(t *testing.T) {
 	if _, err := b.BuyAtQuality(o.Name, "squared", 3); !errors.Is(err, ErrJournal) {
 		t.Fatalf("want ErrJournal, got %v", err)
 	}
-	if n := len(b.Sales()); n != 0 {
-		t.Fatalf("unjournaled sale became visible: %d ledger entries", n)
+	if n := b.SaleCount(); n != 0 {
+		t.Fatalf("unjournaled sale became visible: %d sales in the books", n)
 	}
 	if b.TotalRevenue() != 0 {
 		t.Fatal("unjournaled sale charged revenue")
@@ -226,20 +262,22 @@ func TestJournalAppendFailureRejectsSale(t *testing.T) {
 	if _, err := b.BuyAtQuality(o.Name, "squared", 3); err != nil {
 		t.Fatal(err)
 	}
-	if len(rj.recs) != 1 || len(b.Sales()) != 1 {
-		t.Fatalf("recovered journal: %d records, %d sales", len(rj.recs), len(b.Sales()))
+	if len(rj.recs) != 1 || b.SaleCount() != 1 {
+		t.Fatalf("recovered journal: %d records, %d sales", len(rj.recs), b.SaleCount())
 	}
 }
 
 // TestJournalOrderMatchesLedger hammers the buy path concurrently and
-// checks the invariant the write-ahead design promises: the journal's
-// record sequence is exactly the ledger's sale sequence — across
-// offerings too, since one broker keeps one ledger.
+// checks the invariant the write-ahead design promises: the journal holds
+// exactly the purchases the buyers got back — each buyer's in the order it
+// made them, across offerings too, since one broker keeps one journal —
+// and the books equal their fold in journal order.
 func TestJournalOrderMatchesLedger(t *testing.T) {
 	const workers, buys = 4, 6
 	run := func(t *testing.T, b *Broker, names []string) {
 		rj := &recordingJournal{}
 		b.SetJournal(rj)
+		got := make([][]Purchase, workers)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
@@ -247,28 +285,38 @@ func TestJournalOrderMatchesLedger(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < buys; i++ {
 					name := names[(w+i)%len(names)]
-					if _, err := b.BuyAtQuality(name, "squared", float64(1+(w+i)%5)); err != nil {
+					p, err := b.BuyAtQuality(name, "squared", float64(1+(w+i)%5))
+					if err != nil {
 						t.Error(err)
 						return
 					}
+					got[w] = append(got[w], *p)
 				}
 			}(w)
 		}
 		wg.Wait()
 
-		sales := b.Sales()
-		if len(sales) != workers*buys || len(rj.recs) != len(sales) {
-			t.Fatalf("%d sales, %d journal records", len(sales), len(rj.recs))
+		sales := rj.purchases(t)
+		if len(sales) != workers*buys {
+			t.Fatalf("%d journal records, want %d", len(sales), workers*buys)
 		}
-		for i, rec := range rj.recs {
-			p, err := UnmarshalSale(rec)
-			if err != nil {
-				t.Fatal(err)
+		// Walk the journal once, matching each record against the next
+		// unmatched purchase of some buyer: every record must be one, and
+		// every purchase must be matched.
+		next := make([]int, workers)
+		for i, p := range sales {
+			w := 0
+			for ; w < workers; w++ {
+				if next[w] < len(got[w]) && reflect.DeepEqual(p, got[w][next[w]]) {
+					break
+				}
 			}
-			if !reflect.DeepEqual(p, sales[i]) {
-				t.Fatalf("journal record %d (%s) does not match ledger entry %d (%s)", i, p.Offering, i, sales[i].Offering)
+			if w == workers {
+				t.Fatalf("journal record %d (%s) is not the next purchase of any buyer", i, p.Offering)
 			}
+			next[w]++
 		}
+		assertAggregatesMatchRescan(t, b, sales)
 	}
 	t.Run("one offering", func(t *testing.T) {
 		b := NewBroker(93)
@@ -277,8 +325,8 @@ func TestJournalOrderMatchesLedger(t *testing.T) {
 	})
 	t.Run("two offerings", func(t *testing.T) {
 		// Every worker alternates between the two offerings, so the
-		// journal interleaves them; Sales() must interleave them the
-		// same way.
+		// journal interleaves them; the books must fold them in that
+		// interleaved order.
 		b := NewBroker(93)
 		east := listSmall(t, b, "east", 300)
 		west := listSmall(t, b, "west", 310)
@@ -286,15 +334,19 @@ func TestJournalOrderMatchesLedger(t *testing.T) {
 	})
 }
 
-// buyN makes n purchases at varying qualities and returns the ledger.
+// buyN makes n purchases at varying qualities and returns them in the
+// order BuyAtQuality returned them.
 func buyN(t *testing.T, b *Broker, name string, n int) []Purchase {
 	t.Helper()
+	sales := make([]Purchase, 0, n)
 	for i := 0; i < n; i++ {
-		if _, err := b.BuyAtQuality(name, "squared", float64(1+i%5)); err != nil {
+		p, err := b.BuyAtQuality(name, "squared", float64(1+i%5))
+		if err != nil {
 			t.Fatal(err)
 		}
+		sales = append(sales, *p)
 	}
-	return b.Sales()
+	return sales
 }
 
 // recoverInto replays a journal directory into a fresh broker, as the
@@ -333,9 +385,9 @@ func recoverInto(t *testing.T, dir string) *Broker {
 
 // TestEveryJournalPrefixRecoversALedgerPrefix is the crash-recovery
 // acceptance property: journal N purchases, then for every prefix
-// truncation of the journal bytes, recovery yields a ledger equal to some
-// prefix of the sales sequence, with TotalRevenue matching the replayed
-// receipts exactly.
+// truncation of the journal bytes, recovery yields the books of some
+// prefix of the sales sequence: k recovered sales give exactly the
+// Statement of the first k purchases the buyer got back, bit for bit.
 func TestEveryJournalPrefixRecoversALedgerPrefix(t *testing.T) {
 	b := NewBroker(94)
 	if err := b.SetCommission(0.1); err != nil {
@@ -388,17 +440,16 @@ func TestEveryJournalPrefixRecoversALedgerPrefix(t *testing.T) {
 			}
 
 			fresh := recoverInto(t, dir)
-			got := fresh.Sales()
-			k := len(got)
-			if k > 0 && !reflect.DeepEqual(got, sales[:k]) {
-				t.Fatalf("seg %d cut %d: recovered ledger is not a prefix of the sales sequence", segIdx, cut)
+			k := fresh.SaleCount()
+			if k > len(sales) {
+				t.Fatalf("seg %d cut %d: recovered %d sales of %d", segIdx, cut, k, len(sales))
 			}
-			var receipts float64
-			for _, p := range got {
-				receipts += p.Price
+			want := statementOf(sales[:k])
+			if got := fresh.Statement(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seg %d cut %d: recovered books %+v are not the fold of the first %d sales %+v", segIdx, cut, got, k, want)
 			}
-			if fresh.TotalRevenue() != receipts {
-				t.Fatalf("seg %d cut %d: TotalRevenue %v != replayed receipts %v", segIdx, cut, fresh.TotalRevenue(), receipts)
+			if fresh.TotalRevenue() != want.Gross {
+				t.Fatalf("seg %d cut %d: TotalRevenue %v != replayed receipts %v", segIdx, cut, fresh.TotalRevenue(), want.Gross)
 			}
 			if k < prevK {
 				t.Fatalf("seg %d cut %d: recovered %d sales, previously %d", segIdx, cut, k, prevK)
@@ -423,24 +474,26 @@ func TestSnapshotPlusTailRecovery(t *testing.T) {
 	b := NewBroker(95)
 	o := listRegression(t, b)
 	b.SetJournal(j)
-	buyN(t, b, o.Name, 3)
+	sales := buyN(t, b, o.Name, 3)
 	if err := j.Compact(b.SaveLedger); err != nil {
 		t.Fatal(err)
 	}
-	buyN(t, b, o.Name, 2)
-	sales := b.Sales()
-	if len(sales) != 5 {
-		t.Fatalf("%d sales", len(sales))
-	}
+	sales = append(sales, buyN(t, b, o.Name, 2)...)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if tail := journalSales(t, dir); !reflect.DeepEqual(tail, sales[3:]) {
+		t.Fatalf("journal tail holds %d sales, want the 2 after compaction", len(tail))
+	}
 
 	fresh := recoverInto(t, dir)
-	if !reflect.DeepEqual(fresh.Sales(), sales) {
-		t.Fatal("snapshot+tail recovery does not reproduce the ledger")
+	if got := fresh.SaleCount(); got != 5 {
+		t.Fatalf("recovered %d sales, want 5", got)
 	}
-	if fresh.TotalRevenue() != b.TotalRevenue() {
+	if got := fresh.Statement(); !reflect.DeepEqual(got, b.Statement()) || !reflect.DeepEqual(got, statementOf(sales)) {
+		t.Fatal("snapshot+tail recovery does not reproduce the books")
+	}
+	if fresh.TotalRevenue() != b.TotalRevenue() || fresh.TotalFees() != b.TotalFees() {
 		t.Fatalf("revenue %v vs %v", fresh.TotalRevenue(), b.TotalRevenue())
 	}
 }

@@ -2,6 +2,9 @@ package market
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -31,6 +34,47 @@ func FuzzUnmarshalSale(f *testing.F) {
 		}
 		if !bytes.Equal(again, rec) {
 			t.Fatalf("accepted record %x re-encodes as %x", rec, again)
+		}
+	})
+}
+
+// FuzzRestoreLedger feeds arbitrary bytes to the snapshot reader. It must
+// not panic, and any snapshot it accepts must survive a save and a second
+// restore with an identical Statement: whatever books it installs,
+// SaveLedger can write and RestoreLedger reads back. The seed corpus holds
+// the v1 golden, the v2 snapshot of the same books, and the hand-written
+// v2 snapshot.
+func FuzzRestoreLedger(f *testing.F) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "ledger-v1.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	b := NewBroker(1)
+	if err := b.RestoreLedger(bytes.NewReader(v1)); err != nil {
+		f.Fatal(err)
+	}
+	var v2 bytes.Buffer
+	if err := b.SaveLedger(&v2); err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range [][]byte{v1, v2.Bytes(), []byte(v2Books)} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, snap []byte) {
+		b := NewBroker(1)
+		if err := b.RestoreLedger(bytes.NewReader(snap)); err != nil {
+			return
+		}
+		var saved bytes.Buffer
+		if err := b.SaveLedger(&saved); err != nil {
+			t.Fatalf("accepted snapshot %q does not save: %v", snap, err)
+		}
+		again := NewBroker(1)
+		if err := again.RestoreLedger(&saved); err != nil {
+			t.Fatalf("accepted snapshot %q saves as %q, which is refused: %v", snap, saved.Bytes(), err)
+		}
+		if got, want := again.Statement(), b.Statement(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("accepted snapshot %q restores as %+v, then %+v", snap, want, got)
 		}
 	})
 }

@@ -337,8 +337,8 @@ func TestBuyAtQuality(t *testing.T) {
 		t.Fatalf("price %v vs curve %v", p.Price, c.PriceAt(10))
 	}
 	// Ledger.
-	if len(b.Sales()) != 1 || b.TotalRevenue() != p.Price {
-		t.Fatalf("ledger %v, revenue %v", b.Sales(), b.TotalRevenue())
+	if b.SaleCount() != 1 || b.TotalRevenue() != p.Price {
+		t.Fatalf("books hold %d sales, revenue %v", b.SaleCount(), b.TotalRevenue())
 	}
 }
 
@@ -498,8 +498,8 @@ func TestConcurrentPurchases(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if len(b.Sales()) != 32 {
-		t.Fatalf("ledger has %d sales", len(b.Sales()))
+	if b.SaleCount() != 32 {
+		t.Fatalf("books hold %d sales", b.SaleCount())
 	}
 }
 

@@ -12,60 +12,106 @@ import (
 	"nimbus/internal/pricing"
 )
 
-// Persistence: the broker's financial state (the sale ledger) and the
+// Persistence: the broker's financial state (its books) and the
 // audit-relevant shape of each offering can be saved and restored, so a
-// production broker survives restarts without losing its books: the
-// ledger snapshot and the offerings as JSON, each journaled sale as a
-// compact binary record. On startup each offering is relisted from its
-// source (see internal/registry): datasets and trained models are
-// rebuilt, and the error curves it served are passed back in through
-// OfferingConfig.Curves instead of being re-estimated. Only the ledger is
-// irreplaceable state.
+// production broker survives restarts without losing its books. Each sale
+// is journaled as a compact binary record; compaction folds the journaled
+// sales into a snapshot of the books, which is JSON, like the offerings.
+// On startup each offering is relisted from its source (see
+// internal/registry): datasets and trained models are rebuilt, and the
+// error curves it served are passed back in through OfferingConfig.Curves
+// instead of being re-estimated. Only the books are irreplaceable state.
 
-// LedgerSnapshot is the serialized sale ledger.
+// LedgerSnapshot is the serialized books. Version guards the format: v2
+// carries the books, v1 (written by earlier builds) every sale instead.
 type LedgerSnapshot struct {
-	// Version guards the on-disk format.
 	Version int        `json:"version"`
-	Sales   []Purchase `json:"sales"`
+	Books   *Statement `json:"books,omitempty"`
+	Sales   []Purchase `json:"sales,omitempty"`
 }
 
-// ledgerVersion is the current snapshot format.
-const ledgerVersion = 1
+const ledgerV1, ledgerV2 = 1, 2
 
-// SaveLedger writes the sale ledger as JSON.
+// SaveLedger writes the books as a v2 snapshot, O(offerings). It keeps
+// the totals as well as the lines: the totals were folded in sale order,
+// so the lines' sums need not equal them bit for bit.
 func (b *Broker) SaveLedger(w io.Writer) error {
-	snap := LedgerSnapshot{Version: ledgerVersion, Sales: b.Sales()}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(snap); err != nil {
+	snap := LedgerSnapshot{Version: ledgerV2, Books: b.Statement()}
+	if err := json.NewEncoder(w).Encode(snap); err != nil {
 		return fmt.Errorf("market: saving ledger: %w", err)
 	}
 	return nil
 }
 
-// RestoreLedger replaces the broker's ledger with a previously saved
-// snapshot. It refuses snapshots from unknown format versions, unknown
-// fields and anything after the snapshot, and refuses to clobber a
-// non-empty ledger (restore belongs at startup).
+// RestoreLedger loads a previously saved snapshot into an empty broker's
+// books. It refuses unknown format versions, unknown fields and anything
+// after the snapshot, books that could not come from folding sales (see
+// restoredBooks), and a non-empty broker (restore belongs at startup).
 func (b *Broker) RestoreLedger(r io.Reader) error {
 	var snap LedgerSnapshot
 	if err := decodeJSON(r, &snap); err != nil {
 		return fmt.Errorf("market: reading ledger snapshot: %w", err)
 	}
-	if snap.Version != ledgerVersion {
-		return fmt.Errorf("market: ledger snapshot version %d, want %d", snap.Version, ledgerVersion)
+	st := snap.Books
+	switch {
+	case snap.Version == ledgerV1 && st == nil:
+		// Fold the sales in snapshot order through the live path, then
+		// restore the books they make.
+		folded := NewBroker(0)
+		folded.record(snap.Sales...)
+		st = folded.Statement()
+	case snap.Version == ledgerV2 && snap.Sales == nil:
+	default:
+		return fmt.Errorf("market: ledger snapshot version %d: want version %d with sales or %d with books",
+			snap.Version, ledgerV1, ledgerV2)
 	}
-	// Hold mu across the emptiness check and the inserts so they are one
+	books, err := restoredBooks(st)
+	if err != nil {
+		return fmt.Errorf("market: ledger snapshot: %w", err)
+	}
+	// Hold mu across the emptiness check and the restore so they are one
 	// atomic step; restore runs at startup, so the lock is uncontended.
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if len(b.sales) > 0 {
+	if b.total.Sales > 0 {
 		return errors.New("market: refusing to restore over a non-empty ledger")
 	}
-	for _, p := range snap.Sales {
-		b.recordLocked(p)
-	}
+	b.books = books
+	b.total = StatementLine{Sales: st.Sales, Gross: st.Gross, Fees: st.BrokerFees, Payout: st.Payouts}
 	return nil
+}
+
+// restoredBooks rebuilds the per-offering books from a snapshot's
+// statement. It refuses a missing statement, a duplicate offering, a
+// non-finite amount, and sale counts that could not come from folding
+// sales: a line with no sales, or lines that do not sum to the total, so
+// a negative total is refused too.
+func restoredBooks(st *Statement) (map[string]*StatementLine, error) {
+	if st == nil {
+		return nil, errors.New("no books")
+	}
+	if !finite(st.Gross) || !finite(st.BrokerFees) || !finite(st.Payouts) {
+		return nil, errors.New("non-finite totals")
+	}
+	books := make(map[string]*StatementLine, len(st.Lines))
+	left := st.Sales
+	for _, l := range st.Lines {
+		if _, dup := books[l.Offering]; dup {
+			return nil, fmt.Errorf("offering %q listed twice", l.Offering)
+		}
+		if l.Sales <= 0 || l.Sales > left {
+			return nil, fmt.Errorf("offering %q: %d sales do not fit a total of %d", l.Offering, l.Sales, st.Sales)
+		}
+		if !finite(l.Gross) || !finite(l.Fees) || !finite(l.Payout) {
+			return nil, fmt.Errorf("offering %q: non-finite amounts", l.Offering)
+		}
+		left -= l.Sales
+		books[l.Offering] = &l
+	}
+	if left != 0 {
+		return nil, fmt.Errorf("lines hold %d of %d sales", st.Sales-left, st.Sales)
+	}
+	return books, nil
 }
 
 // decodeJSON decodes exactly one JSON value from r into v. It refuses

@@ -25,61 +25,24 @@ type StatementLine struct {
 	Payout   float64 `json:"payout"`
 }
 
-// Statement builds the accounting report from the running books —
-// O(offerings), never a ledger rescan. rescanStatement (test-only)
-// rebuilds the identical report from the raw ledger so the two stay
-// bit-for-bit cross-checkable.
-func (b *Broker) Statement() *Statement {
-	b.mu.RLock()
-	st := &Statement{
-		Sales:      len(b.sales),
-		Gross:      b.revenue,
-		BrokerFees: b.fees,
-		Payouts:    b.payout,
-	}
-	for name, bk := range b.books {
-		st.Lines = append(st.Lines, StatementLine{
-			Offering: name,
-			Sales:    bk.sales,
-			Gross:    bk.gross,
-			Fees:     bk.fees,
-			Payout:   bk.payout,
-		})
-	}
-	b.mu.RUnlock()
-	sort.Slice(st.Lines, func(i, j int) bool { return st.Lines[i].Offering < st.Lines[j].Offering })
-	return st
+// add folds one sale into the line's running totals.
+func (l *StatementLine) add(p Purchase) {
+	l.Sales++
+	l.Gross += p.Price
+	l.Fees += p.BrokerFee
+	l.Payout += p.SellerProceeds
 }
 
-// rescanStatement rebuilds the statement from the raw ledger. It exists
-// only as the audit cross-check for the running books: it replays the
-// sales in ledger order — the order recordLocked folded them into the
-// books — so a correct broker produces a bit-identical Statement both
-// ways. Production reads go through Statement; tests assert the
-// equivalence.
-func (b *Broker) rescanStatement() *Statement {
-	st := &Statement{}
-	lines := map[string]*StatementLine{}
+// Statement builds the accounting report from the running books —
+// O(offerings), however many sales there were.
+func (b *Broker) Statement() *Statement {
 	b.mu.RLock()
-	for _, p := range b.sales {
-		line, ok := lines[p.Offering]
-		if !ok {
-			line = &StatementLine{Offering: p.Offering}
-			lines[p.Offering] = line
-		}
-		line.Sales++
-		line.Gross += p.Price
-		line.Fees += p.BrokerFee
-		line.Payout += p.SellerProceeds
-		st.Sales++
-		st.Gross += p.Price
-		st.BrokerFees += p.BrokerFee
-		st.Payouts += p.SellerProceeds
+	t := b.total
+	st := &Statement{Sales: t.Sales, Gross: t.Gross, BrokerFees: t.Fees, Payouts: t.Payout}
+	for _, bk := range b.books {
+		st.Lines = append(st.Lines, *bk)
 	}
 	b.mu.RUnlock()
-	for _, line := range lines {
-		st.Lines = append(st.Lines, *line)
-	}
 	sort.Slice(st.Lines, func(i, j int) bool { return st.Lines[i].Offering < st.Lines[j].Offering })
 	return st
 }

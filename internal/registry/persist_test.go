@@ -403,18 +403,46 @@ func TestJSONJournalUpgradesMidSegment(t *testing.T) {
 		}
 		return r
 	}
-	buy := func(r *Registry, n int) *market.Broker {
+	buy := func(r *Registry, n int) (*market.Broker, []market.Purchase) {
 		t.Helper()
 		m, err := r.Get(id)
 		if err != nil {
 			t.Fatal(err)
 		}
+		var sales []market.Purchase
 		for k := 0; k < n; k++ {
-			if _, err := m.Buy(offering, "squared", "quality", float64(1+k%4)); err != nil {
+			p, err := m.Buy(offering, "squared", "quality", float64(1+k%4))
+			if err != nil {
 				t.Fatal(err)
 			}
+			sales = append(sales, *p)
 		}
-		return m.Broker
+		return m.Broker, sales
+	}
+	// journaled decodes a tenant's journal records with journal.Replay,
+	// returning each record's format byte and the sale it holds.
+	journaled := func(jdir string) ([]byte, []market.Purchase) {
+		t.Helper()
+		j, err := journal.Open(jdir, journal.Options{Sync: journal.SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var (
+			formats []byte
+			sales   []market.Purchase
+		)
+		if err := j.Replay(func(rec []byte) error {
+			formats = append(formats, rec[0])
+			p, err := market.UnmarshalSale(rec)
+			sales = append(sales, p)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return formats, sales
 	}
 
 	// The v2 run: list, sell, crash, recover, sell, crash, recover.
@@ -423,7 +451,7 @@ func TestJSONJournalUpgradesMidSegment(t *testing.T) {
 	if _, err := r.List(cheapSpec(id, 31), nil); err != nil {
 		t.Fatal(err)
 	}
-	earlySales := buy(r, early).Sales()
+	_, earlySales := buy(r, early)
 	buy(crashAndOpen(v2Root), late)
 	pure := crashAndOpen(v2Root)
 	defer pure.Close()
@@ -458,29 +486,22 @@ func TestJSONJournalUpgradesMidSegment(t *testing.T) {
 	if err != nil || len(segs) != 1 {
 		t.Fatalf("want one journal segment, got %v (%v)", segs, err)
 	}
-	j, err = journal.Open(jdir, journal.Options{Sync: journal.SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var formats []byte
-	if err := j.Replay(func(rec []byte) error {
-		formats = append(formats, rec[0])
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+	formats, mixedSales := journaled(jdir)
 	if want := strings.Repeat("{", early) + strings.Repeat("\x02", late); string(formats) != want {
 		t.Fatalf("record formats %q, want %q", formats, want)
+	}
+	// Sale for sale, the mixed journal holds what the v2 run journaled.
+	_, pureSales := journaled(filepath.Join(v2Root, id, journalDir))
+	if len(pureSales) != early+late || !reflect.DeepEqual(mixedSales, pureSales) {
+		t.Fatalf("mixed journal holds %d sales, the v2 run %d, or they differ", len(mixedSales), len(pureSales))
 	}
 
 	mixed := crashAndOpen(mixedRoot)
 	defer mixed.Close()
-	got, want := buy(mixed, 0), buy(pure, 0) // no sales: just the brokers
-	if len(want.Sales()) != early+late || !reflect.DeepEqual(got.Sales(), want.Sales()) {
-		t.Fatalf("mixed journal recovered %d sales, the v2 run %d, or they differ", len(got.Sales()), len(want.Sales()))
+	got, _ := buy(mixed, 0) // no sales: just the brokers
+	want, _ := buy(pure, 0)
+	if got.SaleCount() != early+late || want.SaleCount() != early+late {
+		t.Fatalf("mixed journal recovered %d sales, the v2 run %d, want %d", got.SaleCount(), want.SaleCount(), early+late)
 	}
 	if !reflect.DeepEqual(got.Payouts(), want.Payouts()) || got.TotalRevenue() != want.TotalRevenue() ||
 		got.TotalFees() != want.TotalFees() || !reflect.DeepEqual(got.Statement(), want.Statement()) {

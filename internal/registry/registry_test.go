@@ -188,7 +188,7 @@ func TestCSVMarketAndRecovery(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sales := m.Broker.Sales()
+	books := m.Broker.Statement()
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestCSVMarketAndRecovery(t *testing.T) {
 	}
 
 	// Restart: the tenant comes back from manifest + dataset.csv + journal,
-	// with the identical ledger.
+	// with identical books.
 	r2, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -211,8 +211,8 @@ func TestCSVMarketAndRecovery(t *testing.T) {
 	if m2.Spec.Owner != "csv-seller" || !m2.Spec.CSV {
 		t.Fatalf("recovered spec %+v", m2.Spec)
 	}
-	if !reflect.DeepEqual(m2.Broker.Sales(), sales) {
-		t.Fatal("recovered ledger differs")
+	if m2.Broker.SaleCount() != 5 || !reflect.DeepEqual(m2.Broker.Statement(), books) {
+		t.Fatal("recovered books differ")
 	}
 	// The recovered market keeps selling and journaling.
 	if _, err := m2.Buy(want, "squared", "quality", 2); err != nil {
@@ -377,7 +377,7 @@ func TestTwoTenantTornTailRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ledgers := map[string][]market.Purchase{}
+	ledgers := map[string]*market.Statement{}
 	for i, id := range []string{"north", "south"} {
 		m, err := r.List(cheapSpec(id, int64(400+10*i)), nil)
 		if err != nil {
@@ -388,7 +388,7 @@ func TestTwoTenantTornTailRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		ledgers[id] = m.Broker.Sales()
+		ledgers[id] = m.Broker.Statement()
 	}
 	// Abandon r without Close: journals stay uncompacted, like kill -9.
 	for _, id := range []string{"north", "south"} {
@@ -422,8 +422,8 @@ func TestTwoTenantTornTailRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(m.Broker.Sales(), want) {
-			t.Fatalf("tenant %s: recovered ledger differs", id)
+		if m.Broker.SaleCount() != want.Sales || !reflect.DeepEqual(m.Broker.Statement(), want) {
+			t.Fatalf("tenant %s: recovered books differ", id)
 		}
 	}
 	// Both survivors keep trading after recovery.

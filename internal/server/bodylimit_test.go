@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"testing"
 
@@ -61,6 +62,31 @@ func TestBuyBodyCap(t *testing.T) {
 	rec := post(srv.Config.Handler, "/api/v1/buy", paddedBody(t, req, maxBuyBody+1))
 	if rec.Code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("buy body one byte over the cap: %d %s", rec.Code, rec.Body)
+	}
+	if n := broker.SaleCount(); n != 1 {
+		t.Fatalf("ledger has %d sales, want only the one under the cap", n)
+	}
+}
+
+// TestUIBuyFormCap posts /ui/buy forms padded to exactly the buy cap and
+// one byte past it: the first sells, the second is refused with 413
+// before any sale.
+func TestUIBuyFormCap(t *testing.T) {
+	srv, broker, name := newTestServer(t)
+	form := url.Values{"offering": {name}, "loss": {"squared"}, "option": {"quality"}, "value": {"2"}}.Encode()
+	postForm := func(size int) *httptest.ResponseRecorder {
+		body := form + "&pad=" + strings.Repeat("x", size-len(form)-len("&pad="))
+		req := httptest.NewRequest(http.MethodPost, "/ui/buy", strings.NewReader(body))
+		req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+		rec := httptest.NewRecorder()
+		srv.Config.Handler.ServeHTTP(rec, req)
+		return rec
+	}
+	if rec := postForm(maxBuyBody); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "sold at") {
+		t.Fatalf("form at the cap: %d %s", rec.Code, rec.Body)
+	}
+	if rec := postForm(maxBuyBody + 1); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("form one byte over the cap: %d %s", rec.Code, rec.Body)
 	}
 	if n := broker.SaleCount(); n != 1 {
 		t.Fatalf("ledger has %d sales, want only the one under the cap", n)

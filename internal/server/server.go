@@ -274,13 +274,18 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, limit int64,
 	if err == nil {
 		return true
 	}
-	code := http.StatusBadRequest
+	s.fail(w, bodyStatus(err), fmt.Errorf("decoding %s request: %w", what, err))
+	return false
+}
+
+// bodyStatus is the status for a failure to read a capped request body:
+// 413 when the body ran past its cap, 400 otherwise.
+func bodyStatus(err error) int {
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
-		code = http.StatusRequestEntityTooLarge
+		return http.StatusRequestEntityTooLarge
 	}
-	s.fail(w, code, fmt.Errorf("decoding %s request: %w", what, err))
-	return false
+	return http.StatusBadRequest
 }
 
 func (s *Server) handleBuy(w http.ResponseWriter, r *http.Request, ms []*registry.Market) {

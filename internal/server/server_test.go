@@ -147,7 +147,7 @@ func TestBuyOptions(t *testing.T) {
 		t.Fatalf("price budget violated: %v > %v", pb.Price, q.Price)
 	}
 
-	if got := len(broker.Sales()); got != 3 {
+	if got := broker.SaleCount(); got != 3 {
 		t.Fatalf("ledger has %d sales", got)
 	}
 }
@@ -234,8 +234,8 @@ func TestConcurrentClients(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if len(broker.Sales()) != 24 {
-		t.Fatalf("ledger %d", len(broker.Sales()))
+	if n := broker.SaleCount(); n != 24 {
+		t.Fatalf("ledger %d", n)
 	}
 }
 

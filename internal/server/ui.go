@@ -155,8 +155,11 @@ func (s *Server) handleUIOffering(w http.ResponseWriter, r *http.Request, ms []*
 }
 
 func (s *Server) handleUIBuy(w http.ResponseWriter, r *http.Request, ms []*registry.Market) {
+	// The form carries what a JSON buy request does, so it gets the same
+	// cap rather than net/http's 10 MB form default.
+	r.Body = http.MaxBytesReader(w, r.Body, maxBuyBody)
 	if err := r.ParseForm(); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), bodyStatus(err))
 		return
 	}
 	req := BuyRequest{

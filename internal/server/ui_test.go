@@ -84,8 +84,8 @@ func TestUIBuyFlow(t *testing.T) {
 	if !strings.Contains(string(body), "sold at") || !strings.Contains(string(body), "coefficients") {
 		t.Fatalf("buy page missing receipt:\n%s", string(body)[:min(500, len(body))])
 	}
-	if len(broker.Sales()) != 1 {
-		t.Fatalf("ledger has %d sales", len(broker.Sales()))
+	if n := broker.SaleCount(); n != 1 {
+		t.Fatalf("ledger has %d sales", n)
 	}
 
 	// Failed purchases render an error message, not a 500.

@@ -55,8 +55,8 @@ func TestEndToEndMarketplace(t *testing.T) {
 	if _, err := buyer.BuyBest(broker, offering.Name, "squared"); err != nil {
 		t.Fatal(err)
 	}
-	if len(buyer.Purchases()) != 3 || len(broker.Sales()) != 3 {
-		t.Fatalf("receipts: buyer %d broker %d", len(buyer.Purchases()), len(broker.Sales()))
+	if len(buyer.Purchases()) != 3 || broker.SaleCount() != 3 {
+		t.Fatalf("receipts: buyer %d broker %d", len(buyer.Purchases()), broker.SaleCount())
 	}
 	if broker.TotalRevenue() <= 0 {
 		t.Fatal("no revenue recorded")
