@@ -31,6 +31,7 @@ import (
 
 	"nimbus/internal/dataset"
 	"nimbus/internal/journal"
+	"nimbus/internal/par"
 	"nimbus/internal/registry"
 	"nimbus/internal/server"
 	"nimbus/internal/telemetry"
@@ -109,10 +110,16 @@ func serveUntilSignal(addr string, handler http.Handler, ready func()) error {
 
 // seedSuite lists the six Table 3 datasets as tenants of a freshly
 // initialized registry, one market per dataset, IDs matching the paper's
-// names and row counts following -scale.
+// names and row counts following -scale. GOMAXPROCS workers list them
+// concurrently (par.Do), so the progress lines come in the order the
+// listings finish; each market is built from its own spec alone, so what
+// is listed does not depend on that order. The error is that of the
+// first failing dataset in GeneratorNames order.
 func seedSuite(r *registry.Registry, cfg config, logf func(format string, args ...any)) error {
 	logf("nimbusd: empty registry, seeding the Table 3 suite (scale %g)...", cfg.scale)
-	for i, name := range registry.GeneratorNames() {
+	names := registry.GeneratorNames()
+	return par.Do(len(names), func(i int) error {
+		name := names[i]
 		spec := registry.Spec{
 			ID:        name,
 			Owner:     "nimbus",
@@ -126,8 +133,8 @@ func seedSuite(r *registry.Registry, cfg config, logf func(format string, args .
 			return fmt.Errorf("seeding market %s: %w", name, err)
 		}
 		logf("nimbusd: listed dataset %s (%d rows) in %v", name, spec.Rows, time.Since(start).Round(time.Millisecond))
-	}
-	return nil
+		return nil
+	})
 }
 
 // openRegistry opens the registry under cfg.dataDir (memory-only when

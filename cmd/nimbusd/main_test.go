@@ -1,9 +1,13 @@
 package main
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -15,10 +19,17 @@ import (
 // Table 3 dataset, each selling the paper's model for it, every offering's
 // curves meet their SLA, and progress is logged along the way.
 func TestBuildBrokerListsAllSixDatasets(t *testing.T) {
-	var logs []string
+	// Seeding lists the datasets concurrently, so the logger must be safe
+	// for concurrent calls.
+	var (
+		mu   sync.Mutex
+		logs []string
+	)
 	cfg := config{scale: 2e-4, seed: 7, gridN: 8, journalSync: "interval"}
 	r, err := openRegistry(cfg, nil, func(format string, args ...any) {
+		mu.Lock()
 		logs = append(logs, format)
+		mu.Unlock()
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -47,6 +58,39 @@ func TestBuildBrokerListsAllSixDatasets(t *testing.T) {
 	}
 	if len(logs) == 0 {
 		t.Fatal("no progress logged")
+	}
+}
+
+// TestSeedingIndependentOfGOMAXPROCS: the suite is listed concurrently,
+// but every tenant's manifest (its spec and served error curves) is byte
+// for byte what a single-threaded seeding writes.
+func TestSeedingIndependentOfGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	seed := func(procs int) string {
+		runtime.GOMAXPROCS(procs)
+		cfg := config{scale: 2e-4, seed: 7, gridN: 50, journalSync: "never", dataDir: t.TempDir()}
+		r, err := openRegistry(cfg, nil, func(string, ...any) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return cfg.dataDir
+	}
+	serial, parallel := seed(1), seed(4)
+	for _, id := range registry.GeneratorNames() {
+		want, err := os.ReadFile(filepath.Join(serial, id, "manifest.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(parallel, id, "manifest.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: manifest seeded under GOMAXPROCS 4 differs from the one seeded under 1", id)
+		}
 	}
 }
 

@@ -328,22 +328,3 @@ func (o *Offering) Snapshot() OfferingSnapshot {
 		ArbitrageFree:   o.PriceFunc.Validate() == nil,
 	}
 }
-
-// SaveOfferings writes the audit snapshot of every listing as JSON.
-func (b *Broker) SaveOfferings(w io.Writer) error {
-	names := b.Menu()
-	snaps := make([]OfferingSnapshot, 0, len(names))
-	for _, name := range names {
-		o, err := b.Offering(name)
-		if err != nil {
-			continue
-		}
-		snaps = append(snaps, o.Snapshot())
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(snaps); err != nil {
-		return fmt.Errorf("market: saving offerings: %w", err)
-	}
-	return nil
-}

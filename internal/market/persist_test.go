@@ -255,12 +255,12 @@ func TestOfferingSnapshot(t *testing.T) {
 		t.Fatalf("%d price points", len(snap.PricePoints))
 	}
 
-	var buf bytes.Buffer
-	if err := b.SaveOfferings(&buf); err != nil {
+	data, err := json.Marshal([]OfferingSnapshot{snap})
+	if err != nil {
 		t.Fatal(err)
 	}
 	var decoded []OfferingSnapshot
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
+	if err := json.Unmarshal(data, &decoded); err != nil {
 		t.Fatal(err)
 	}
 	if len(decoded) != 1 || decoded[0].Name != o.Name {

@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"nimbus/internal/dataset"
+	"nimbus/internal/par"
 	"nimbus/internal/vec"
 )
 
@@ -79,6 +80,10 @@ func (ZeroOneLoss) ExpectedEval(w []float64, d *dataset.Dataset, deltas []float6
 // each NCP δ averages row(mᵢ, σᵢ, yᵢ) with σᵢ = √(δ·sᵢ) and adds the
 // expected penalty reg·(‖w‖² + δ). The margins stay local: given the
 // features they would reveal w.
+//
+// The NCPs are shared out among GOMAXPROCS workers (par.Do), one δ at a
+// time. Each δ's sum still runs over the rows in order on one goroutine,
+// so the output is bit for bit the same under any GOMAXPROCS.
 func expectedEval(w []float64, d *dataset.Dataset, deltas []float64, reg float64, row func(m, sigma, y float64) float64) []float64 {
 	n := d.N()
 	margins := make([]float64, n)
@@ -92,13 +97,16 @@ func expectedEval(w []float64, d *dataset.Dataset, deltas []float64, reg float64
 	}
 	norm := vec.SqNorm2(w)
 	out := make([]float64, len(deltas))
-	for k, delta := range deltas {
+	//lint:ignore no-dropped-error the jobs never fail
+	par.Do(len(deltas), func(k int) error {
+		delta := deltas[k]
 		var sum float64
 		for i, m := range margins {
 			sum += row(m, math.Sqrt(delta*scales[i]), d.Target[i])
 		}
 		out[k] = sum/float64(n) + reg*(norm+delta)
-	}
+		return nil
+	})
 	return out
 }
 

@@ -2,6 +2,7 @@ package ml
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"nimbus/internal/dataset"
@@ -103,6 +104,37 @@ func TestExpectedEvalZeroNormRow(t *testing.T) {
 		// Eval carries Reg·‖w‖²; the expectation adds Reg·δ for the noise.
 		if want := hinge.Eval(w, d) + hinge.Reg*delta; math.Abs(hl[k]-want) > 1e-15 {
 			t.Errorf("δ=%v: expected hinge %v, want %v", delta, hl[k], want)
+		}
+	}
+}
+
+func TestExpectedEvalIndependentOfGOMAXPROCS(t *testing.T) {
+	// The grid is shared out among GOMAXPROCS workers, but each δ's sum runs
+	// over the rows in order, so every value is bit for bit the same.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	deltas := make([]float64, 50)
+	for k := range deltas {
+		deltas[k] = 1 / (1 + 99*float64(k)/49)
+	}
+	for _, c := range []struct {
+		model Model
+		data  *dataset.Dataset
+	}{{LinearRegression{}, regData(t, 300)}, {LogisticRegression{Ridge: 1e-4}, clsData(t, 300)}} {
+		d := c.data
+		w, err := c.model.Fit(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, l := range expectedLosses() {
+			runtime.GOMAXPROCS(1)
+			serial := l.ExpectedEval(w, d, deltas)
+			runtime.GOMAXPROCS(4)
+			parallel := l.ExpectedEval(w, d, deltas)
+			for k := range deltas {
+				if math.Float64bits(serial[k]) != math.Float64bits(parallel[k]) {
+					t.Errorf("%s on %s, δ=%v: %v under GOMAXPROCS 1, %v under 4", l.Name(), d.Name, deltas[k], serial[k], parallel[k])
+				}
+			}
 		}
 	}
 }

@@ -4,14 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"nimbus/internal/dataset"
 	"nimbus/internal/isotone"
 	"nimbus/internal/ml"
 	"nimbus/internal/noise"
+	"nimbus/internal/par"
 	"nimbus/internal/rng"
 )
 
@@ -226,35 +225,19 @@ func MonteCarloTransform(cfg TransformConfig) (*ErrorCurve, error) {
 		}
 	}
 	errs := make([]float64, len(xs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(xs) {
-		workers = len(xs)
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				// Per-point derived seed: deterministic under any
-				// parallelism.
-				src := rng.New(cfg.Seed + 1000003*int64(i))
-				delta := 1 / xs[i]
-				var sum float64
-				for s := 0; s < samples; s++ {
-					noisy := mech.Perturb(cfg.Optimal, delta, src)
-					sum += cfg.Loss.Eval(noisy, cfg.Data)
-				}
-				errs[i] = sum / float64(samples)
-			}
-		}()
-	}
-	for i := range xs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	//lint:ignore no-dropped-error the jobs never fail
+	par.Do(len(xs), func(i int) error {
+		// Per-point derived seed: deterministic under any parallelism.
+		src := rng.New(cfg.Seed + 1000003*int64(i))
+		delta := 1 / xs[i]
+		var sum float64
+		for s := 0; s < samples; s++ {
+			noisy := mech.Perturb(cfg.Optimal, delta, src)
+			sum += cfg.Loss.Eval(noisy, cfg.Data)
+		}
+		errs[i] = sum / float64(samples)
+		return nil
+	})
 	return newErrorCurve(cfg.Loss.Name(), xs, errs)
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"nimbus/internal/journal"
 	"nimbus/internal/market"
+	"nimbus/internal/par"
 	"nimbus/internal/pricing"
 )
 
@@ -202,21 +203,33 @@ func (r *Registry) openTenantJournal(b *market.Broker, dir string) (*journal.Jou
 // recoverTenants rebuilds every live tenant found under root. Dot-prefixed
 // entries (the archive) and stray files are skipped; a tenant that fails
 // to recover fails Open — better a loud restart than silently trading
-// without a tenant's ledger. Each tenant's recovery time is logged and,
-// with telemetry, published as nimbus_registry_recover_seconds{market}.
+// without a tenant's ledger.
+//
+// Tenants share nothing, so GOMAXPROCS workers recover them concurrently
+// (par.Do), handed out in directory order. Each tenant is published, and
+// its recovery time logged and (with telemetry) set as
+// nimbus_registry_recover_seconds{market}, as soon as it finishes; those
+// times overlap, so they do not sum to the time Open takes. After a
+// failure no further tenant is started, and every worker is waited for,
+// so the tenants that did recover are all published when Open closes
+// them. The error returned is that of the first failing tenant in
+// directory order.
 func (r *Registry) recoverTenants() error {
 	entries, err := os.ReadDir(r.cfg.Root)
 	if err != nil {
 		return fmt.Errorf("registry: scanning %s: %w", r.cfg.Root, err)
 	}
+	var ids []string
 	for _, e := range entries {
-		if !e.IsDir() || !ValidID(e.Name()) {
-			continue
+		if e.IsDir() && ValidID(e.Name()) {
+			ids = append(ids, e.Name())
 		}
+	}
+	return par.Do(len(ids), func(i int) error {
 		start := time.Now()
-		m, err := r.recoverTenant(e.Name())
+		m, err := r.recoverTenant(ids[i])
 		if err != nil {
-			return fmt.Errorf("registry: recovering tenant %s: %w", e.Name(), err)
+			return fmt.Errorf("registry: recovering tenant %s: %w", ids[i], err)
 		}
 		took := time.Since(start)
 		r.publish(m)
@@ -226,8 +239,8 @@ func (r *Registry) recoverTenants() error {
 		}
 		r.logf("registry: recovered market %s (%s) in %v: %d sales, revenue %.2f",
 			m.ID, m.Spec.Source(), took.Round(time.Millisecond), m.Broker.SaleCount(), m.Broker.TotalRevenue())
-	}
-	return nil
+		return nil
+	})
 }
 
 // recoverTenant rebuilds one market from its directory: relist it from

@@ -43,7 +43,9 @@ type Config struct {
 	// Telemetry, when non-nil, receives registry gauges plus per-market
 	// purchase and revenue series.
 	Telemetry *telemetry.Registry
-	// Logf receives progress lines; nil discards them.
+	// Logf receives progress lines; nil discards them. It is called
+	// concurrently: by concurrent Lists, and by Open, which recovers
+	// tenants in parallel. log.Printf is safe for that.
 	Logf func(format string, args ...any)
 }
 
@@ -88,7 +90,7 @@ func Open(cfg Config) (*Registry, error) {
 		reg.Help("nimbus_registry_listed_total", "Datasets listed since startup.")
 		r.delisted = reg.Counter("nimbus_registry_delisted_total")
 		reg.Help("nimbus_registry_delisted_total", "Datasets delisted since startup.")
-		reg.Help("nimbus_registry_recover_seconds", "Time each tenant market took to recover at startup.")
+		reg.Help("nimbus_registry_recover_seconds", "Time each tenant market took to recover at startup. Tenants recover concurrently, so these overlap and do not sum to the startup time.")
 	}
 	if cfg.Root != "" {
 		if err := os.MkdirAll(cfg.Root, 0o755); err != nil {

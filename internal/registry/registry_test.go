@@ -479,7 +479,24 @@ func TestDelistArchivesTenantDir(t *testing.T) {
 	}
 }
 
+// TestFailedRecoveryClosesRecoveredTenants: a corrupt tenant fails Open,
+// which names the first corrupt tenant in directory order (tenants recover
+// concurrently, so the second case checks that timing cannot change it)
+// and closes the journal of every tenant that did recover.
 func TestFailedRecoveryClosesRecoveredTenants(t *testing.T) {
+	for _, c := range []struct {
+		ids, corrupt []string
+	}{
+		{[]string{"aaa", "zzz"}, []string{"zzz"}},
+		{[]string{"aaa", "bbb", "ccc", "ddd"}, []string{"bbb", "ccc"}},
+	} {
+		t.Run(strings.Join(c.ids, "-"), func(t *testing.T) {
+			failedRecoveryClosesRecoveredTenants(t, c.ids, c.corrupt)
+		})
+	}
+}
+
+func failedRecoveryClosesRecoveredTenants(t *testing.T, ids, corrupt []string) {
 	root := t.TempDir()
 	// SyncInterval gives every open journal a flusher goroutine, so a
 	// leaked journal is observable as a goroutine that never exits.
@@ -488,9 +505,7 @@ func TestFailedRecoveryClosesRecoveredTenants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two tenants; ReadDir recovers in name order, so "aaa" is recovered
-	// and published before "zzz" fails.
-	for _, id := range []string{"aaa", "zzz"} {
+	for _, id := range ids {
 		if _, err := r.List(cheapSpec(id, 1), nil); err != nil {
 			t.Fatal(err)
 		}
@@ -498,8 +513,10 @@ func TestFailedRecoveryClosesRecoveredTenants(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(root, "zzz", "manifest.json"), []byte("{corrupt"), 0o644); err != nil {
-		t.Fatal(err)
+	for _, id := range corrupt {
+		if err := os.WriteFile(filepath.Join(root, id, "manifest.json"), []byte("{corrupt"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	base := runtime.NumGoroutine()
@@ -508,15 +525,17 @@ func TestFailedRecoveryClosesRecoveredTenants(t *testing.T) {
 		r2.Close()
 		t.Fatal("Open succeeded despite a corrupt tenant manifest")
 	}
-	if !strings.Contains(err.Error(), "zzz") {
-		t.Fatalf("error does not name the failing tenant: %v", err)
+	for i, id := range corrupt {
+		if named := strings.Contains(err.Error(), "tenant "+id+":"); named != (i == 0) {
+			t.Fatalf("error must name exactly the first corrupt tenant, %s: %v", corrupt[0], err)
+		}
 	}
-	// The recovered tenant's journal must have been closed on the error
-	// path: its flusher goroutine exits, returning the count to baseline.
+	// The recovered tenants' journals must have been closed on the error
+	// path: their flusher goroutines exit, returning the count to baseline.
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > base {
 		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: %d at Open, %d now — recovered tenant's journal flusher leaked",
+			t.Fatalf("goroutines: %d at Open, %d now — a recovered tenant's journal flusher leaked",
 				base, runtime.NumGoroutine())
 		}
 		time.Sleep(10 * time.Millisecond)
