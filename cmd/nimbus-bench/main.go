@@ -7,12 +7,6 @@
 //	nimbus-bench -exp fig6 -scale 0.001 -samples 500
 //	nimbus-bench -exp fig9
 //	nimbus-bench -exp all
-//
-// The -perf mode (see perf.go) records and compares schema-versioned
-// performance trajectory points instead:
-//
-//	nimbus-bench -perf run -bench 6 -out BENCH_6.json
-//	nimbus-bench -perf compare BENCH_5.json BENCH_6.json
 package main
 
 import (
@@ -26,11 +20,6 @@ import (
 )
 
 func main() {
-	// The -perf mode has subcommands with their own flag sets, so it is
-	// dispatched before the experiment flags are parsed.
-	if len(os.Args) > 1 && (os.Args[1] == "-perf" || os.Args[1] == "--perf") {
-		os.Exit(perfMain(os.Args[2:], os.Stdout, os.Stderr))
-	}
 	var (
 		exp     = flag.String("exp", "all", "experiment: table3, fig5, fig6, fig7, fig8, fig9, fig10, fig11, fig12, fig13, fig14, relaxation, errorinverse, trainers, population, frontier, attack, mechanisms, abtest, all")
 		scale   = flag.Float64("scale", 1e-3, "Table 3 row-count scale (1.0 = paper size)")

@@ -4,14 +4,12 @@
 // budget) across every (offering, loss) curve on the menu. It reports
 // throughput, error counts, and exact latency percentiles, so a deployment
 // can be sized — and the /metrics series sanity-checked — before real buyers
-// arrive. The traffic core lives in internal/loadgen, shared with the
-// internal/perf trajectory harness.
+// arrive. The traffic core lives in internal/loadgen.
 //
 // Usage:
 //
 //	nimbus-load -c 32 -duration 10s http://localhost:8080
 //	nimbus-load -n 500 -format json http://localhost:8080
-//	nimbus-load -n 500 -json http://localhost:8080   # perf-schema report
 //	nimbus-load -markets CASP,SUSY -n 500 http://localhost:8080
 //
 // Against a multi-tenant daemon (nimbusd -data-dir), -markets spreads the
@@ -25,11 +23,6 @@
 // just under nimbusd's default per-client limit (50 req/s): a default run
 // against a default broker finishes with zero non-2xx responses. Pass
 // -rate 0 to uncork the buyers and probe the throttle path instead.
-//
-// -json emits the run as a schema-versioned internal/perf report (the same
-// shape as the BENCH_<n>.json trajectory files, load section only), so a
-// standalone load run can be archived next to — and compared against — the
-// recorded trajectory.
 package main
 
 import (
@@ -46,17 +39,15 @@ import (
 	"time"
 
 	"nimbus/internal/loadgen"
-	"nimbus/internal/perf"
 	"nimbus/internal/server"
 )
 
 // options collects the CLI knobs around the loadgen core.
 type options struct {
 	loadgen.Config
-	BaseURL  string
-	Timeout  time.Duration
-	Format   string // text or json (the plain loadgen report)
-	PerfJSON bool   // emit the internal/perf schema instead
+	BaseURL string
+	Timeout time.Duration
+	Format  string // text or json (the plain loadgen report)
 }
 
 func main() {
@@ -66,7 +57,6 @@ func main() {
 	flag.IntVar(&opt.Count, "n", 0, "total request count (0 = run for -duration)")
 	flag.Int64Var(&opt.Seed, "seed", 1, "base seed for the replayable traffic mix (buyer i draws from an rng stream seeded with seed+i)")
 	flag.StringVar(&opt.Format, "format", "text", "report format: text or json")
-	flag.BoolVar(&opt.PerfJSON, "json", false, "emit a schema-versioned perf report (internal/perf schema, load section) instead of -format output")
 	flag.DurationVar(&opt.Timeout, "timeout", 10*time.Second, "per-request timeout")
 	flag.Float64Var(&opt.Rate, "rate", 40, "aggregate request rate cap in req/s (0 = closed-loop, as fast as responses return)")
 	markets := flag.String("markets", "", "comma-separated dataset IDs: spread traffic round-robin across these tenant markets (empty = the untenanted routes, which serve every market)")
@@ -103,29 +93,7 @@ func run(ctx context.Context, w io.Writer, opt options) error {
 	if err != nil {
 		return err
 	}
-	if opt.PerfJSON {
-		return writePerfReport(w, rep, opt.Config)
-	}
 	return writeReport(w, opt.Format, rep)
-}
-
-// writePerfReport wraps the run in the internal/perf schema: environment
-// fingerprint plus the load section. The server-side latency view is
-// absent — the broker is remote, its registry out of reach.
-func writePerfReport(w io.Writer, rep loadgen.Report, cfg loadgen.Config) error {
-	load := perf.LoadResultFrom(rep, cfg)
-	r := &perf.Report{
-		SchemaVersion: perf.SchemaVersion,
-		GeneratedBy:   "nimbus-load -json",
-		Env:           perf.CaptureEnv(),
-		Load:          &load,
-	}
-	if err := r.Validate(); err != nil {
-		return fmt.Errorf("run produced an invalid perf report: %w", err)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
 }
 
 func writeReport(w io.Writer, format string, rep loadgen.Report) error {

@@ -10,14 +10,13 @@ import (
 	"time"
 
 	"nimbus/internal/loadgen"
-	"nimbus/internal/perf"
 	"nimbus/internal/registry"
 	"nimbus/internal/server"
 )
 
 // The traffic core's behaviour (pacing, determinism, error accounting) is
 // tested in internal/loadgen; these tests cover the CLI shell — option
-// plumbing and the three report renderings.
+// plumbing and the two report renderings.
 
 // newBrokerServer serves a memory-only registry with one small regression
 // market behind the full production middleware, mirroring nimbusd's
@@ -85,41 +84,6 @@ func TestRunJSONReport(t *testing.T) {
 	}
 	if rep.Requests != 30 || rep.Errors != 0 {
 		t.Errorf("requests=%d errors=%d, want 30 and 0", rep.Requests, rep.Errors)
-	}
-}
-
-// TestRunPerfSchema checks -json emits a valid schema-versioned perf
-// report whose load section matches the run — the same schema as the
-// BENCH_<n>.json trajectory files.
-func TestRunPerfSchema(t *testing.T) {
-	srv := newBrokerServer(t)
-	opt := baseOptions(srv.URL)
-	opt.PerfJSON = true
-	var out bytes.Buffer
-	if err := run(context.Background(), &out, opt); err != nil {
-		t.Fatal(err)
-	}
-	var rep perf.Report
-	if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
-		t.Fatalf("perf report is not JSON: %v\n%s", err, out.String())
-	}
-	if err := rep.Validate(); err != nil {
-		t.Fatalf("emitted report fails the schema gate: %v\n%s", err, out.String())
-	}
-	if rep.SchemaVersion != perf.SchemaVersion {
-		t.Errorf("schema_version = %d, want %d", rep.SchemaVersion, perf.SchemaVersion)
-	}
-	if rep.Load == nil || rep.Load.Requests != 30 {
-		t.Errorf("load section = %+v, want 30 requests", rep.Load)
-	}
-	if rep.Load.Server != nil {
-		t.Error("standalone run claims a server-side latency view it cannot have")
-	}
-	if len(rep.Micro) != 0 {
-		t.Error("standalone load run should not carry micro results")
-	}
-	if rep.Env.GOOS == "" || rep.Env.NumCPU <= 0 {
-		t.Errorf("fingerprint incomplete: %+v", rep.Env)
 	}
 }
 

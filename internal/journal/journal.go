@@ -134,6 +134,7 @@ type Journal struct {
 	failed   error  // guarded by mu; sticky: a failed write/sync poisons the journal until reopen
 	closed   bool   // guarded by mu
 	buf      []byte // guarded by mu; frame scratch, reused across appends
+	segs     int    // guarded by mu; this journal's share of the segments gauge
 
 	// flushc arms the interval flush countdown: the first append to dirty
 	// the tail sends one token, and syncLoop flushes SyncEvery later — the
@@ -185,7 +186,7 @@ func (j *Journal) initTelemetry(reg *telemetry.Registry) {
 	reg.Help("nimbus_journal_compactions_total", "Snapshot compactions.")
 	reg.Help("nimbus_journal_recovered_records_total", "Records replayed from the journal at startup.")
 	reg.Help("nimbus_journal_recovered_truncated_bytes_total", "Torn-tail bytes truncated during recovery.")
-	reg.Help("nimbus_journal_segments", "Segment files currently on disk.")
+	reg.Help("nimbus_journal_segments", "Segment files on disk, summed over the open journals.")
 	reg.Help("nimbus_journal_group_batch_records", "Records per append call: one sample per batch the broker's commit queue flushes.")
 	j.tel = journalTelemetry{
 		appendLatency:  reg.Histogram("nimbus_journal_append_seconds", nil),
@@ -233,7 +234,7 @@ func Open(dir string, opts Options) (*Journal, error) {
 	j.mu.Lock()
 	err := j.openTail()
 	if err == nil {
-		j.tel.segments.Set(float64(j.segmentsOnDisk()))
+		j.addSegmentsLocked(j.segmentsOnDisk())
 	}
 	j.mu.Unlock()
 	if err != nil {
@@ -258,6 +259,16 @@ func (j *Journal) segmentsOnDisk() int {
 		n++
 	}
 	return n
+}
+
+// addSegmentsLocked moves this journal's segment count by delta. Journals
+// sharing a telemetry registry share one gauge, so each applies only the
+// change in its own count and the gauge reads the total.
+//
+//lint:holds mu
+func (j *Journal) addSegmentsLocked(delta int) {
+	j.segs += delta
+	j.tel.segments.Add(float64(delta))
 }
 
 // checkRecord validates one record against the append preconditions.
@@ -399,7 +410,7 @@ func (j *Journal) rotateLocked() error {
 	j.tailSeq++
 	j.tailSize = 0
 	j.tel.rotations.Inc()
-	j.tel.segments.Add(1)
+	j.addSegmentsLocked(1)
 	return nil
 }
 
@@ -503,6 +514,7 @@ func (j *Journal) Close() error {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.addSegmentsLocked(-j.segs)
 	if j.tail == nil {
 		// A compaction or rotation sealed the tail and could not start
 		// another; that failure poisoned the journal and is the one to

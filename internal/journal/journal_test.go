@@ -328,6 +328,66 @@ func TestTelemetryCounters(t *testing.T) {
 	}
 }
 
+// TestSegmentsGaugeSumsJournals opens two journals on one telemetry
+// registry, as the tenants of one daemon share it, and checks that after
+// open, rotation, compaction and close the segments gauge reads the total
+// segment files of the journals still open.
+func TestSegmentsGaugeSumsJournals(t *testing.T) {
+	a, b := t.TempDir(), t.TempDir()
+	buildDir(t, a, records(8), 64) // several segments before the gauge sees a
+	reg := telemetry.NewRegistry()
+	gauge := reg.Gauge("nimbus_journal_segments")
+	segs := func(dirs ...string) int {
+		n := 0
+		for _, d := range dirs {
+			m, err := filepath.Glob(filepath.Join(d, "seg-*.wal"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += len(m)
+		}
+		return n
+	}
+	check := func(step string, open ...string) {
+		t.Helper()
+		if got, want := gauge.Value(), float64(segs(open...)); got != want {
+			t.Fatalf("after %s: gauge %v, want %v segment files", step, got, want)
+		}
+	}
+	opts := Options{Sync: SyncNever, SegmentBytes: 64, Telemetry: reg}
+	ja, err := Open(a, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ja.Close()
+	jb, err := Open(b, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jb.Close()
+	if segs(a) < 2 {
+		t.Fatalf("setup: %d segments in a, want several", segs(a))
+	}
+	check("open", a, b)
+
+	before := segs(b)
+	appendAll(t, jb, records(4))
+	if segs(b) == before {
+		t.Fatal("setup: appends did not rotate b")
+	}
+	check("rotate", a, b)
+
+	if err := ja.Compact(stateFrom(nil)); err != nil {
+		t.Fatal(err)
+	}
+	check("compact", a, b)
+
+	if err := jb.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check("close", a)
+}
+
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.json")

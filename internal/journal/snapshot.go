@@ -92,6 +92,6 @@ func (j *Journal) Compact(write func(io.Writer) error) error {
 	j.replay = nil
 	j.snapSeq, j.snapPath = next, snapPath
 	j.tel.compactions.Inc()
-	j.tel.segments.Set(1)
+	j.addSegmentsLocked(1 - j.segs)
 	return nil
 }

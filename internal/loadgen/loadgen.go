@@ -1,10 +1,8 @@
-// Package loadgen is the closed-loop buyer-traffic core shared by
-// cmd/nimbus-load (standalone load runs against a remote broker) and
-// internal/perf (the recorded perf trajectory, driving an in-process
-// broker). N concurrent buyers mix the paper's three purchase options
-// (buy at quality, buy under an error budget, buy under a price budget)
-// across every (offering, loss) curve on the menu, optionally paced by a
-// shared aggregate rate cap.
+// Package loadgen is the closed-loop buyer-traffic core of cmd/nimbus-load
+// (standalone load runs against a running broker). N concurrent buyers mix
+// the paper's three purchase options (buy at quality, buy under an error
+// budget, buy under a price budget) across every (offering, loss) curve on
+// the menu, optionally paced by a shared aggregate rate cap.
 //
 // The traffic mix is replayable: buyer i draws every curve, point and
 // option choice from an rng stream seeded with Config.Seed+i, so two runs
@@ -364,14 +362,14 @@ func merge(results []workerResult, elapsed time.Duration) Report {
 	rep.Min = all[0]
 	rep.Max = all[len(all)-1]
 	rep.Mean = sum / float64(len(all))
-	rep.P50 = Percentile(all, 0.50)
-	rep.P95 = Percentile(all, 0.95)
-	rep.P99 = Percentile(all, 0.99)
+	rep.P50 = percentile(all, 0.50)
+	rep.P95 = percentile(all, 0.95)
+	rep.P99 = percentile(all, 0.99)
 	return rep
 }
 
-// Percentile reads the q-th quantile off a sorted sample (nearest-rank).
-func Percentile(sorted []float64, q float64) float64 {
+// percentile reads the q-th quantile off a sorted sample (nearest-rank).
+func percentile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}

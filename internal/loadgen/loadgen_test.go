@@ -178,12 +178,12 @@ func TestPercentile(t *testing.T) {
 	}{
 		{0.50, 5}, {0.95, 10}, {0.99, 10}, {0.10, 1},
 	} {
-		if got := Percentile(sorted, tc.q); got != tc.want {
-			t.Errorf("Percentile(%v) = %v, want %v", tc.q, got, tc.want)
+		if got := percentile(sorted, tc.q); got != tc.want {
+			t.Errorf("percentile(%v) = %v, want %v", tc.q, got, tc.want)
 		}
 	}
-	if got := Percentile(nil, 0.5); got != 0 {
-		t.Errorf("Percentile(empty) = %v, want 0", got)
+	if got := percentile(nil, 0.5); got != 0 {
+		t.Errorf("percentile(empty) = %v, want 0", got)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"nimbus/internal/journal"
 	"nimbus/internal/registry"
 	"nimbus/internal/server"
 	"nimbus/internal/telemetry"
@@ -13,9 +14,17 @@ import (
 
 // newMultiServer stands up a multi-tenant daemon with the given markets,
 // one cheap CASP offering per tenant, behind the production middleware.
+// As under nimbusd -data-dir, every tenant journals its sales under a
+// registry root with the always fsync policy, so the buys the tests drive
+// take the durable finalize path.
 func newMultiServer(t *testing.T, reg *telemetry.Registry, ids []string) *httptest.Server {
 	t.Helper()
-	r, err := registry.Open(registry.Config{Commission: 0.1, Telemetry: reg})
+	r, err := registry.Open(registry.Config{
+		Root:       t.TempDir(),
+		Sync:       journal.SyncAlways,
+		Commission: 0.1,
+		Telemetry:  reg,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,6 +89,10 @@ func TestRunMultiMarket(t *testing.T) {
 		if got := snap.CounterValue("nimbus_market_purchases_total", "market", id); int(got) != rep.ByMarket[id] {
 			t.Fatalf("market %s: telemetry %v, report %d", id, got, rep.ByMarket[id])
 		}
+	}
+	// Every sale went through a tenant journal.
+	if got := snap.CounterValue("nimbus_journal_appends_total"); got < 90 {
+		t.Fatalf("journal appended %v records for 90 sales", got)
 	}
 }
 

@@ -92,23 +92,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.quantileFrom(counts, total, q)
 }
 
-// Quantiles estimates several quantiles from a single snapshot of the
-// bucket counts, so the returned values are mutually consistent (three
-// separate Quantile calls under concurrent writes can each see a different
-// distribution; an exported p50 > p95 reads as corruption downstream).
-// The result is parallel to qs. A nil or empty histogram returns zeros.
-func (h *Histogram) Quantiles(qs ...float64) []float64 {
-	out := make([]float64, len(qs))
-	if h == nil {
-		return out
-	}
-	counts, total := h.loadCounts()
-	for i, q := range qs {
-		out[i] = h.quantileFrom(counts, total, q)
-	}
-	return out
-}
-
 // quantileFrom interpolates the q-quantile inside an already-loaded bucket
 // snapshot.
 func (h *Histogram) quantileFrom(counts []uint64, total uint64, q float64) float64 {

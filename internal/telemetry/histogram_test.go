@@ -48,41 +48,6 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 }
 
-// TestHistogramQuantilesBatch checks the multi-quantile export agrees with
-// the single-quantile path and stays monotone, including on nil/empty
-// histograms.
-func TestHistogramQuantilesBatch(t *testing.T) {
-	h := newHistogram([]float64{1, 2, 3, 4})
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i) / 25.0)
-	}
-	qs := []float64{0.50, 0.95, 0.99}
-	got := h.Quantiles(qs...)
-	if len(got) != len(qs) {
-		t.Fatalf("Quantiles returned %d values, want %d", len(got), len(qs))
-	}
-	for i, q := range qs {
-		if want := h.Quantile(q); math.Abs(got[i]-want) > 1e-12 {
-			t.Errorf("Quantiles[%d] (q=%v) = %v, Quantile = %v", i, q, got[i], want)
-		}
-	}
-	if !(got[0] <= got[1] && got[1] <= got[2]) {
-		t.Errorf("quantiles not monotone: %v", got)
-	}
-	var nilH *Histogram
-	for _, v := range nilH.Quantiles(0.5, 0.99) {
-		if v != 0 {
-			t.Errorf("nil histogram quantile = %v, want 0", v)
-		}
-	}
-	empty := newHistogram(nil)
-	for _, v := range empty.Quantiles(0.5, 0.99) {
-		if v != 0 {
-			t.Errorf("empty histogram quantile = %v, want 0", v)
-		}
-	}
-}
-
 func TestHistogramOverflowClamps(t *testing.T) {
 	h := newHistogram([]float64{1, 2})
 	h.Observe(100)
