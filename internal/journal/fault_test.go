@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"os"
@@ -24,6 +25,7 @@ type faultFS struct {
 	failSync     bool
 	failTruncate bool
 	failOpen     bool
+	failRemove   bool
 }
 
 var (
@@ -31,6 +33,7 @@ var (
 	errInjectedSync     = errors.New("injected sync failure")
 	errInjectedTruncate = errors.New("injected truncate failure")
 	errInjectedOpen     = errors.New("injected open failure")
+	errInjectedRemove   = errors.New("injected remove failure")
 )
 
 func (f *faultFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
@@ -45,6 +48,16 @@ func (f *faultFS) OpenFile(name string, flag int, perm os.FileMode) (File, error
 		return nil, err
 	}
 	return &faultFile{File: base, fs: f}, nil
+}
+
+func (f *faultFS) Remove(name string) error {
+	f.mu.Lock()
+	fail := f.failRemove
+	f.mu.Unlock()
+	if fail {
+		return errInjectedRemove
+	}
+	return f.OSFS.Remove(name)
 }
 
 type faultFile struct {
@@ -239,5 +252,58 @@ func TestCloseAfterFailedCompactionReportsTheFailure(t *testing.T) {
 	}
 	if err := j.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// TestCompactionRemoveFailureKeepsJournalAppendable covers a compaction
+// that published its snapshot but could not delete what it superseded:
+// it reports the failure, appends still land in the fresh tail, and a
+// reopened journal replays the snapshot plus that tail.
+func TestCompactionRemoveFailureKeepsJournalAppendable(t *testing.T) {
+	dir := t.TempDir()
+	fsys := &faultFS{writesUntilFail: -1}
+	j, err := Open(dir, Options{Sync: SyncNever, SegmentBytes: 64, FS: fsys})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := records(8)
+	appendAll(t, j, recs)
+	fsys.mu.Lock()
+	fsys.failRemove = true
+	fsys.mu.Unlock()
+	if err := j.Compact(stateFrom(recs)); !errors.Is(err, errInjectedRemove) {
+		t.Fatalf("compaction error %v, want the injected remove failure", err)
+	}
+	post := [][]byte{[]byte("after-1"), []byte("after-2")}
+	appendAll(t, j, post)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	j2, err := Open(dir, Options{Sync: SyncNever, SegmentBytes: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	rc, ok, err := j2.Snapshot()
+	if err != nil || !ok {
+		t.Fatalf("snapshot after compaction: ok=%v err=%v", ok, err)
+	}
+	body, err := io.ReadAll(rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := stateFrom(recs)(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, want.Bytes()) {
+		t.Fatalf("snapshot holds %q, want %q", body, want.Bytes())
+	}
+	if got := replayAll(t, j2); !equalRecords(got, post) {
+		t.Fatalf("replayed %q after the snapshot, want %q", got, post)
 	}
 }

@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -20,9 +21,10 @@ import (
 //  2. write snap-(tail+1) atomically — a crash before the rename leaves
 //     the old snapshot + all segments (old state), after it the new
 //     snapshot simply supersedes them;
-//  3. delete the covered segments and the old snapshot — a crash halfway
-//     leaves redundant files that the next Open removes;
-//  4. start the fresh tail segment seg-(tail+1).
+//  3. start the fresh tail segment seg-(tail+1);
+//  4. delete the covered segments and the old snapshot — a crash halfway
+//     leaves redundant files that the next Open removes, and a failed
+//     removal is reported but leaves the journal appendable.
 //
 // Callers must not append concurrently with the state callback if the
 // snapshot is supposed to cover those appends; nimbusd compacts after the
@@ -63,26 +65,9 @@ func (j *Journal) Compact(write func(io.Writer) error) error {
 		return fmt.Errorf("journal: writing snapshot: %w", err)
 	}
 
-	// From here the new snapshot is authoritative; everything older is
-	// redundant and recovery ignores it, so removal failures only leak
-	// disk, not data. Still report them.
-	st, err := listDir(j.fs, j.dir)
-	if err != nil {
-		return err
-	}
-	for _, p := range st.staleSnaps {
-		if err := j.fs.Remove(p); err != nil {
-			return fmt.Errorf("journal: removing superseded snapshot %s: %w", p, err)
-		}
-	}
-	for seq, path := range st.segs {
-		if seq < next {
-			if err := j.fs.Remove(path); err != nil {
-				return fmt.Errorf("journal: removing compacted segment %s: %w", path, err)
-			}
-		}
-	}
-
+	// From here the new snapshot is authoritative. Start the fresh tail
+	// before removing anything, so a removal failure cannot leave the
+	// journal without one.
 	f, err := j.createSegment(next)
 	if err != nil {
 		j.failed = err
@@ -92,6 +77,30 @@ func (j *Journal) Compact(write func(io.Writer) error) error {
 	j.replay = nil
 	j.snapSeq, j.snapPath = next, snapPath
 	j.tel.compactions.Inc()
-	j.addSegmentsLocked(1 - j.segs)
-	return nil
+
+	// Everything older is redundant and recovery ignores it (the next Open
+	// removes what is left), so removal failures only leak disk, not
+	// data. Still report them.
+	st, err := listDir(j.fs, j.dir)
+	if err != nil {
+		j.addSegmentsLocked(1) // nothing removed
+		return err
+	}
+	var errs []error
+	for _, p := range st.staleSnaps {
+		if err := j.fs.Remove(p); err != nil {
+			errs = append(errs, fmt.Errorf("journal: removing superseded snapshot %s: %w", p, err))
+		}
+	}
+	left := 1
+	for seq, path := range st.segs {
+		if seq < next {
+			if err := j.fs.Remove(path); err != nil {
+				left++
+				errs = append(errs, fmt.Errorf("journal: removing compacted segment %s: %w", path, err))
+			}
+		}
+	}
+	j.addSegmentsLocked(left - j.segs)
+	return errors.Join(errs...)
 }

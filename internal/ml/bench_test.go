@@ -71,3 +71,31 @@ func BenchmarkZeroOneLossEval(b *testing.B) {
 		loss.Eval(w, d)
 	}
 }
+
+// benchGrid is nimbusd's 50-point quality grid as NCPs δ = 1/x.
+func benchGrid() []float64 {
+	deltas := make([]float64, 50)
+	for k := range deltas {
+		deltas[k] = 1 / (1 + 99*float64(k)/49)
+	}
+	return deltas
+}
+
+// benchExpectedEval times one error curve of loss on the Simulated2 test
+// set that nimbusd lists (2500 rows at scale 1e-3) over its 50-point grid.
+func benchExpectedEval(b *testing.B, loss ExpectedLoss) {
+	train, test := benchCls(b, 7500), dataset.Simulated2(dataset.GenConfig{Rows: 2500, Seed: 79})
+	w, err := LogisticRegression{Ridge: 1e-4}.Fit(train)
+	if err != nil {
+		b.Fatal(err)
+	}
+	deltas := benchGrid()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		loss.ExpectedEval(w, test, deltas)
+	}
+}
+
+func BenchmarkExpectedEvalLogistic(b *testing.B) { benchExpectedEval(b, LogisticLoss{Reg: 1e-4}) }
+
+func BenchmarkExpectedEvalZeroOne(b *testing.B) { benchExpectedEval(b, ZeroOneLoss{}) }

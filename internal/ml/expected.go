@@ -33,10 +33,11 @@ func (l SquaredLoss) ExpectedEval(w []float64, d *dataset.Dataset, deltas []floa
 }
 
 // ExpectedEval implements ExpectedLoss by Gauss–Hermite quadrature on
-// log(1 + e^{−y(mᵢ+σᵢZ)}), which has no closed form.
+// log(1 + e^{−y(mᵢ+σᵢZ)}), which has no closed form. Each row takes the
+// smallest rule that is exact at its noise scale |y|·σᵢ (logisticRule).
 func (l LogisticLoss) ExpectedEval(w []float64, d *dataset.Dataset, deltas []float64) []float64 {
 	return expectedEval(w, d, deltas, l.Reg, func(m, sigma, y float64) float64 {
-		return expectedLogistic(m, sigma, y, hermite)
+		return expectedLogistic(m, sigma, y, logisticRule(math.Abs(y)*sigma))
 	})
 }
 
@@ -57,23 +58,29 @@ func (l HingeLoss) ExpectedEval(w []float64, d *dataset.Dataset, deltas []float6
 // ExpectedEval implements ExpectedLoss: a row predicts +1 with probability
 // Φ(mᵢ/σᵢ), so a ±1 label is missed with probability Φ(−y·mᵢ/σᵢ). Without
 // noise it applies Eval's tie rule, under which a zero margin predicts −1.
+// A label outside ±1 is missed by either prediction.
 func (ZeroOneLoss) ExpectedEval(w []float64, d *dataset.Dataset, deltas []float64) []float64 {
 	return expectedEval(w, d, deltas, 0, func(m, sigma, y float64) float64 {
-		pos, neg := 0.0, 1.0
-		if sigma > 0 {
-			pos, neg = normCDF(m/sigma), normCDF(-m/sigma)
-		} else if m > 0 {
-			pos, neg = 1, 0
+		switch y {
+		case 1:
+			return predicts(-1, m, sigma)
+		case -1:
+			return predicts(1, m, sigma)
 		}
-		var wrong float64
-		if y != 1 {
-			wrong += pos
-		}
-		if y != -1 {
-			wrong += neg
-		}
-		return wrong
+		return predicts(1, m, sigma) + predicts(-1, m, sigma)
 	})
+}
+
+// predicts returns the probability that a row whose margin is N(m, σ²)
+// is predicted s = ±1.
+func predicts(s, m, sigma float64) float64 {
+	if sigma > 0 {
+		return normCDF(s * m / sigma)
+	}
+	if (m > 0) == (s > 0) {
+		return 1
+	}
+	return 0
 }
 
 // expectedEval computes the margins mᵢ and scales sᵢ = ‖xᵢ‖²/d once, then at
@@ -116,25 +123,77 @@ type quadrature struct {
 	nodes, weights []float64
 }
 
-// hermiteNodes is the rule's node count. The rule is exact for polynomials
-// of degree < 2·hermiteNodes. The generators draw standard-normal features,
-// so σᵢ ≈ √δ ≤ 1 on the default grid, and there the expected logistic loss
-// agrees with twice as many nodes to better than 1e-9. Features on a much
-// larger scale are served less exactly: at σᵢ = 10 a row's value is off by
-// about 1%.
+// hermiteNodes is the largest rule's node count. A k-node rule is exact
+// for polynomials of degree < 2k, and how many nodes the expected logistic
+// loss needs grows with the noise scale σ = |y|·σᵢ. The generators draw
+// standard-normal features, so σᵢ ≈ √δ ≤ 1 on the default grid, and there
+// this rule agrees with twice as many nodes to better than 1e-9. Features
+// on a much larger scale are served less exactly: at σ = 10 a row's value
+// is off by about 1%.
 const hermiteNodes = 16
 
-// hermite is the rule ExpectedEval uses for the logistic loss.
+// hermite is the rule ExpectedEval uses for the logistic loss when σ is
+// above every bound in hermiteRules.
 var hermite = gaussHermite(hermiteNodes)
 
-// expectedLogistic returns E[log(1 + e^{−y(m+σZ)})] under rule q.
+// hermiteRules are the smaller rules, each with the largest σ at which it
+// agrees with a 64-node rule to 1e-14 relative for every a = −y·m in
+// [−40, 40]. On the default grid with standard-normal features a row
+// needs about 8 nodes on average.
+var hermiteRules = []struct {
+	maxSigma float64
+	q        quadrature
+}{
+	{0.04, gaussHermite(4)},
+	{0.135, gaussHermite(6)},
+	{0.24, gaussHermite(8)},
+	{0.335, gaussHermite(10)},
+	{0.42, gaussHermite(12)},
+}
+
+// logisticRule returns the smallest rule that is exact at noise scale σ.
+func logisticRule(sigma float64) quadrature {
+	for _, r := range hermiteRules {
+		if sigma <= r.maxSigma {
+			return r.q
+		}
+	}
+	return hermite
+}
+
+// expectedLogistic returns E[log(1 + e^{−y(m+σZ)})] under rule q. The
+// nodes come in ±z pairs of equal weight (gaussHermite puts the positive
+// half first), so each pair costs one softplusPair.
 func expectedLogistic(m, sigma, y float64, q quadrature) float64 {
-	a, b := -y*m, -y*sigma
+	a, b := -y*m, math.Abs(y*sigma)
+	half := len(q.nodes) / 2
 	var s float64
-	for k, z := range q.nodes {
-		s += q.weights[k] * log1pExp(a+b*z)
+	for k, z := range q.nodes[:half] {
+		s += q.weights[k] * softplusPair(a, b*z)
+	}
+	if len(q.nodes)%2 == 1 {
+		s += q.weights[half] * log1pExp(a)
 	}
 	return s
+}
+
+// softplusPair returns softplus(a+v) + softplus(a−v) for v ≥ 0, where
+// softplus(x) = log(1 + eˣ), with one log1p: (1+p)(1+q) = 1 + p + q + pq.
+// A positive a is reduced through softplus(x) = x + softplus(−x). Then
+// p = e^{a+v} and q = e^{a−v} are at most 1 unless a+v > 0, and there
+// softplus(a+v) is mirrored to (a+v) + softplus(−a−v) first.
+func softplusPair(a, v float64) float64 {
+	var shift float64
+	if a > 0 {
+		shift, a = 2*a, -a
+	}
+	q := math.Exp(a - v)
+	if a+v <= 0 {
+		p := math.Exp(a + v)
+		return shift + math.Log1p(p+q+p*q)
+	}
+	p := math.Exp(-a - v)
+	return shift + a + v + math.Log1p(p+q+p*q)
 }
 
 // gaussHermite returns the k-node Gauss–Hermite rule. It finds the roots of

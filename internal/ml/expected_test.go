@@ -138,3 +138,98 @@ func TestExpectedEvalIndependentOfGOMAXPROCS(t *testing.T) {
 		}
 	}
 }
+
+// unfoldedLogistic is the quadrature sum expectedLogistic folds: one
+// softplus per node.
+func unfoldedLogistic(a, sigma float64, q quadrature) float64 {
+	var s float64
+	for k, z := range q.nodes {
+		s += q.weights[k] * log1pExp(a+sigma*z)
+	}
+	return s
+}
+
+func TestLogisticRulesMatchReference(t *testing.T) {
+	// Every smaller rule is exact to 1e-14 relative, against a 64-node
+	// rule, over its whole σ range and a = −y·m in [−40, 40].
+	ref := gaussHermite(64)
+	lo := 0.0
+	for _, r := range hermiteRules {
+		var worst float64
+		for i := 0; i <= 40; i++ {
+			sigma := lo + (r.maxSigma-lo)*float64(i)/40
+			for a := -40.0; a <= 40; a += 0.125 {
+				want := unfoldedLogistic(a, sigma, ref)
+				got := expectedLogistic(a, sigma, -1, r.q)
+				if rel := math.Abs(got-want) / want; rel > worst {
+					worst = rel
+				}
+			}
+		}
+		if worst > 1e-14 {
+			t.Errorf("%d-node rule on σ ≤ %v: %v relative from the 64-node rule", len(r.q.nodes), r.maxSigma, worst)
+		}
+		if got := logisticRule(r.maxSigma); len(got.nodes) != len(r.q.nodes) {
+			t.Errorf("σ = %v takes %d nodes, want %d", r.maxSigma, len(got.nodes), len(r.q.nodes))
+		}
+		lo = r.maxSigma
+	}
+	if got := logisticRule(math.Nextafter(lo, 1)); len(got.nodes) != hermiteNodes {
+		t.Errorf("σ just above %v takes %d nodes, want %d", lo, len(got.nodes), hermiteNodes)
+	}
+}
+
+func TestFoldedLogisticMatchesUnfolded(t *testing.T) {
+	// Folding the ±z pairs into one log1p each leaves the 16-node sum
+	// unchanged to 1e-15 relative, for either label and large σ too.
+	var worst float64
+	for _, sigma := range []float64{0, 0.01, 0.3, 1, 3, 10, 100} {
+		for m := -40.0; m <= 40; m += 0.125 {
+			for _, y := range []float64{1, -1} {
+				want := unfoldedLogistic(-y*m, sigma, hermite)
+				got := expectedLogistic(m, sigma, y, hermite)
+				if rel := math.Abs(got-want) / want; rel > worst {
+					worst = rel
+				}
+			}
+		}
+	}
+	if worst > 1e-15 {
+		t.Errorf("folded and unfolded 16-node sums differ by %v relative", worst)
+	}
+}
+
+func TestExpectedZeroOneLabels(t *testing.T) {
+	// A ±1 label is missed with the probability of the other prediction,
+	// and a label outside ±1 by either prediction, with or without noise.
+	// dataset.New refuses such a label, so the set is built directly.
+	x := vec.NewMatrix(4, 2)
+	copy(x.Data, []float64{1, 2, -1, 0.5, 0.3, -2, 0, 0})
+	d := &dataset.Dataset{Name: "labels", Task: dataset.Classification, Features: x, Target: []float64{1, -1, 0.5, 1}}
+	w := []float64{0.4, -0.1}
+	for _, delta := range []float64{0, 0.5} {
+		var want float64
+		for i := 0; i < d.N(); i++ {
+			row, y := d.Row(i)
+			m, sigma := vec.Dot(w, row), math.Sqrt(delta*vec.SqNorm2(row)/2)
+			pos, neg := 0.0, 1.0
+			if sigma > 0 {
+				pos, neg = normCDF(m/sigma), normCDF(-m/sigma)
+			} else if m > 0 {
+				pos, neg = 1, 0
+			}
+			switch y {
+			case 1:
+				want += neg
+			case -1:
+				want += pos
+			default:
+				want += pos + neg
+			}
+		}
+		want /= float64(d.N())
+		if got := (ZeroOneLoss{}).ExpectedEval(w, d, []float64{delta})[0]; got != want {
+			t.Errorf("δ=%v: expected zero-one %v, want %v", delta, got, want)
+		}
+	}
+}

@@ -106,6 +106,12 @@ func (m LogisticRegression) effRidge() float64 {
 
 // Fit implements Model.
 func (m LogisticRegression) Fit(d *dataset.Dataset) ([]float64, error) {
+	return m.fit(d, func(float64) {})
+}
+
+// fit is Fit by damped Newton, reporting the step length α of every line
+// search to onStep.
+func (m LogisticRegression) fit(d *dataset.Dataset, onStep func(alpha float64)) ([]float64, error) {
 	if err := checkTask(m, d); err != nil {
 		return nil, err
 	}
@@ -122,6 +128,7 @@ func (m LogisticRegression) Fit(d *dataset.Dataset) ([]float64, error) {
 	n := d.N()
 	w := vec.Zeros(d.D())
 	weights := make([]float64, n)
+	prev := loss.Eval(w, d)
 	for iter := 0; iter < maxIter; iter++ {
 		g := loss.Grad(w, d)
 		// Hessian = 1/n Xᵀ diag(s(1-s)) X + 2µI with s = σ(wᵀx).
@@ -138,18 +145,28 @@ func (m LogisticRegression) Fit(d *dataset.Dataset) ([]float64, error) {
 			gd := GradientDescent{MaxIter: 5000, Step: 0.5, Init: w}
 			return gd.Minimize(loss, d)
 		}
+		// A step this small is converged: take it whole and stop. The loss
+		// changes by less than its rounding, so a line search would only
+		// halve the step against noise.
+		if vec.MaxAbs(step) < tol {
+			onStep(1)
+			return vec.Sub(w, step), nil
+		}
 		// Damped Newton: halve until the loss decreases (guards the first
-		// iterations on badly-scaled data).
-		prev := loss.Eval(w, d)
+		// iterations on badly-scaled data). The last trial is kept even if
+		// none decreases, and its loss carries into the next iteration.
 		alpha := 1.0
 		var next []float64
 		for k := 0; k < 30; k++ {
 			next = vec.Sub(w, vec.Scale(alpha, step))
-			if loss.Eval(next, d) <= prev {
+			cur := loss.Eval(next, d)
+			if cur <= prev || k == 29 {
+				prev = cur
 				break
 			}
 			alpha /= 2
 		}
+		onStep(alpha)
 		delta := vec.MaxAbsDiff(next, w)
 		w = next
 		if delta < tol {

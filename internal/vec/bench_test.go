@@ -55,3 +55,23 @@ func BenchmarkMulVec(b *testing.B) {
 		m.MulVec(x)
 	}
 }
+
+// BenchmarkWeightedGram forms a Newton step's Hessian at CovType's width
+// (54 features, half of them zero) over 2000 rows.
+func BenchmarkWeightedGram(b *testing.B) {
+	m := benchMatrix(2000, 54, 8)
+	w := make([]float64, m.Rows)
+	for i := range m.Data {
+		if i%2 == 1 {
+			m.Data[i] = 0
+		}
+	}
+	for r := range w {
+		w[r] = 0.25 / float64(1+r%7)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.WeightedGram(w)
+	}
+}

@@ -174,13 +174,33 @@ func (m *Matrix) Gram() *Matrix {
 }
 
 // WeightedGram returns mᵀ diag(w) m for per-row weights w.
+//
+// Rows are taken four at a time, so each entry of the upper triangle is
+// loaded and stored once per block rather than once per row. Within a
+// block the products are still added in row order, so for finite inputs
+// the result is bit for bit the row-at-a-time sum.
 func (m *Matrix) WeightedGram(w []float64) *Matrix {
 	if len(w) != m.Rows {
 		panic(fmt.Sprintf("vec: WeightedGram got %d weights for %d rows", len(w), m.Rows))
 	}
 	d := m.Cols
 	g := NewMatrix(d, d)
-	for r := 0; r < m.Rows; r++ {
+	r := 0
+	for ; r+4 <= m.Rows; r += 4 {
+		x0, x1, x2, x3 := m.Row(r), m.Row(r+1), m.Row(r+2), m.Row(r+3)
+		for i := 0; i < d; i++ {
+			c0, c1, c2, c3 := w[r]*x0[i], w[r+1]*x1[i], w[r+2]*x2[i], w[r+3]*x3[i]
+			if c0 == 0 && c1 == 0 && c2 == 0 && c3 == 0 {
+				continue
+			}
+			gi := g.Data[i*d+i : i*d+d]
+			y0, y1, y2, y3 := x0[i:d], x1[i:d], x2[i:d], x3[i:d]
+			for j := range gi {
+				gi[j] = gi[j] + c0*y0[j] + c1*y1[j] + c2*y2[j] + c3*y3[j]
+			}
+		}
+	}
+	for ; r < m.Rows; r++ {
 		row := m.Row(r)
 		wr := w[r]
 		if wr == 0 {
@@ -304,6 +324,17 @@ func SolveSPD(a *Matrix, b []float64) ([]float64, error) {
 		work.AddDiag(ridge)
 	}
 	return nil, fmt.Errorf("vec: SolveSPD failed even with ridge %g", ridge)
+}
+
+// MaxAbs returns max_i |a_i|.
+func MaxAbs(a []float64) float64 {
+	var m float64
+	for _, v := range a {
+		if v := math.Abs(v); v > m {
+			m = v
+		}
+	}
+	return m
 }
 
 // MaxAbsDiff returns max_i |a_i - b_i|, useful for convergence checks.

@@ -127,6 +127,57 @@ func TestWeightedGram(t *testing.T) {
 	}
 }
 
+// rowGram is WeightedGram one row at a time, the order the blocked kernel
+// must reproduce.
+func rowGram(m *Matrix, w []float64) *Matrix {
+	d := m.Cols
+	g := NewMatrix(d, d)
+	for r := 0; r < m.Rows; r++ {
+		row := m.Row(r)
+		for i := 0; i < d; i++ {
+			ci := w[r] * row[i]
+			for j := i; j < d; j++ {
+				g.Data[i*d+j] += ci * row[j]
+			}
+		}
+	}
+	for i := 0; i < d; i++ {
+		for j := i + 1; j < d; j++ {
+			g.Set(j, i, g.At(i, j))
+		}
+	}
+	return g
+}
+
+func TestWeightedGramMatchesRowOrder(t *testing.T) {
+	// Dense and half-zero rows, zero weights, and row counts on both
+	// sides of a multiple of four: every entry is bit for bit the sum
+	// taken one row at a time.
+	r := rand.New(rand.NewSource(9))
+	for _, rows := range []int{1, 3, 4, 7, 10, 61} {
+		for _, sparse := range []bool{false, true} {
+			m := NewMatrix(rows, 13)
+			for i := range m.Data {
+				if !sparse || r.Intn(2) == 0 {
+					m.Data[i] = r.NormFloat64()
+				}
+			}
+			w := make([]float64, rows)
+			for i := range w {
+				if i%3 != 1 {
+					w[i] = r.Float64()
+				}
+			}
+			got, want := m.WeightedGram(w), rowGram(m, w)
+			for i := range want.Data {
+				if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+					t.Fatalf("rows=%d sparse=%v: entry %d is %v, want %v", rows, sparse, i, got.Data[i], want.Data[i])
+				}
+			}
+		}
+	}
+}
+
 func TestCholeskySolveKnown(t *testing.T) {
 	a := NewMatrix(2, 2)
 	copy(a.Data, []float64{4, 2, 2, 3})
