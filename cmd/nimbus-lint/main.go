@@ -8,7 +8,7 @@
 //
 // Usage:
 //
-//	nimbus-lint [-json | -sarif] [-baseline file [-baseline-write]] [-rules a,b] [-list] [pattern ...]
+//	nimbus-lint [-json | -sarif] [-list] [pattern ...]
 //
 // Patterns are go-tool style: a directory, or a directory followed by /...
 // for the whole subtree; the default is ./... . Findings print one per line
@@ -19,13 +19,7 @@
 //
 //	//lint:ignore <rule>[,<rule>...] <reason>
 //
-// -baseline suppresses findings recorded in the named file so that only
-// new findings fail; -baseline-write (re)generates that file from the
-// current findings. -rules restricts a run to a comma-separated subset of
-// the rule set — misspelled names are an error, cross-checked against the
-// same list -list prints — which keeps staged CI runs and bisections
-// honest. -list prints the (possibly -rules-filtered) rule set with the
-// invariant each rule protects.
+// -list prints the rule set with the invariant each rule protects.
 package main
 
 import (
@@ -35,7 +29,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"nimbus/internal/analysis"
 )
@@ -50,12 +43,9 @@ func run(stdout, stderr io.Writer, args []string) int {
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
 	sarifOut := fs.Bool("sarif", false, "emit findings as a SARIF 2.1.0 log")
-	baselinePath := fs.String("baseline", "", "suppress findings recorded in this `file`; only new findings fail")
-	baselineWrite := fs.Bool("baseline-write", false, "rewrite the -baseline file from the current findings and exit 0")
 	list := fs.Bool("list", false, "list the rules and the invariants they protect")
-	rulesFlag := fs.String("rules", "", "run only these comma-separated rule `names` (default: every rule)")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: nimbus-lint [-json | -sarif] [-baseline file [-baseline-write]] [-rules a,b] [-list] [pattern ...]")
+		fmt.Fprintln(stderr, "usage: nimbus-lint [-json | -sarif] [-list] [pattern ...]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -63,10 +53,6 @@ func run(stdout, stderr io.Writer, args []string) int {
 	}
 	if *jsonOut && *sarifOut {
 		fmt.Fprintln(stderr, "nimbus-lint: -json and -sarif are mutually exclusive")
-		return 2
-	}
-	if *baselineWrite && *baselinePath == "" {
-		fmt.Fprintln(stderr, "nimbus-lint: -baseline-write requires -baseline")
 		return 2
 	}
 	cwd, err := os.Getwd()
@@ -80,13 +66,6 @@ func run(stdout, stderr io.Writer, args []string) int {
 		return 2
 	}
 	rules := analysis.DefaultRules(modPath)
-	if *rulesFlag != "" {
-		rules, err = filterRules(rules, *rulesFlag)
-		if err != nil {
-			fmt.Fprintln(stderr, "nimbus-lint:", err)
-			return 2
-		}
-	}
 	if *list {
 		for _, r := range rules {
 			fmt.Fprintf(stdout, "%-24s %s\n", r.Name(), r.Doc())
@@ -112,105 +91,34 @@ func run(stdout, stderr io.Writer, args []string) int {
 		}
 	}
 	diags := analysis.Run(pkgs, rules)
-	// Baseline keys and SARIF URIs are module-root-relative so they stay
-	// stable no matter which directory the tool runs from; the human and
-	// -json outputs relativize to the working directory instead.
-	toRoot := func(file string) string {
-		if rel, err := filepath.Rel(root, file); err == nil {
-			return filepath.ToSlash(rel)
-		}
-		return filepath.ToSlash(file)
-	}
-	if *baselineWrite {
-		if err := writeBaseline(*baselinePath, diags, toRoot); err != nil {
-			fmt.Fprintln(stderr, "nimbus-lint:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "nimbus-lint: wrote %d finding(s) to %s\n", len(diags), *baselinePath)
-		return 0
-	}
-	if *baselinePath != "" {
-		known, err := loadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "nimbus-lint:", err)
-			return 2
-		}
-		var suppressed int
-		diags, suppressed = applyBaseline(diags, known, toRoot)
-		if suppressed > 0 {
-			fmt.Fprintf(stderr, "nimbus-lint: %d baseline finding(s) suppressed\n", suppressed)
-		}
-	}
 	if *sarifOut {
-		if err := writeSARIF(stdout, rules, diags, toRoot); err != nil {
-			fmt.Fprintln(stderr, "nimbus-lint:", err)
-			return 2
-		}
-		if len(diags) > 0 {
-			fmt.Fprintf(stderr, "nimbus-lint: %d finding(s)\n", len(diags))
-			return 1
-		}
-		return 0
-	}
-	for i := range diags {
-		if rel, err := filepath.Rel(cwd, diags[i].File); err == nil {
-			diags[i].File = rel
-		}
-	}
-	if *jsonOut {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if diags == nil {
-			diags = []analysis.Diagnostic{}
-		}
-		if err := enc.Encode(diags); err != nil {
-			fmt.Fprintln(stderr, "nimbus-lint:", err)
-			return 2
-		}
+		err = writeSARIF(stdout, rules, diags, root)
 	} else {
-		for _, d := range diags {
-			fmt.Fprintln(stdout, d.String())
+		for i := range diags {
+			if rel, err := filepath.Rel(cwd, diags[i].File); err == nil {
+				diags[i].File = rel
+			}
 		}
+		if *jsonOut {
+			if diags == nil {
+				diags = []analysis.Diagnostic{}
+			}
+			enc := json.NewEncoder(stdout)
+			enc.SetIndent("", "  ")
+			err = enc.Encode(diags)
+		} else {
+			for _, d := range diags {
+				fmt.Fprintln(stdout, d.String())
+			}
+		}
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "nimbus-lint:", err)
+		return 2
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "nimbus-lint: %d finding(s)\n", len(diags))
 		return 1
 	}
 	return 0
-}
-
-// filterRules restricts the rule set to the comma-separated names in
-// spec, preserving the suite's order. Unknown names are an error listing
-// the valid set, so a typo in a CI step fails loudly instead of silently
-// checking nothing.
-func filterRules(rules []analysis.Rule, spec string) ([]analysis.Rule, error) {
-	byName := make(map[string]analysis.Rule, len(rules))
-	for _, r := range rules {
-		byName[r.Name()] = r
-	}
-	want := make(map[string]bool)
-	for _, name := range strings.Split(spec, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		if _, known := byName[name]; !known {
-			names := make([]string, 0, len(rules))
-			for _, r := range rules {
-				names = append(names, r.Name())
-			}
-			return nil, fmt.Errorf("-rules: unknown rule %q (known: %s)", name, strings.Join(names, ", "))
-		}
-		want[name] = true
-	}
-	if len(want) == 0 {
-		return nil, fmt.Errorf("-rules: no rule names given")
-	}
-	out := make([]analysis.Rule, 0, len(want))
-	for _, r := range rules {
-		if want[r.Name()] {
-			out = append(out, r)
-		}
-	}
-	return out, nil
 }

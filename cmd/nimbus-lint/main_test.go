@@ -3,8 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -91,46 +90,15 @@ func TestRunListNamesEveryRule(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0", code)
 	}
-	for _, r := range analysis.DefaultRules("nimbus") {
-		if !strings.Contains(stdout, r.Name()) {
-			t.Errorf("-list output missing rule %s:\n%s", r.Name(), stdout)
+	rules := analysis.DefaultRules("nimbus")
+	lines := strings.Split(strings.TrimSpace(stdout), "\n")
+	if len(lines) != len(rules) {
+		t.Fatalf("-list printed %d lines, want %d:\n%s", len(lines), len(rules), stdout)
+	}
+	for i, r := range rules {
+		if name, _, _ := strings.Cut(lines[i], " "); name != r.Name() {
+			t.Errorf("-list line %d names %q, want %s", i, name, r.Name())
 		}
-	}
-}
-
-func TestRulesFlagFiltersAndValidates(t *testing.T) {
-	// Selecting only an unrelated rule silences the golden package's
-	// no-naked-rand finding.
-	code, stdout, stderr := runLint(t, "-rules", "no-wallclock", goldenNakedRand)
-	if code != 0 {
-		t.Fatalf("filtered run exit = %d, want 0; stdout: %s stderr: %s", code, stdout, stderr)
-	}
-	if stdout != "" {
-		t.Errorf("filtered run printed findings:\n%s", stdout)
-	}
-	// Selecting the matching rule still reports it.
-	code, stdout, _ = runLint(t, "-rules", "no-naked-rand,no-wallclock", goldenNakedRand)
-	if code != 1 || !strings.Contains(stdout, "no-naked-rand") {
-		t.Errorf("selected rule did not fire: exit = %d, stdout:\n%s", code, stdout)
-	}
-	// -list reflects the filter.
-	code, stdout, _ = runLint(t, "-rules", "lock-contract", "-list")
-	if code != 0 {
-		t.Fatalf("-rules -list exit = %d, want 0", code)
-	}
-	if !strings.Contains(stdout, "lock-contract") || strings.Contains(stdout, "no-naked-rand") {
-		t.Errorf("-list ignored the -rules filter:\n%s", stdout)
-	}
-	// A typo is an error naming the valid set, not a silently empty run.
-	code, _, stderr = runLint(t, "-rules", "no-such-rule", goldenNakedRand)
-	if code != 2 {
-		t.Fatalf("unknown rule: exit = %d, want 2", code)
-	}
-	if !strings.Contains(stderr, "no-such-rule") || !strings.Contains(stderr, "snapshot-immutability") {
-		t.Errorf("error should name the bad rule and the known set: %s", stderr)
-	}
-	if code, _, _ := runLint(t, "-rules", " , ", goldenNakedRand); code != 2 {
-		t.Errorf("empty -rules: exit = %d, want 2", code)
 	}
 }
 
@@ -144,58 +112,21 @@ func TestRunUsageErrors(t *testing.T) {
 	if code, _, _ := runLint(t, "-json", "-sarif", goldenNakedRand); code != 2 {
 		t.Errorf("-json with -sarif: exit = %d, want 2", code)
 	}
-	if code, _, _ := runLint(t, "-baseline-write", goldenNakedRand); code != 2 {
-		t.Errorf("-baseline-write without -baseline: exit = %d, want 2", code)
-	}
 }
 
-func TestBaselineSuppressesKnownFindings(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "lint-baseline.json")
-	// Freeze the golden package's one finding, then re-lint against the
-	// baseline: the known finding no longer fails the run.
-	code, _, stderr := runLint(t, "-baseline", base, "-baseline-write", goldenNakedRand)
-	if code != 0 {
-		t.Fatalf("baseline-write exit = %d, want 0; stderr: %s", code, stderr)
-	}
-	code, stdout, stderr := runLint(t, "-baseline", base, goldenNakedRand)
-	if code != 0 {
-		t.Fatalf("baselined run exit = %d, want 0; stdout: %s stderr: %s", code, stdout, stderr)
-	}
-	if stdout != "" {
-		t.Errorf("baselined run still printed findings:\n%s", stdout)
-	}
-	if !strings.Contains(stderr, "1 baseline finding(s) suppressed") {
-		t.Errorf("stderr missing suppression count: %s", stderr)
-	}
-}
-
-func TestBaselineStillFailsOnNewFindings(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "lint-baseline.json")
-	// An empty baseline (written from a clean package) suppresses nothing,
-	// so the golden finding is "new" and the run fails.
-	if code, _, stderr := runLint(t, "-baseline", base, "-baseline-write", "../../internal/rng"); code != 0 {
-		t.Fatalf("baseline-write exit = %d, want 0; stderr: %s", code, stderr)
-	}
-	code, stdout, _ := runLint(t, "-baseline", base, goldenNakedRand)
-	if code != 1 {
-		t.Fatalf("exit = %d, want 1", code)
-	}
-	if !strings.Contains(stdout, "no-naked-rand") {
-		t.Errorf("new finding missing from output:\n%s", stdout)
-	}
-}
-
-func TestBaselineRejectsUnknownVersion(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "lint-baseline.json")
-	if err := os.WriteFile(base, []byte(`{"version": 99, "findings": []}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, _, stderr := runLint(t, "-baseline", base, goldenNakedRand)
-	if code != 2 {
-		t.Fatalf("exit = %d, want 2; stderr: %s", code, stderr)
-	}
-	if !strings.Contains(stderr, "baseline version 99") {
-		t.Errorf("stderr missing version complaint: %s", stderr)
+// TestNoBaselineOrRulesFlags: every run checks every rule with nothing
+// suppressed but //lint:ignore lines, so -baseline, -baseline-write and
+// -rules are usage errors. A stale invocation fails loudly instead of
+// silently running a different check than its caller expects.
+func TestNoBaselineOrRulesFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-baseline", "lint-baseline.json", goldenNakedRand},
+		{"-baseline-write", goldenNakedRand},
+		{"-rules", "no-naked-rand", goldenNakedRand},
+	} {
+		if code, _, _ := runLint(t, args...); code != 2 {
+			t.Errorf("%v: exit = %d, want 2", args, code)
+		}
 	}
 }
 
@@ -244,14 +175,16 @@ func TestSARIFOutput(t *testing.T) {
 	if run.Tool.Driver.Name != "nimbus-lint" {
 		t.Errorf("driver name = %q", run.Tool.Driver.Name)
 	}
-	ruleIDs := make(map[string]bool)
+	var ruleIDs []string
 	for _, r := range run.Tool.Driver.Rules {
-		ruleIDs[r.ID] = true
+		ruleIDs = append(ruleIDs, r.ID)
 	}
-	for _, want := range []string{"no-naked-rand", "goroutine-leak", "lock-contract"} {
-		if !ruleIDs[want] {
-			t.Errorf("driver rules missing %s", want)
-		}
+	var want []string
+	for _, r := range analysis.DefaultRules("nimbus") {
+		want = append(want, r.Name())
+	}
+	if !slices.Equal(ruleIDs, want) {
+		t.Errorf("driver rules = %v, want the %d DefaultRules %v", ruleIDs, len(want), want)
 	}
 	if len(run.Results) != 1 {
 		t.Fatalf("got %d results, want 1: %+v", len(run.Results), run.Results)

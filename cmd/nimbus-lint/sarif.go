@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"io"
+	"path/filepath"
 
 	"nimbus/internal/analysis"
 )
@@ -68,9 +69,16 @@ type sarifRegion struct {
 }
 
 // writeSARIF renders the findings as one SARIF run. File URIs are
-// module-root-relative (via rel) under %SRCROOT%, which is what upload
-// actions expect for annotating checkouts.
-func writeSARIF(w io.Writer, rules []analysis.Rule, diags []analysis.Diagnostic, rel func(string) string) error {
+// relative to the module root under %SRCROOT%, which is what upload
+// actions expect for annotating checkouts, and stay stable no matter
+// which directory the tool runs from.
+func writeSARIF(w io.Writer, rules []analysis.Rule, diags []analysis.Diagnostic, root string) error {
+	rel := func(file string) string {
+		if r, err := filepath.Rel(root, file); err == nil {
+			file = r
+		}
+		return filepath.ToSlash(file)
+	}
 	driver := sarifDriver{Name: "nimbus-lint"}
 	index := make(map[string]int, len(rules))
 	for _, r := range rules {

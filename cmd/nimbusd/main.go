@@ -75,16 +75,37 @@ func main() {
 	}
 }
 
+// Connection timeouts. readTimeout bounds reading a whole request, body
+// included, so a client that trickles a body cannot hold a connection
+// open; it leaves room for a 32 MiB CSV listing on a slow link.
+// idleTimeout reaps idle keep-alive connections. There is no write
+// timeout: a large listing trains its model in the handler and can
+// legitimately answer late, so responses wait for a request deadline
+// instead.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds nimbusd's HTTP server with its connection
+// timeouts.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 // serveUntilSignal runs the HTTP server until SIGINT/SIGTERM or a
 // listener failure, draining in-flight requests on signal. It returns the
 // listener error, if any; persisting the books belongs to the caller,
 // after the drain.
 func serveUntilSignal(addr string, handler http.Handler, ready func()) error {
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
+	srv := newHTTPServer(addr, handler)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)

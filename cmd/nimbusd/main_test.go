@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -233,5 +234,25 @@ func TestJournalSurvivesRestarts(t *testing.T) {
 	}
 	if got := m3.Broker.TotalRevenue(); got != wantRevenue {
 		t.Fatalf("recovered revenue %v, want %v", got, wantRevenue)
+	}
+}
+
+// TestHTTPServerTimeouts: a public endpoint must bound how long a client
+// may take to send a request and how long an idle keep-alive connection
+// lives, while leaving responses unbounded for slow listings.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer(":0", http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, want > 0", srv.ReadHeaderTimeout)
+	}
+	if srv.ReadTimeout < srv.ReadHeaderTimeout {
+		t.Errorf("ReadTimeout = %v, want ≥ ReadHeaderTimeout %v: a trickled body must also be bounded",
+			srv.ReadTimeout, srv.ReadHeaderTimeout)
+	}
+	if srv.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout = %v, want > 0: idle keep-alive connections must be reaped", srv.IdleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, want unset until requests carry a deadline", srv.WriteTimeout)
 	}
 }

@@ -5,7 +5,9 @@
 // centrally seeded randomness (Lemma 3), and the experiment replays behind
 // Figures 6–14 need determinism. `go vet` can see none of that, so this
 // package encodes each invariant as a machine-checked rule and cmd/nimbus-lint
-// runs the rule set over the tree on every CI build.
+// runs the rule set over the tree on every CI build. A rule stays only if
+// it has caught a real bug or guards such an invariant; a property the
+// tree's code cannot violate, or that a test already pins, is not linted.
 //
 // The framework is built only on the standard library's go/parser, go/ast,
 // go/build and go/types — no golang.org/x/tools — so go.mod stays empty.

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -124,10 +125,6 @@ func TestTelemetryLabelGolden(t *testing.T) {
 	checkGolden(t, "telemetrylabels", []Rule{TelemetryLabel{TelemetryPath: "nimbus/internal/telemetry"}})
 }
 
-func TestGoroutineLeakGolden(t *testing.T) {
-	checkGolden(t, "goroleak", []Rule{GoroutineLeak{}})
-}
-
 func TestSuppressionGolden(t *testing.T) {
 	// Both rules run so the multi-rule //lint:ignore a,b form is exercised
 	// end to end through Run(): one directive must silence two different
@@ -157,20 +154,18 @@ func TestDiagnosticString(t *testing.T) {
 }
 
 func TestDefaultRulesCoverTheSuite(t *testing.T) {
-	names := make(map[string]bool)
+	var names []string
 	for _, r := range DefaultRules("nimbus") {
 		if r.Doc() == "" {
 			t.Errorf("rule %s has no doc", r.Name())
 		}
-		names[r.Name()] = true
+		names = append(names, r.Name())
 	}
-	for _, want := range []string{
+	want := []string{
 		"no-naked-rand", "no-float-eq", "no-wallclock", "no-dropped-error", "telemetry-label-literal",
-		"goroutine-leak", "noise-taint", "lock-contract",
-		"snapshot-immutability", "resource-lifecycle", "waitgroup-balance", "atomic-plain-mix",
-	} {
-		if !names[want] {
-			t.Errorf("DefaultRules is missing %s", want)
-		}
+		"noise-taint", "lock-contract", "snapshot-immutability", "resource-lifecycle",
+	}
+	if !slices.Equal(names, want) {
+		t.Errorf("DefaultRules = %v, want %v", names, want)
 	}
 }

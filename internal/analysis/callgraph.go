@@ -127,16 +127,6 @@ type implKey struct {
 	iface *types.Interface
 }
 
-// NodeFor returns the node for a declared function or method, or nil if
-// the function has no body in the group.
-func (g *CallGraph) NodeFor(obj types.Object) *FuncNode {
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return nil
-	}
-	return g.byObj[fn]
-}
-
 // LitNode returns the node for a function literal in the group.
 func (g *CallGraph) LitNode(lit *ast.FuncLit) *FuncNode { return g.byLit[lit] }
 

@@ -61,41 +61,6 @@ func BuildCFG(body *ast.BlockStmt, opts CFGOptions) *CFG {
 	return b.cfg
 }
 
-// ReachableFromEntry returns the blocks reachable from Entry.
-func (g *CFG) ReachableFromEntry() map[*Block]bool {
-	seen := make(map[*Block]bool)
-	var walk func(*Block)
-	walk = func(b *Block) {
-		if seen[b] {
-			return
-		}
-		seen[b] = true
-		for _, s := range b.Succs {
-			walk(s)
-		}
-	}
-	walk(g.Entry)
-	return seen
-}
-
-// ReachesExit returns the blocks from which Exit is reachable, via a
-// reverse walk over Preds.
-func (g *CFG) ReachesExit() map[*Block]bool {
-	seen := make(map[*Block]bool)
-	var walk func(*Block)
-	walk = func(b *Block) {
-		if seen[b] {
-			return
-		}
-		seen[b] = true
-		for _, p := range b.Preds {
-			walk(p)
-		}
-	}
-	walk(g.Exit)
-	return seen
-}
-
 // loopFrame records where break and continue land for one enclosing
 // breakable construct. continueTo is nil for switch/select frames.
 type loopFrame struct {
@@ -321,8 +286,7 @@ func (b *cfgBuilder) stmt(s ast.Stmt, label string) {
 		}
 		b.frames = b.frames[:len(b.frames)-1]
 		// A select with no clauses blocks forever: after keeps no edge
-		// from head, so everything past it is unreachable — exactly the
-		// semantics goroutine-leak wants to see.
+		// from head, so everything past it is unreachable.
 		b.cur = after
 
 	case *ast.ReturnStmt:

@@ -25,8 +25,43 @@ func buildFromSrc(t *testing.T, body string) *CFG {
 	}})
 }
 
+// ReachableFromEntry returns the blocks reachable from Entry.
+func (g *CFG) ReachableFromEntry() map[*Block]bool {
+	seen := make(map[*Block]bool)
+	var walk func(*Block)
+	walk = func(b *Block) {
+		if seen[b] {
+			return
+		}
+		seen[b] = true
+		for _, s := range b.Succs {
+			walk(s)
+		}
+	}
+	walk(g.Entry)
+	return seen
+}
+
+// ReachesExit returns the blocks from which Exit is reachable, via a
+// reverse walk over Preds.
+func (g *CFG) ReachesExit() map[*Block]bool {
+	seen := make(map[*Block]bool)
+	var walk func(*Block)
+	walk = func(b *Block) {
+		if seen[b] {
+			return
+		}
+		seen[b] = true
+		for _, p := range b.Preds {
+			walk(p)
+		}
+	}
+	walk(g.Exit)
+	return seen
+}
+
 // trapped reports whether the CFG has entry-reachable code from which
-// the exit is unreachable — the goroutine-leak criterion.
+// the exit is unreachable: a body that can never terminate.
 func trapped(g *CFG) bool {
 	reach, exits := g.ReachableFromEntry(), g.ReachesExit()
 	for _, b := range g.Blocks {

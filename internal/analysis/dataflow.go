@@ -67,15 +67,9 @@ func Forward[F any](g *CFG, fl Flow[F]) *FlowResult[F] {
 	return r
 }
 
-// Before returns the fact on entry to b; reached is false when b is
-// unreachable (the fact is then the zero F and must not be used).
-func (r *FlowResult[F]) Before(b *Block) (fact F, reached bool) {
-	fact, reached = r.in[b]
-	return fact, reached
-}
-
 // After replays b's transfers and returns the fact leaving the block;
-// reached as in Before.
+// reached is false when b is unreachable (the fact is then the zero F
+// and must not be used).
 func (r *FlowResult[F]) After(b *Block) (fact F, reached bool) {
 	fact, reached = r.in[b]
 	if !reached {

@@ -2,8 +2,8 @@ package analysis
 
 import "testing"
 
-// The publication-and-lifecycle rule family: snapshot immutability,
-// resource release, WaitGroup balance, and atomic/plain mixing.
+// The publication-and-lifecycle rule family: snapshot immutability and
+// resource release.
 
 func TestSnapshotImmutabilityGolden(t *testing.T) {
 	checkGolden(t, "snapshot", []Rule{SnapshotImmutability{}})
@@ -18,12 +18,4 @@ func TestResourceLifecycleGolden(t *testing.T) {
 // live in resipa/lib, the leaks in resipa/app.
 func TestResourceLifecycleCrossPackage(t *testing.T) {
 	checkGoldenGroup(t, "resipa", []Rule{ResourceLifecycle{}})
-}
-
-func TestWaitGroupBalanceGolden(t *testing.T) {
-	checkGolden(t, "waitgroup", []Rule{WaitGroupBalance{}})
-}
-
-func TestAtomicPlainMixGolden(t *testing.T) {
-	checkGolden(t, "atomicmix", []Rule{AtomicPlainMix{}})
 }

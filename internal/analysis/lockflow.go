@@ -330,38 +330,6 @@ func exitPoint(info *types.Info, blk *Block, body *ast.BlockStmt) (token.Pos, st
 	return body.Rbrace, "end of the function"
 }
 
-// funcBody is one analyzable function: a declaration or a literal.
-type funcBody struct {
-	decl *ast.FuncDecl // nil for literals
-	lit  *ast.FuncLit  // nil for declarations
-	body *ast.BlockStmt
-}
-
-// funcBodies enumerates every function body in the pass: declarations and
-// all function literals (each literal exactly once, as its own function).
-func funcBodies(p *Pass) []funcBody {
-	var out []funcBody
-	for _, f := range p.Files {
-		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				out = append(out, funcBody{decl: fd, body: fd.Body})
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if fl, ok := n.(*ast.FuncLit); ok {
-				out = append(out, funcBody{lit: fl, body: fl.Body})
-			}
-			return true
-		})
-	}
-	return out
-}
-
-// lockCFG builds the CFG for one body with panic edges wired to Exit.
-func lockCFG(p *Pass, body *ast.BlockStmt) *CFG {
-	return BuildCFG(body, CFGOptions{IsExit: func(c *ast.CallExpr) bool { return isPanicCall(p.Info, c) }})
-}
-
 // --- contract directives ------------------------------------------------
 
 // guardedRe matches a field annotation: the comment must lead with the

@@ -2,8 +2,8 @@ package analysis
 
 import "strings"
 
-// DefaultRules is the rule set cmd/nimbus-lint runs over the tree, with
-// each rule scoped to the packages whose invariants it protects:
+// DefaultRules is the nine-rule set cmd/nimbus-lint runs over the tree,
+// with each rule scoped to the packages whose invariants it protects:
 //
 //   - no-naked-rand everywhere except internal/rng, whose seeded sources
 //     are the only sanctioned randomness (Lemma 3's calibrated mechanisms
@@ -15,7 +15,6 @@ import "strings"
 //     Figure 6–14 replays are reproducible under an injected clock;
 //   - no-dropped-error everywhere;
 //   - telemetry-label-literal everywhere internal/telemetry is used;
-//   - goroutine-leak everywhere, on the CFG of every spawned body;
 //   - the two interprocedural group rules: noise-taint tracks raw
 //     optimal models (market.Offering.Optimal, //lint:source fields,
 //     ml Fit outputs) to release sinks across the whole group, and
@@ -23,13 +22,11 @@ import "strings"
 //     //lint:holds, //lint:lockorder) at every call site in any package,
 //     plus the release of every acquired lock on every exit; both stay
 //     silent where type information is missing;
-//   - the publication-and-lifecycle family everywhere, annotation- and
-//     shape-gated like the concurrency rules: snapshot-immutability
+//   - the publication-and-lifecycle pair everywhere, annotation- and
+//     shape-gated like lock-contract: snapshot-immutability
 //     (atomic.Pointer-published and //lint:immutable values are
-//     write-once), resource-lifecycle (//lint:owns results must be
-//     closed, returned or transferred on every exit path),
-//     waitgroup-balance (Add/Done/Wait discipline), and
-//     atomic-plain-mix (no variable both atomic and plain).
+//     write-once) and resource-lifecycle (//lint:owns results must be
+//     closed, returned or transferred on every exit path).
 func DefaultRules(modulePath string) []Rule {
 	internal := func(pkg string) string { return modulePath + "/internal/" + pkg }
 	deterministic := []string{
@@ -50,7 +47,6 @@ func DefaultRules(modulePath string) []Rule {
 		WallClock{Scope: deterministic},
 		DroppedError{},
 		TelemetryLabel{TelemetryPath: internal("telemetry")},
-		GoroutineLeak{},
 		NoiseTaint{
 			SourceFields: []FieldRef{
 				{Pkg: internal("market"), Type: "Offering", Field: "Optimal"},
@@ -75,8 +71,6 @@ func DefaultRules(modulePath string) []Rule {
 		LockContract{},
 		SnapshotImmutability{},
 		ResourceLifecycle{},
-		WaitGroupBalance{},
-		AtomicPlainMix{},
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -96,6 +97,45 @@ func TestIntervalFlushesIdleTail(t *testing.T) {
 	// the test (the crash already happened from recovery's point of view).
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCloseStopsIntervalFlusher: under SyncInterval, Open starts the
+// journal's one long-lived goroutine, and Close must stop it. A Close
+// that hangs fails within seconds rather than at the test binary's
+// timeout, and the goroutine count must return to its value before Open.
+func TestCloseStopsIntervalFlusher(t *testing.T) {
+	base := runtime.NumGoroutine()
+	j, err := Open(t.TempDir(), Options{Sync: SyncInterval, SyncEvery: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Arm the flusher and let its timer fire at least once, so Close
+	// meets a loop that has run, not one still parked at its first select.
+	if err := j.Append([]byte("armed")); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(5 * time.Millisecond)
+
+	closed := make(chan error, 1)
+	go func() { closed <- j.Close() }()
+	timeout := time.NewTimer(5 * time.Second)
+	defer timeout.Stop()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-timeout.C:
+		t.Fatal("Close did not return within 5s: the interval flusher ignored its stop signal")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d before Open, %d after Close — the interval flusher leaked",
+				base, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

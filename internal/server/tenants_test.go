@@ -17,7 +17,7 @@ import (
 
 // newMultiServer serves an empty multi-tenant registry (memory-only) with
 // the full middleware stack, mirroring how nimbusd assembles it.
-func newMultiServer(t *testing.T, opts ...Option) (*httptest.Server, *registry.Registry, *telemetry.Registry) {
+func newMultiServer(t testing.TB, opts ...Option) (*httptest.Server, *registry.Registry, *telemetry.Registry) {
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	r, err := registry.Open(registry.Config{Commission: 0.1, Telemetry: reg})
