@@ -163,7 +163,7 @@ func TestDefaultRulesCoverTheSuite(t *testing.T) {
 	}
 	want := []string{
 		"no-naked-rand", "no-float-eq", "no-wallclock", "no-dropped-error", "telemetry-label-literal",
-		"noise-taint", "lock-contract", "snapshot-immutability", "resource-lifecycle",
+		"noise-taint", "lock-contract", "resource-lifecycle",
 	}
 	if !slices.Equal(names, want) {
 		t.Errorf("DefaultRules = %v, want %v", names, want)

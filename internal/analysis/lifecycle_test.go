@@ -2,12 +2,8 @@ package analysis
 
 import "testing"
 
-// The publication-and-lifecycle rule family: snapshot immutability and
-// resource release.
-
-func TestSnapshotImmutabilityGolden(t *testing.T) {
-	checkGolden(t, "snapshot", []Rule{SnapshotImmutability{}})
-}
+// The resource-lifecycle rule: owned resources are released on every
+// exit path.
 
 func TestResourceLifecycleGolden(t *testing.T) {
 	checkGolden(t, "resource", []Rule{ResourceLifecycle{}})

@@ -227,6 +227,40 @@ func (an *resAnalysis) newFuncState(n *FuncNode, get func(*FuncNode) resSummary)
 	return st
 }
 
+// paramIndexes maps the receiver (index 0 on methods) and each named
+// parameter object to its bit position in resSummary.takes.
+func paramIndexes(n *FuncNode) map[types.Object]int {
+	out := make(map[types.Object]int)
+	idx := 0
+	addField := func(f *ast.Field) {
+		if len(f.Names) == 0 {
+			idx++
+			return
+		}
+		for _, name := range f.Names {
+			if obj := n.Pkg.Info.Defs[name]; obj != nil {
+				out[obj] = idx
+			}
+			idx++
+		}
+	}
+	var ft *ast.FuncType
+	if n.Decl != nil {
+		if n.Decl.Recv != nil && len(n.Decl.Recv.List) > 0 {
+			addField(n.Decl.Recv.List[0])
+		}
+		ft = n.Decl.Type
+	} else {
+		ft = n.Lit.Type
+	}
+	if ft.Params != nil {
+		for _, f := range ft.Params.List {
+			addField(f)
+		}
+	}
+	return out
+}
+
 // collect walks the body once for acquisitions, discards, closure-close
 // bindings and named results.
 func (st *resFuncState) collect(body *ast.BlockStmt) {

@@ -2,7 +2,7 @@ package analysis
 
 import "strings"
 
-// DefaultRules is the nine-rule set cmd/nimbus-lint runs over the tree,
+// DefaultRules is the eight-rule set cmd/nimbus-lint runs over the tree,
 // with each rule scoped to the packages whose invariants it protects:
 //
 //   - no-naked-rand everywhere except internal/rng, whose seeded sources
@@ -22,11 +22,9 @@ import "strings"
 //     //lint:holds, //lint:lockorder) at every call site in any package,
 //     plus the release of every acquired lock on every exit; both stay
 //     silent where type information is missing;
-//   - the publication-and-lifecycle pair everywhere, annotation- and
-//     shape-gated like lock-contract: snapshot-immutability
-//     (atomic.Pointer-published and //lint:immutable values are
-//     write-once) and resource-lifecycle (//lint:owns results must be
-//     closed, returned or transferred on every exit path).
+//   - resource-lifecycle everywhere, annotation-gated like lock-contract:
+//     //lint:owns results must be closed, returned or transferred on
+//     every exit path.
 func DefaultRules(modulePath string) []Rule {
 	internal := func(pkg string) string { return modulePath + "/internal/" + pkg }
 	deterministic := []string{
@@ -69,7 +67,6 @@ func DefaultRules(modulePath string) []Rule {
 			},
 		},
 		LockContract{},
-		SnapshotImmutability{},
 		ResourceLifecycle{},
 	}
 }

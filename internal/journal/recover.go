@@ -86,7 +86,7 @@ func (j *Journal) recover() error {
 			return fmt.Errorf("journal: removing stale snapshot %s: %w", p, err)
 		}
 	}
-	var seqs []uint64
+	var run []segScan
 	for seq, path := range st.segs {
 		if seq < st.snapSeq {
 			if err := j.fs.Remove(path); err != nil {
@@ -94,64 +94,104 @@ func (j *Journal) recover() error {
 			}
 			continue
 		}
-		seqs = append(seqs, seq)
-	}
-	sort.Slice(seqs, func(a, b int) bool { return seqs[a] < seqs[b] })
-
-	// The replayed run must be contiguous and must start where the
-	// snapshot left off (sequence 1 on a snapshotless journal): a hole
-	// means records that were once durable are gone, which is not a torn
-	// tail.
-	if len(seqs) > 0 {
-		first := uint64(1)
-		if st.snapSeq > 0 {
-			first = st.snapSeq
-		}
-		if seqs[0] != first {
-			return fmt.Errorf("%w: first segment after snapshot should be %d, found %d", ErrCorrupt, first, seqs[0])
-		}
-	}
-	for i := 1; i < len(seqs); i++ {
-		if seqs[i] != seqs[i-1]+1 {
-			return fmt.Errorf("%w: segment %d missing (have %d then %d)", ErrCorrupt, seqs[i-1]+1, seqs[i-1], seqs[i])
-		}
-	}
-
-	var recovered int
-	var truncated int64
-	for i, seq := range seqs {
-		path := st.segs[seq]
-		buf, err := readFile(j.fs, path)
+		sc, err := scanSegment(j.fs, seq, path)
 		if err != nil {
-			return fmt.Errorf("journal: reading segment %s: %w", path, err)
+			return err
 		}
-		//lint:ignore no-dropped-error scanFrames only returns an error from the fn callback, which is nil here
-		validLen, frames, status, _ := scanFrames(buf, nil)
-		final := i == len(seqs)-1
+		run = append(run, sc)
+	}
+	sort.Slice(run, func(a, b int) bool { return run[a].seq < run[b].seq })
+
+	v := judgeRun(st.snapSeq, run)
+	if v.err != nil {
+		return fmt.Errorf("%w: %v", ErrCorrupt, v.err)
+	}
+	if v.truncated > 0 {
+		// Cut the torn tail off so appends resume at a frame boundary.
+		last := run[len(run)-1]
+		if err := j.truncateSegment(last.path, last.validLen); err != nil {
+			return err
+		}
+	}
+	for _, sc := range run {
+		j.replay = append(j.replay, segmentInfo{seq: sc.seq, path: sc.path, size: sc.validLen, frames: sc.frames})
+	}
+	j.tel.recoveredRecs.Add(uint64(v.frames))
+	j.tel.truncatedBytes.Add(uint64(v.truncated))
+	return nil
+}
+
+// segScan is one segment's framing as a read-only scan found it.
+type segScan struct {
+	seq      uint64
+	path     string
+	bytes    int64 // file length
+	validLen int64 // length of the intact frame prefix
+	frames   int
+	status   scanStatus
+}
+
+// scanSegment reads the segment at path and classifies its framing.
+func scanSegment(fsys FS, seq uint64, path string) (segScan, error) {
+	buf, err := readFile(fsys, path)
+	if err != nil {
+		return segScan{}, fmt.Errorf("journal: reading segment %s: %w", path, err)
+	}
+	//lint:ignore no-dropped-error scanFrames only returns an error from the fn callback, which is nil here
+	validLen, frames, status, _ := scanFrames(buf, nil)
+	return segScan{seq: seq, path: path, bytes: int64(len(buf)), validLen: validLen, frames: frames, status: status}, nil
+}
+
+// runVerdict is whether a recovery can replay a run of segments.
+type runVerdict struct {
+	frames    int   // records the run's intact segments hold
+	truncated int64 // bytes a torn-tail repair drops from the final segment
+	err       error // the first reason recovery must refuse, or nil
+}
+
+// judgeRun is the one recoverability verdict: Open acts on it (repairing
+// a torn tail, or refusing with ErrCorrupt) and Verify reports it. run
+// holds the segments a recovery replays — none older than the snapshot
+// at snapSeq — sorted by sequence. Frames and truncated bytes are counted
+// over every segment that is not itself at fault, so a refused run still
+// reports what was found.
+func judgeRun(snapSeq uint64, run []segScan) runVerdict {
+	var v runVerdict
+	refuse := func(format string, args ...any) {
+		if v.err == nil {
+			v.err = fmt.Errorf(format, args...)
+		}
+	}
+	// The run must be contiguous and must start where the snapshot left
+	// off (sequence 1 on a snapshotless journal): a hole means records
+	// that were once durable are gone, which is not a torn tail.
+	if first := max(snapSeq, 1); len(run) > 0 && run[0].seq != first {
+		refuse("first segment after snapshot should be %d, found %d", first, run[0].seq)
+	}
+	for i := 1; i < len(run); i++ {
+		if run[i].seq != run[i-1].seq+1 {
+			refuse("segment %d missing (have %d then %d)", run[i-1].seq+1, run[i-1].seq, run[i].seq)
+		}
+	}
+	for i, sc := range run {
 		switch {
-		case status == scanClean:
-			// intact
-		case status == scanTorn && final:
+		case sc.status == scanClean:
+		case sc.status == scanTorn && i == len(run)-1:
 			// The one kind of damage a crash legitimately causes: a write
-			// cut short at the very end of the log. Cut it off so appends
-			// resume at a frame boundary.
-			if err := j.truncateSegment(path, validLen); err != nil {
-				return err
-			}
-			truncated += int64(len(buf)) - validLen
-		case status == scanTorn:
+			// cut short at the very end of the log.
+			v.truncated = sc.bytes - sc.validLen
+		case sc.status == scanTorn:
 			// A torn tail in a non-final segment means every record in the
 			// segments after it postdates the damage: mid-stream corruption.
-			return fmt.Errorf("%w: segment %s torn at offset %d but later segments exist", ErrCorrupt, path, validLen)
+			refuse("segment %s torn at offset %d but later segments exist", sc.path, sc.validLen)
+			continue
 		default:
-			return fmt.Errorf("%w: segment %s has a bad frame at offset %d followed by data", ErrCorrupt, path, validLen)
+			refuse("segment %s has a bad frame at offset %d followed by data", sc.path, sc.validLen)
+			continue
 		}
-		recovered += frames
-		j.replay = append(j.replay, segmentInfo{seq: seq, path: path, size: validLen, frames: frames})
+		v.frames += sc.frames
 	}
-	j.tel.recoveredRecs.Add(uint64(recovered))
-	j.tel.truncatedBytes.Add(uint64(truncated))
-	return nil
+	return v
 }
 
 // truncateSegment cuts a torn tail off at size and makes the repair

@@ -118,9 +118,7 @@ func TestMidStreamCorruptionRefused(t *testing.T) {
 	if err := os.WriteFile(segs[0], buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{Sync: SyncNever}); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("mid-stream corruption: %v", err)
-	}
+	assertRefused(t, dir)
 }
 
 func TestTornNonFinalSegmentRefused(t *testing.T) {
@@ -137,9 +135,7 @@ func TestTornNonFinalSegmentRefused(t *testing.T) {
 	if err := os.Truncate(segs[0], info.Size()-2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{Sync: SyncNever}); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("torn non-final segment: %v", err)
-	}
+	assertRefused(t, dir)
 }
 
 func TestMissingSegmentRefused(t *testing.T) {
@@ -151,8 +147,23 @@ func TestMissingSegmentRefused(t *testing.T) {
 	if err := os.Remove(segs[1]); err != nil {
 		t.Fatal(err)
 	}
+	assertRefused(t, dir)
+}
+
+// assertRefused requires Open to refuse dir with ErrCorrupt and Verify,
+// run first because it never modifies the directory, to report a
+// refusal too: the two share one verdict.
+func assertRefused(t *testing.T, dir string) {
+	t.Helper()
+	rep, err := Verify(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Err == "" {
+		t.Error("Verify reports the journal recoverable")
+	}
 	if _, err := Open(dir, Options{Sync: SyncNever}); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("missing segment: %v", err)
+		t.Fatalf("Open: %v, want ErrCorrupt", err)
 	}
 }
 

@@ -40,7 +40,7 @@ type Report struct {
 
 // Verify scans the journal directory without modifying it and reports
 // every segment's framing health plus the overall recoverability verdict.
-// It applies the same classification as Open but never truncates or
+// The verdict is Open's own (judgeRun), but Verify never truncates or
 // deletes anything, so it is safe to run against a live journal (the scan
 // may then see a benign in-flight torn tail).
 func Verify(dir string, fsys FS) (*Report, error) {
@@ -69,71 +69,31 @@ func Verify(dir string, fsys FS) (*Report, error) {
 	}
 	sort.Slice(seqs, func(a, b int) bool { return seqs[a] < seqs[b] })
 
-	var replayed []uint64
+	var run []segScan
 	for _, seq := range seqs {
-		buf, err := readFile(fsys, st.segs[seq])
+		sc, err := scanSegment(fsys, seq, st.segs[seq])
 		if err != nil {
 			return nil, err
 		}
-		//lint:ignore no-dropped-error scanFrames only returns an error from the fn callback, which is nil here
-		validLen, frames, status, _ := scanFrames(buf, nil)
 		sr := SegmentReport{
 			Seq:        seq,
-			Name:       filepath.Base(st.segs[seq]),
-			Bytes:      int64(len(buf)),
-			Frames:     frames,
-			ValidBytes: validLen,
-			Status:     status.String(),
+			Name:       filepath.Base(sc.path),
+			Bytes:      sc.bytes,
+			Frames:     sc.frames,
+			ValidBytes: sc.validLen,
+			Status:     sc.status.String(),
 		}
 		if seq < st.snapSeq {
 			sr.Status = "stale"
 		} else {
-			replayed = append(replayed, seq)
+			run = append(run, sc)
 		}
 		rep.Segments = append(rep.Segments, sr)
 	}
-
-	// Recoverability verdict over the replayed run, mirroring recover().
-	setErr := func(format string, args ...any) {
-		if rep.Err == "" {
-			rep.Err = fmt.Sprintf(format, args...)
-		}
-	}
-	if len(replayed) > 0 {
-		first := uint64(1)
-		if st.snapSeq > 0 {
-			first = st.snapSeq
-		}
-		if replayed[0] != first {
-			setErr("first segment after snapshot should be %d, found %d", first, replayed[0])
-		}
-	}
-	for i := 1; i < len(replayed); i++ {
-		if replayed[i] != replayed[i-1]+1 {
-			setErr("segment %d missing", replayed[i-1]+1)
-		}
-	}
-	for i, seq := range replayed {
-		var sr *SegmentReport
-		for k := range rep.Segments {
-			if rep.Segments[k].Seq == seq {
-				sr = &rep.Segments[k]
-			}
-		}
-		final := i == len(replayed)-1
-		switch sr.Status {
-		case "clean":
-		case "torn":
-			if !final {
-				setErr("segment %s torn at offset %d but later segments exist", sr.Name, sr.ValidBytes)
-				continue
-			}
-			rep.TruncatedBytes += sr.Bytes - sr.ValidBytes
-		default:
-			setErr("segment %s has a bad frame at offset %d followed by data", sr.Name, sr.ValidBytes)
-			continue
-		}
-		rep.RecoverableFrames += sr.Frames
+	v := judgeRun(st.snapSeq, run)
+	rep.RecoverableFrames, rep.TruncatedBytes = v.frames, v.truncated
+	if v.err != nil {
+		rep.Err = v.err.Error()
 	}
 	return rep, nil
 }

@@ -79,9 +79,6 @@ type Problem struct {
 // NewProblem returns an empty minimization problem.
 func NewProblem() *Problem { return &Problem{} }
 
-// NumVars returns the number of variables added so far.
-func (p *Problem) NumVars() int { return len(p.obj) }
-
 // AddVar adds a non-negative variable with the given objective coefficient
 // and returns its index.
 func (p *Problem) AddVar(objCoeff float64) int {

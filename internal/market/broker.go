@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"nimbus/internal/pricing"
@@ -18,28 +17,28 @@ import (
 // optimal instance — no retraining per sale, which is what makes the
 // marketplace real-time (Section 1, "Our Solution").
 //
-// A Broker is safe for concurrent use. The read-heavy browse path (Menu,
-// Offering, saleTerms) is lock-free — it loads one atomically-published
-// immutable snapshot — and durable sales batch through one commit queue,
+// A Broker is safe for concurrent use. One RWMutex guards the menu and
+// the books: a purchase reads everything it needs from the menu in one
+// read-locked section, and durable sales batch through one commit queue,
 // so concurrent buyers share a journal write and fsync. Partitioning lives
 // one level up: the registry gives each tenant its own broker, books and
 // journal.
 type Broker struct {
-	// menu is the browse-path state: offerings, the sorted menu, the
-	// commission rate and the journal handle, published as an immutable
-	// snapshot. Readers pay one atomic load; writers clone-and-swap under
-	// regmu.
-	menu atomic.Pointer[menuSnapshot]
-
-	// regmu serializes snapshot writers (List, SetCommission, SetJournal,
-	// SetTelemetry). Readers never take it.
-	regmu sync.Mutex
-
-	// mu guards the books: running totals folded from every sale in
-	// acknowledgement order. The sales themselves live only in the journal.
-	mu    sync.RWMutex
-	books map[string]*StatementLine // guarded by mu; per-offering running totals
-	total StatementLine             // guarded by mu; all offerings, with the sale count
+	// mu guards the menu (offerings, the sorted names, the commission
+	// rate, the journal and telemetry handles) and the books, running
+	// totals folded from every sale in acknowledgement order; the sales
+	// themselves live only in the journal. Menu writers (List,
+	// SetCommission, SetJournal, SetTelemetry) and the books fold take it
+	// exclusively. A listed *Offering is never written after it is
+	// published, so a buyer keeps using the one it read after unlocking.
+	mu         sync.RWMutex
+	offerings  map[string]*Offering      // guarded by mu
+	names      []string                  // guarded by mu; the menu, kept sorted by List
+	commission float64                   // guarded by mu; the broker's cut of each sale
+	journal    SaleJournal               // guarded by mu; nil keeps sales in memory only
+	tel        brokerTelemetry           // guarded by mu
+	books      map[string]*StatementLine // guarded by mu; per-offering running totals
+	total      StatementLine             // guarded by mu; all offerings, with the sale count
 
 	// src is the sale-time noise source, seeded at NewBroker so draws are
 	// replayable.
@@ -59,12 +58,6 @@ type Broker struct {
 	jcond    *sync.Cond   // signals batch completion; waiters re-check their batch
 	jbatch   *commitBatch // guarded by jmu; the batch accumulating sales
 	jleading bool         // guarded by jmu; a leader is journaling a batch
-
-	// tel is the broker's sale-path instrumentation; brokerTelemetry's
-	// handles are nil-safe, so an uninstrumented broker pays only nil
-	// checks on the hot path. Deliberately not lock-guarded: SetTelemetry
-	// runs at startup before the broker serves.
-	tel brokerTelemetry
 }
 
 // commitBatch is one in-flight group of sales. Its fields are owned by
@@ -75,22 +68,6 @@ type commitBatch struct {
 	sales []Purchase
 	err   error // the whole-batch verdict: a batch is journaled all-or-nothing
 	done  bool
-}
-
-// menuSnapshot is the immutable browse-path state. A published snapshot
-// is never mutated; writers build a fresh one and swap the pointer, so
-// Menu/Offering/saleTerms never block on a lock and never observe a
-// partial update.
-// The snapshot is immutable once Stored: writers clone it (cloneMenu),
-// mutate the clone, and republish, so readers on the Buy path never see
-// a half-updated menu.
-//
-//lint:immutable published via b.menu (atomic.Pointer); clone-mutate-Store only
-type menuSnapshot struct {
-	offerings  map[string]*Offering
-	names      []string // sorted menu, precomputed at publish time
-	commission float64
-	journal    SaleJournal
 }
 
 // SaleJournal is the broker's durability hook: an append-only log that
@@ -110,11 +87,9 @@ var ErrJournal = errors.New("market: sale journal append failed")
 // append first, then books). A nil j turns journaling back off. Set it
 // at startup, after replaying recovered sales.
 func (b *Broker) SetJournal(j SaleJournal) {
-	b.regmu.Lock()
-	defer b.regmu.Unlock()
-	next := b.cloneMenu()
-	next.journal = j
-	b.menu.Store(next)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.journal = j
 }
 
 // ReplaySale folds a recovered purchase into the books without drawing
@@ -127,7 +102,8 @@ func (b *Broker) ReplaySale(p Purchase) {
 }
 
 // brokerTelemetry bundles the broker's metric handles so the hot path
-// never goes through registry lookups.
+// never goes through registry lookups. The handles are nil-safe, so an
+// uninstrumented broker pays only nil checks on the sale path.
 type brokerTelemetry struct {
 	reg       *telemetry.Registry
 	revenue   *telemetry.FloatCounter
@@ -137,16 +113,16 @@ type brokerTelemetry struct {
 
 // SetTelemetry points the broker's sale metrics at reg: purchase counts
 // per offering, revenue and commission totals, rejected purchases by
-// reason, and the noise-draw latency histogram. Call before serving; the
-// handles are swapped under regmu.
+// reason, and the noise-draw latency histogram. Sales already past their
+// menu read finish on the handles they read.
 func (b *Broker) SetTelemetry(reg *telemetry.Registry) {
 	reg.Help("nimbus_purchases_total", "Completed sales by offering.")
 	reg.Help("nimbus_revenue_total", "Gross revenue across all sales.")
 	reg.Help("nimbus_broker_fees_total", "Commission kept by the broker.")
 	reg.Help("nimbus_purchase_rejects_total", "Purchases refused, by reason.")
 	reg.Help("nimbus_noise_draw_seconds", "Latency of per-sale noise perturbation.")
-	b.regmu.Lock()
-	defer b.regmu.Unlock()
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	b.tel = brokerTelemetry{
 		reg:       reg,
 		revenue:   reg.FloatCounter("nimbus_revenue_total"),
@@ -155,23 +131,21 @@ func (b *Broker) SetTelemetry(reg *telemetry.Registry) {
 	}
 	// Existing listings get their per-offering sale counter attached now;
 	// later listings get theirs in List. Caching the handle on the
-	// offering keeps registry lookups off the sale path. The offerings in
-	// the published snapshot are read concurrently by the Buy path, so
-	// each gets the counter on a clone and the whole menu is republished.
-	next := b.cloneMenu()
-	for name, o := range next.offerings {
+	// offering keeps registry lookups off the sale path. A buyer may still
+	// hold a listed offering after unlocking, so each gets the counter on a
+	// copy that replaces it in the menu.
+	for name, o := range b.offerings {
 		oc := *o
 		//lint:ignore telemetry-label-literal offering names come from the seller-curated menu, not from buyer requests, so the series set is bounded by listings
 		oc.sales = reg.Counter("nimbus_purchases_total", "offering", o.Name)
-		next.offerings[name] = &oc
+		b.offerings[name] = &oc
 	}
-	b.menu.Store(next)
 }
 
-// recordReject classifies a failed purchase for telemetry. It keeps label
+// reject classifies a failed purchase for telemetry. It keeps label
 // cardinality bounded by mapping errors onto a fixed reason set.
-func (b *Broker) recordReject(err error) {
-	if b.tel.reg == nil || err == nil {
+func (t brokerTelemetry) reject(err error) {
+	if t.reg == nil || err == nil {
 		return
 	}
 	reason := "invalid"
@@ -186,7 +160,7 @@ func (b *Broker) recordReject(err error) {
 		reason = "journal"
 	}
 	//lint:ignore telemetry-label-literal reason is mapped onto the fixed four-value set above before it reaches the registry
-	b.tel.reg.Counter("nimbus_purchase_rejects_total", "reason", reason).Inc()
+	t.reg.Counter("nimbus_purchase_rejects_total", "reason", reason).Inc()
 }
 
 // Purchase is a completed sale: the sold instance plus its receipt.
@@ -215,30 +189,13 @@ var ErrUnknownOffering = errors.New("market: unknown offering")
 func NewBroker(seed int64) *Broker {
 	b := &Broker{src: rng.NewLocked(seed)}
 	b.jcond = sync.NewCond(&b.jmu)
-	// No other goroutine can reach b yet, but books is mu-guarded, so
+	// No other goroutine can reach b yet, but the maps are mu-guarded, so
 	// honor the contract anyway — one uncontended lock at startup.
 	b.mu.Lock()
+	b.offerings = make(map[string]*Offering)
 	b.books = make(map[string]*StatementLine)
 	b.mu.Unlock()
-	b.menu.Store(&menuSnapshot{offerings: map[string]*Offering{}})
 	return b
-}
-
-// cloneMenu copies the published snapshot so a writer can mutate the copy
-// and publish it. Caller holds regmu (which is what makes read-copy-update
-// safe against concurrent writers).
-func (b *Broker) cloneMenu() *menuSnapshot {
-	cur := b.menu.Load()
-	next := &menuSnapshot{
-		offerings:  make(map[string]*Offering, len(cur.offerings)+1),
-		names:      cur.names,
-		commission: cur.commission,
-		journal:    cur.journal,
-	}
-	for k, v := range cur.offerings {
-		next.offerings[k] = v
-	}
-	return next
 }
 
 // SetCommission sets the broker's cut of every sale as a fraction in
@@ -248,11 +205,9 @@ func (b *Broker) SetCommission(rate float64) error {
 	if rate < 0 || rate >= 1 {
 		return fmt.Errorf("market: commission %v outside [0, 1)", rate)
 	}
-	b.regmu.Lock()
-	defer b.regmu.Unlock()
-	next := b.cloneMenu()
-	next.commission = rate
-	b.menu.Store(next)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.commission = rate
 	return nil
 }
 
@@ -263,40 +218,41 @@ func (b *Broker) List(cfg OfferingConfig) (*Offering, error) {
 	if err != nil {
 		return nil, err
 	}
-	b.regmu.Lock()
-	defer b.regmu.Unlock()
-	next := b.cloneMenu()
-	if _, dup := next.offerings[o.Name]; dup {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if _, dup := b.offerings[o.Name]; dup {
 		return nil, fmt.Errorf("market: offering %s already listed", o.Name)
 	}
 	if b.tel.reg != nil {
 		//lint:ignore telemetry-label-literal offering names come from the seller-curated menu, not from buyer requests, so the series set is bounded by listings
 		o.sales = b.tel.reg.Counter("nimbus_purchases_total", "offering", o.Name)
 	}
-	next.offerings[o.Name] = o
-	names := make([]string, 0, len(next.offerings))
-	for name := range next.offerings {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	next.names = names
-	b.menu.Store(next)
+	b.offerings[o.Name] = o
+	b.names = append(b.names, o.Name)
+	sort.Strings(b.names)
 	return o, nil
 }
 
-// Menu returns the listed offering names, sorted. Lock-free: one atomic
-// snapshot load plus a copy of the precomputed menu.
+// Menu returns the listed offering names, sorted.
 func (b *Broker) Menu() []string {
-	return append([]string(nil), b.menu.Load().names...)
+	b.mu.RLock()
+	defer b.mu.RUnlock()
+	return append([]string(nil), b.names...)
 }
 
-// Offering looks up a listed offering by name. Lock-free.
+// Offering looks up a listed offering by name.
 func (b *Broker) Offering(name string) (*Offering, error) {
-	o, ok := b.menu.Load().offerings[name]
-	if !ok {
-		return nil, fmt.Errorf("market: %q: %w", name, ErrUnknownOffering)
+	b.mu.RLock()
+	o := b.offerings[name]
+	b.mu.RUnlock()
+	if o == nil {
+		return nil, unknownOffering(name)
 	}
 	return o, nil
+}
+
+func unknownOffering(name string) error {
+	return fmt.Errorf("market: %q: %w", name, ErrUnknownOffering)
 }
 
 // buyMode selects which of the paper's three purchase options buy
@@ -328,18 +284,31 @@ func (b *Broker) BuyWithPriceBudget(offering, loss string, budget float64) (*Pur
 	return b.buy(offering, loss, buyPriceBudget, budget)
 }
 
+// saleTerms is what one sale reads from the menu besides its offering,
+// all in the same read-locked section, so a concurrent SetCommission or
+// SetJournal cannot split a sale across two rates or two journals.
+type saleTerms struct {
+	commission float64
+	journal    SaleJournal
+	tel        brokerTelemetry
+}
+
 // buy resolves the offering and curve, picks the purchase point per the
 // buyer's option, and finalizes the sale, recording any refusal for
 // telemetry.
 func (b *Broker) buy(offering, loss string, mode buyMode, arg float64) (*Purchase, error) {
-	o, err := b.Offering(offering)
-	if err != nil {
-		b.recordReject(err)
+	b.mu.RLock()
+	o := b.offerings[offering]
+	terms := saleTerms{commission: b.commission, journal: b.journal, tel: b.tel}
+	b.mu.RUnlock()
+	if o == nil {
+		err := unknownOffering(offering)
+		terms.tel.reject(err)
 		return nil, err
 	}
 	c, err := o.Curve(loss)
 	if err != nil {
-		b.recordReject(err)
+		terms.tel.reject(err)
 		return nil, err
 	}
 	var pt pricing.PriceErrorPoint
@@ -352,10 +321,10 @@ func (b *Broker) buy(offering, loss string, mode buyMode, arg float64) (*Purchas
 		pt, err = c.PointForPriceBudget(arg)
 	}
 	if err != nil {
-		b.recordReject(err)
+		terms.tel.reject(err)
 		return nil, err
 	}
-	return b.finalize(o, loss, pt)
+	return b.finalize(o, loss, pt, terms)
 }
 
 // finalize samples the noisy instance from the broker's stream, makes the
@@ -364,17 +333,17 @@ func (b *Broker) buy(offering, loss string, mode buyMode, arg float64) (*Purchas
 // and returns the purchase. The purchase record is marshalled here,
 // outside every lock — only the journal I/O and the books fold are
 // serialized, through the commit queue.
-func (b *Broker) finalize(o *Offering, loss string, pt pricing.PriceErrorPoint) (*Purchase, error) {
+func (b *Broker) finalize(o *Offering, loss string, pt pricing.PriceErrorPoint, terms saleTerms) (*Purchase, error) {
 	if pt.X <= 0 {
 		err := fmt.Errorf("market: purchase at non-positive quality %v", pt.X)
-		b.recordReject(err)
+		terms.tel.reject(err)
 		return nil, err
 	}
 	delta := 1 / pt.X
 	drawStart := time.Now()
 	weights := o.Mechanism.Perturb(o.Optimal, delta, b.src.Split())
-	b.tel.noiseDraw.Observe(time.Since(drawStart).Seconds())
-	fee, j := b.saleTerms(pt.Price)
+	terms.tel.noiseDraw.Observe(time.Since(drawStart).Seconds())
+	fee := terms.commission * pt.Price
 	p := Purchase{
 		Offering:       o.Name,
 		Loss:           loss,
@@ -386,31 +355,23 @@ func (b *Broker) finalize(o *Offering, loss string, pt pricing.PriceErrorPoint) 
 		ExpectedError:  pt.Error,
 		Weights:        weights,
 	}
-	if j != nil {
+	if terms.journal != nil {
 		rec, err := MarshalSale(p)
 		if err == nil {
-			err = b.commit(j, rec, p)
+			err = b.commit(terms.journal, rec, p)
 		}
 		if err != nil {
 			err = fmt.Errorf("%w: %v", ErrJournal, err)
-			b.recordReject(err)
+			terms.tel.reject(err)
 			return nil, err
 		}
 	} else {
 		b.record(p)
 	}
 	o.sales.Inc()
-	b.tel.revenue.Add(pt.Price)
-	b.tel.fees.Add(fee)
+	terms.tel.revenue.Add(pt.Price)
+	terms.tel.fees.Add(fee)
 	return &p, nil
-}
-
-// saleTerms snapshots the commission owed on price and the journal handle
-// from one menu snapshot, so a concurrent SetCommission/SetJournal cannot
-// split the pair. Lock-free.
-func (b *Broker) saleTerms(price float64) (fee float64, j SaleJournal) {
-	snap := b.menu.Load()
-	return snap.commission * price, snap.journal
 }
 
 // commit runs one sale through the broker's commit queue: write-ahead

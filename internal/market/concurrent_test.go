@@ -11,11 +11,23 @@ import (
 	"nimbus/internal/ml"
 	"nimbus/internal/pricing"
 	"nimbus/internal/rng"
+	"nimbus/internal/telemetry"
 )
 
 // listSmall lists a small named offering — cheap enough that a test can
 // build several and spread purchases across them.
 func listSmall(t *testing.T, b *Broker, name string, seed int64) *Offering {
+	t.Helper()
+	o, err := b.List(smallOffering(t, name, seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
+// smallOffering builds listSmall's offering config, so that a goroutine
+// other than the test's own can List it.
+func smallOffering(t *testing.T, name string, seed int64) OfferingConfig {
 	t.Helper()
 	d, err := dataset.StandIn("CASP", dataset.GenConfig{Rows: 150, Seed: seed})
 	if err != nil {
@@ -30,17 +42,13 @@ func listSmall(t *testing.T, b *Broker, name string, seed int64) *Offering {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o, err := b.List(OfferingConfig{
+	return OfferingConfig{
 		Seller:  s,
 		Model:   ml.LinearRegression{Ridge: 1e-3},
 		Grid:    pricing.DefaultGrid(8),
 		Samples: 24,
 		Seed:    seed + 2,
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	return o
 }
 
 // assertAggregatesMatchRescan is the regression check for the running
@@ -78,9 +86,9 @@ func assertAggregatesMatchRescan(t *testing.T, b *Broker, sales []Purchase) {
 
 // TestConcurrentBuyOneCommitQueue hammers the buy path from every side at
 // once — purchases on four offerings through one commit queue, menu
-// browsing, commission changes, aggregate reads — then checks the books
-// balance against the journal and that the journal replays into identical
-// books. Run with -race in CI.
+// browsing, a new listing, telemetry and commission changes, aggregate
+// reads — then checks the books balance against the journal and that the
+// journal replays into identical books. Run with -race in CI.
 func TestConcurrentBuyOneCommitQueue(t *testing.T) {
 	b := NewBroker(97)
 	if err := b.SetCommission(0.1); err != nil {
@@ -97,6 +105,7 @@ func TestConcurrentBuyOneCommitQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.SetJournal(j)
+	late := smallOffering(t, "epsilon", 140)
 
 	const buyersPerOffering, buys = 3, 8
 	var wg sync.WaitGroup
@@ -114,11 +123,19 @@ func TestConcurrentBuyOneCommitQueue(t *testing.T) {
 			}(name, w)
 		}
 	}
-	// Browse and admin churn while the buyers run: the lock-free menu path
-	// and the snapshot writers must never block or corrupt a purchase.
+	// Browse and admin churn while the buyers run: every menu writer —
+	// List, SetTelemetry, SetCommission — races the buyers' menu reads and
+	// must never block or corrupt a purchase. SetTelemetry replaces every
+	// listed offering, which buyers may still be selling.
 	stop := make(chan struct{})
 	var churn sync.WaitGroup
-	churn.Add(1)
+	churn.Add(2)
+	go func() {
+		defer churn.Done()
+		if _, err := b.List(late); err != nil {
+			t.Error(err)
+		}
+	}()
 	go func() {
 		defer churn.Done()
 		rates := []float64{0.05, 0.1, 0.15}
@@ -128,8 +145,8 @@ func TestConcurrentBuyOneCommitQueue(t *testing.T) {
 				return
 			default:
 			}
-			if got := len(b.Menu()); got != len(names) {
-				t.Errorf("menu has %d offerings, want %d", got, len(names))
+			if got := len(b.Menu()); got != len(names) && got != len(names)+1 {
+				t.Errorf("menu has %d offerings, want %d or %d", got, len(names), len(names)+1)
 				return
 			}
 			if _, err := b.Offering(names[i%len(names)]); err != nil {
@@ -140,6 +157,7 @@ func TestConcurrentBuyOneCommitQueue(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			b.SetTelemetry(telemetry.NewRegistry())
 			b.Payouts()
 			b.TotalFees()
 			b.Statement()
@@ -150,6 +168,9 @@ func TestConcurrentBuyOneCommitQueue(t *testing.T) {
 	churn.Wait()
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if got := len(b.Menu()); got != len(names)+1 {
+		t.Fatalf("menu has %d offerings after the churn, want %d", got, len(names)+1)
 	}
 
 	want := len(names) * buyersPerOffering * buys

@@ -91,9 +91,6 @@ func (s *Source) UniformVec(d int, variance float64) []float64 {
 // Perm returns a random permutation of [0, n).
 func (s *Source) Perm(n int) []int { return s.r.Perm(n) }
 
-// Shuffle permutes indexes via the provided swap function.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
-
 func sign(x float64) float64 {
 	if x < 0 {
 		return -1
