@@ -88,6 +88,22 @@ func readFile(fsys FS, name string) ([]byte, error) {
 	return data, err
 }
 
+// fileSize stats name through fsys without reading it.
+func fileSize(fsys FS, name string) (int64, error) {
+	f, err := fsys.OpenFile(name, os.O_RDONLY, 0)
+	if err != nil {
+		return 0, err
+	}
+	fi, err := f.Stat()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return 0, err
+	}
+	return fi.Size(), nil
+}
+
 // WriteFileAtomic writes a file so a crash at any point leaves either the
 // old content or the new content, never a mix: the payload goes to a
 // temporary file in the same directory, is fsynced, renamed over path,

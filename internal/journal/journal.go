@@ -1,9 +1,9 @@
 // Package journal is a stdlib-only append-only write-ahead journal for
 // the broker's sale ledger — the marketplace's only irreplaceable state.
-// On restart markets are relisted from their manifests (datasets and
-// models rebuilt from source, served error curves read back); the record
-// of who bought what at which price is not reproducible, so it must
-// survive kill -9.
+// On restart markets are relisted from their manifests (datasets rebuilt
+// from source, h* and served error curves read back); the record of who
+// bought what at which price is not reproducible, so it must survive
+// kill -9.
 //
 // On disk a journal directory holds at most one snapshot plus a run of
 // segment files:
@@ -33,6 +33,7 @@ package journal
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -142,7 +143,7 @@ type Journal struct {
 	// journal costs no timer wakeups.
 	flushc chan struct{}
 
-	// Recovery state captured at Open, consumed by Snapshot/Replay.
+	// Recovery state captured at Open, read by Snapshot/Replay.
 	replay   []segmentInfo
 	snapSeq  uint64
 	snapPath string
@@ -207,10 +208,25 @@ func (j *Journal) initTelemetry(reg *telemetry.Registry) {
 // after it, truncates a torn final write, and opens the last segment for
 // appending. Damage that cannot be attributed to a torn tail returns
 // ErrCorrupt. After Open, read the recovered state via Snapshot and
-// Replay, then Append away.
+// Replay, which reads the segments again, then Append away.
 //
 //lint:owns the journal holds an open segment file (and under SyncInterval a flusher goroutine); the caller must Close it on every path
 func Open(dir string, opts Options) (*Journal, error) {
+	return OpenReplay(dir, opts, nil, nil)
+}
+
+// OpenReplay is Open that hands the recovered state over while recovery
+// reads it, so every replayed segment is read from disk once, and only
+// one segment's bytes are held at a time. restore, when non-nil, reads
+// the newest snapshot if there is one; then replay, when non-nil, receives
+// every record that survives recovery, oldest first. An error from either
+// fails OpenReplay, wrapped. OpenReplay judges the tail as it reads it, so
+// when it fails — with ErrCorrupt found in a later segment, or an error
+// from restore or replay — restore and replay may already have seen part
+// of the journal, and the caller must discard whatever they built.
+//
+//lint:owns the journal holds an open segment file (and under SyncInterval a flusher goroutine); the caller must Close it on every path
+func OpenReplay(dir string, opts Options, restore func(snapshot io.Reader) error, replay func(rec []byte) error) (*Journal, error) {
 	if opts.FS == nil {
 		opts.FS = OSFS{}
 	}
@@ -225,7 +241,7 @@ func Open(dir string, opts Options) (*Journal, error) {
 	}
 	j := &Journal{dir: dir, opts: opts, fs: opts.FS}
 	j.initTelemetry(opts.Telemetry)
-	if err := j.recover(); err != nil {
+	if err := j.recover(restore, replay); err != nil {
 		return nil, err
 	}
 	// No other goroutine can reach j yet, but openTail and segmentsOnDisk

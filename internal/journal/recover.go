@@ -69,9 +69,10 @@ func parseSeq(name, prefix, suffix string) (uint64, bool) {
 
 // recover scans the directory, removes files a finished compaction made
 // redundant, validates the segments newer than the snapshot, and repairs
-// a torn tail. On return j.replay/j.snapSeq/j.snapPath describe the
-// recovered state.
-func (j *Journal) recover() error {
+// a torn tail. restore and replay, when non-nil, receive the snapshot and
+// then each surviving record as the scan reads them (see OpenReplay). On
+// return j.replay/j.snapSeq/j.snapPath describe the recovered state.
+func (j *Journal) recover(restore func(io.Reader) error, replay func([]byte) error) error {
 	st, err := listDir(j.fs, j.dir)
 	if err != nil {
 		return err
@@ -86,7 +87,7 @@ func (j *Journal) recover() error {
 			return fmt.Errorf("journal: removing stale snapshot %s: %w", p, err)
 		}
 	}
-	var run []segScan
+	var seqs []uint64
 	for seq, path := range st.segs {
 		if seq < st.snapSeq {
 			if err := j.fs.Remove(path); err != nil {
@@ -94,13 +95,28 @@ func (j *Journal) recover() error {
 			}
 			continue
 		}
-		sc, err := scanSegment(j.fs, seq, path)
+		seqs = append(seqs, seq)
+	}
+	sort.Slice(seqs, func(a, b int) bool { return seqs[a] < seqs[b] })
+
+	if restore != nil {
+		if err := j.restoreSnapshot(restore); err != nil {
+			return err
+		}
+	}
+	run := make([]segScan, 0, len(seqs))
+	for _, seq := range seqs {
+		sc, err := scanSegment(j.fs, seq, st.segs[seq], replay)
 		if err != nil {
 			return err
 		}
+		if sc.status != scanClean {
+			// Nothing past damage is replayed: a torn segment is the last
+			// one recovery keeps, and any other damage refuses below.
+			replay = nil
+		}
 		run = append(run, sc)
 	}
-	sort.Slice(run, func(a, b int) bool { return run[a].seq < run[b].seq })
 
 	v := judgeRun(st.snapSeq, run)
 	if v.err != nil {
@@ -121,7 +137,23 @@ func (j *Journal) recover() error {
 	return nil
 }
 
-// segScan is one segment's framing as a read-only scan found it.
+// restoreSnapshot hands the newest snapshot, if any, to restore.
+func (j *Journal) restoreSnapshot(restore func(io.Reader) error) error {
+	rc, ok, err := j.Snapshot()
+	if err != nil || !ok {
+		return err
+	}
+	err = restore(rc)
+	if cerr := rc.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("journal: restoring snapshot %s: %w", j.snapPath, err)
+	}
+	return nil
+}
+
+// segScan is one segment's framing as a scan found it.
 type segScan struct {
 	seq      uint64
 	path     string
@@ -131,14 +163,17 @@ type segScan struct {
 	status   scanStatus
 }
 
-// scanSegment reads the segment at path and classifies its framing.
-func scanSegment(fsys FS, seq uint64, path string) (segScan, error) {
+// scanSegment reads the segment at path and classifies its framing,
+// handing each intact record to replay when it is non-nil.
+func scanSegment(fsys FS, seq uint64, path string, replay func([]byte) error) (segScan, error) {
 	buf, err := readFile(fsys, path)
 	if err != nil {
 		return segScan{}, fmt.Errorf("journal: reading segment %s: %w", path, err)
 	}
-	//lint:ignore no-dropped-error scanFrames only returns an error from the fn callback, which is nil here
-	validLen, frames, status, _ := scanFrames(buf, nil)
+	validLen, frames, status, err := scanFrames(buf, replay)
+	if err != nil {
+		return segScan{}, fmt.Errorf("journal: replaying %s: %w", path, err)
+	}
 	return segScan{seq: seq, path: path, bytes: int64(len(buf)), validLen: validLen, frames: frames, status: status}, nil
 }
 
@@ -266,7 +301,8 @@ func (j *Journal) Snapshot() (rc io.ReadCloser, ok bool, err error) {
 // Replay streams every record that survived recovery, oldest first, to
 // fn; a non-nil error from fn aborts the replay. Call it once after Open
 // (and after applying Snapshot), before appending: records appended after
-// Open are not replayed.
+// Open are not replayed. It reads the segments Open already read once;
+// OpenReplay replays during that first read instead.
 func (j *Journal) Replay(fn func(rec []byte) error) error {
 	for _, seg := range j.replay {
 		buf, err := readFile(j.fs, seg.path)

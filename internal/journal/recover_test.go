@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -434,5 +437,197 @@ func TestReadFileAllocatesOnce(t *testing.T) {
 	// 1 MiB buffer takes about 30.
 	if allocs > 10 {
 		t.Fatalf("reading a %d-byte file made %.0f allocations, want at most 10", len(want), allocs)
+	}
+}
+
+// readLogFS logs every read-only open, so a test can see which files
+// recovery reads and in what order.
+type readLogFS struct {
+	OSFS
+	log *[]string
+}
+
+func (f readLogFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	if flag == os.O_RDONLY {
+		*f.log = append(*f.log, "read "+filepath.Base(name))
+	}
+	return f.OSFS.OpenFile(name, flag, perm)
+}
+
+// TestOpenReplayReadsEachSegmentOnce checks that OpenReplay hands over
+// the snapshot, then reads each replayed segment from disk exactly once
+// and delivers its records before it reads the next one — so recovery
+// holds one segment at a time — and that it delivers what Open plus
+// Snapshot and Replay do.
+func TestOpenReplayReadsEachSegmentOnce(t *testing.T) {
+	dir := t.TempDir()
+	recs := records(14)
+	j, err := Open(dir, Options{Sync: SyncNever, SegmentBytes: 96})
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, j, recs[:4])
+	if err := j.Compact(func(w io.Writer) error { _, err := w.Write([]byte("books")); return err }); err != nil {
+		t.Fatal(err)
+	}
+	appendAll(t, j, recs[4:])
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(segs)
+	if len(segs) < 3 {
+		t.Fatalf("want several segments after the snapshot, got %d", len(segs))
+	}
+	snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("want one snapshot, got %v (%v)", snaps, err)
+	}
+	// The expected log: the snapshot, then each segment read once and
+	// followed by its own records.
+	want := []string{"read " + filepath.Base(snaps[0]), "snapshot books"}
+	for _, seg := range segs {
+		buf, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, "read "+filepath.Base(seg))
+		if _, _, _, err := scanFrames(buf, func(rec []byte) error {
+			want = append(want, "record "+string(rec))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(want) - 2 - len(segs); n != len(recs)-4 {
+		t.Fatalf("segments hold %d records after the snapshot, want %d", n, len(recs)-4)
+	}
+
+	var log []string
+	j, err = OpenReplay(dir, Options{Sync: SyncNever, FS: readLogFS{log: &log}},
+		func(r io.Reader) error {
+			b, err := io.ReadAll(r)
+			log = append(log, "snapshot "+string(b))
+			return err
+		},
+		func(rec []byte) error {
+			log = append(log, "record "+string(rec))
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(log, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("OpenReplay read and delivered\n%s\nwant\n%s", strings.Join(log, "\n"), strings.Join(want, "\n"))
+	}
+
+	// Open, Snapshot and Replay deliver the same state.
+	j, err = Open(dir, Options{Sync: SyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if got := replayAll(t, j); !equalRecords(got, recs[4:]) {
+		t.Fatalf("Replay delivered %d records, want %d", len(got), len(recs)-4)
+	}
+}
+
+// TestOpenReplayFailures checks that OpenReplay fails, returning no
+// journal, on damage it finds after it has started replaying and on an
+// error from either callback, which it wraps.
+func TestOpenReplayFailures(t *testing.T) {
+	errStop := errors.New("stop")
+	t.Run("damage after replay began", func(t *testing.T) {
+		dir := t.TempDir()
+		segs := buildDir(t, dir, records(20), 64)
+		torn := segs[len(segs)-2] // a non-final segment
+		info, err := os.Stat(torn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(torn, info.Size()-2); err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		j, err := OpenReplay(dir, Options{Sync: SyncNever}, nil, func([]byte) error { n++; return nil })
+		if !errors.Is(err, ErrCorrupt) || j != nil {
+			t.Fatalf("OpenReplay: %v, want ErrCorrupt and no journal", err)
+		}
+		if n == 0 {
+			t.Fatal("the damage was found before any record was replayed; the test needs it later")
+		}
+	})
+	t.Run("replay error", func(t *testing.T) {
+		dir := t.TempDir()
+		buildDir(t, dir, records(3), DefaultSegmentBytes)
+		j, err := OpenReplay(dir, Options{Sync: SyncNever}, nil, func([]byte) error { return errStop })
+		if !errors.Is(err, errStop) || j != nil {
+			t.Fatalf("OpenReplay: %v, want the replay error and no journal", err)
+		}
+	})
+	t.Run("restore error", func(t *testing.T) {
+		dir := t.TempDir()
+		j, err := Open(dir, Options{Sync: SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendAll(t, j, records(3))
+		if err := j.Compact(func(w io.Writer) error { _, err := w.Write([]byte("books")); return err }); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		j, err = OpenReplay(dir, Options{Sync: SyncNever}, func(io.Reader) error { return errStop }, nil)
+		if !errors.Is(err, errStop) || j != nil {
+			t.Fatalf("OpenReplay: %v, want the restore error and no journal", err)
+		}
+	})
+}
+
+// TestVerifyStatsTheSnapshot checks that Verify reports the snapshot's
+// length without reading it: the bytes it allocates do not grow with the
+// snapshot's size.
+func TestVerifyStatsTheSnapshot(t *testing.T) {
+	allocated := func(snapBytes int) uint64 {
+		dir := t.TempDir()
+		j, err := Open(dir, Options{Sync: SyncNever})
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendAll(t, j, records(3))
+		if err := j.Compact(func(w io.Writer) error { _, err := w.Write(make([]byte, snapBytes)); return err }); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Verify(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.SnapshotBytes != int64(snapBytes) {
+			t.Fatalf("Verify reports a %d-byte snapshot, want %d", rep.SnapshotBytes, snapBytes)
+		}
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := Verify(dir, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / runs
+	}
+	small, large := allocated(64), allocated(4<<20)
+	if large > small+64<<10 {
+		t.Fatalf("Verify allocates %d B over a 4 MiB snapshot and %d B over a 64 B one", large, small)
 	}
 }

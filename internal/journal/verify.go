@@ -56,11 +56,11 @@ func Verify(dir string, fsys FS) (*Report, error) {
 		rep.HasSnapshot = true
 		rep.SnapshotSeq = st.snapSeq
 		rep.SnapshotName = filepath.Base(st.snapPath)
-		buf, err := readFile(fsys, st.snapPath)
+		size, err := fileSize(fsys, st.snapPath)
 		if err != nil {
 			return nil, err
 		}
-		rep.SnapshotBytes = int64(len(buf))
+		rep.SnapshotBytes = size
 	}
 
 	var seqs []uint64
@@ -71,7 +71,7 @@ func Verify(dir string, fsys FS) (*Report, error) {
 
 	var run []segScan
 	for _, seq := range seqs {
-		sc, err := scanSegment(fsys, seq, st.segs[seq])
+		sc, err := scanSegment(fsys, seq, st.segs[seq], nil)
 		if err != nil {
 			return nil, err
 		}

@@ -93,6 +93,12 @@ type OfferingConfig struct {
 	// exactly Grid; the buyer points, prices and SLA check are derived
 	// from them as from a fresh transform.
 	Curves []*pricing.ErrorCurve
+	// Optimal, when set, is the h* this offering served before (see
+	// Offering.Optimal), used in place of Model.Fit so a relisted
+	// offering sells the instance it sold. It is valid only together
+	// with Curves and a Model, and must hold one finite weight per
+	// feature of the seller's training set; the offering takes it over.
+	Optimal []float64
 	// Strategy optionally overrides how prices are set from the buyer
 	// points; nil means the revenue-maximizing DP. Baselines like opt.OptC
 	// plug in here (the experiments use this for live A/B comparisons).
@@ -115,7 +121,8 @@ type Offering struct {
 	Pair  *dataset.Pair
 	// Mechanism is the noise mechanism used at sale time.
 	Mechanism noise.Mechanism
-	// Optimal is h*_λ(D), trained once when the offering is listed.
+	// Optimal is h*_λ(D), trained once when the offering is first listed
+	// and handed back through OfferingConfig.Optimal when it is relisted.
 	Optimal []float64
 	// PriceFunc is the revenue-optimized arbitrage-free pricing function
 	// over the quality axis.
@@ -137,6 +144,9 @@ type Offering struct {
 func newOffering(cfg OfferingConfig) (*Offering, error) {
 	if cfg.Seller == nil {
 		return nil, errors.New("market: offering needs a seller")
+	}
+	if cfg.Model == nil && cfg.Optimal != nil {
+		return nil, errors.New("market: a stored optimal instance needs its model")
 	}
 	if cfg.Model == nil && cfg.AutoSelect {
 		folds := cfg.SelectFolds
@@ -175,9 +185,14 @@ func newOffering(cfg OfferingConfig) (*Offering, error) {
 	}
 
 	pair := cfg.Seller.Pair
-	optimal, err := cfg.Model.Fit(pair.Train)
-	if err != nil {
-		return nil, fmt.Errorf("market: training optimal instance: %w", err)
+	optimal := cfg.Optimal
+	var err error
+	if optimal == nil {
+		if optimal, err = cfg.Model.Fit(pair.Train); err != nil {
+			return nil, fmt.Errorf("market: training optimal instance: %w", err)
+		}
+	} else if err = givenOptimal(cfg, pair.Train); err != nil {
+		return nil, err
 	}
 
 	// One error curve per supported reporting loss, estimated on the test
@@ -280,6 +295,27 @@ func newOffering(cfg OfferingConfig) (*Offering, error) {
 		return nil, err
 	}
 	return o, nil
+}
+
+// givenOptimal checks a stored h* against the offering it is relisted
+// into: it needs the stored curves, and it must be a finite weight vector
+// of the model's task over the training set's features.
+func givenOptimal(cfg OfferingConfig, train *dataset.Dataset) error {
+	if cfg.Curves == nil {
+		return errors.New("market: a stored optimal instance needs the stored error curves")
+	}
+	if cfg.Model.Task() != train.Task {
+		return fmt.Errorf("market: %s expects %v data, dataset %q is %v: %w", cfg.Model.Name(), cfg.Model.Task(), train.Name, train.Task, ml.ErrTaskMismatch)
+	}
+	if len(cfg.Optimal) != train.D() {
+		return fmt.Errorf("market: stored optimal instance has %d weights, the training set %d features", len(cfg.Optimal), train.D())
+	}
+	for i, w := range cfg.Optimal {
+		if math.IsNaN(w) || math.IsInf(w, 0) {
+			return fmt.Errorf("market: stored optimal weight %d is %v", i, w)
+		}
+	}
+	return nil
 }
 
 // givenCurves keys precomputed error curves by loss, checking there is

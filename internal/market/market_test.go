@@ -3,6 +3,7 @@ package market
 import (
 	"errors"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -261,6 +262,52 @@ func TestAutoSelectModel(t *testing.T) {
 	// Without AutoSelect, a nil model is still an error.
 	if _, err := b.List(OfferingConfig{Seller: regSeller(t)}); err == nil {
 		t.Fatal("nil model without AutoSelect accepted")
+	}
+}
+
+// TestListWithStoredOptimal relists an offering with the h* and curves it
+// served: it sells that h* as given, without fitting, at the same prices.
+// A stored h* without curves or a model, of the wrong length, with a
+// non-finite weight or for a model of the other task is refused.
+func TestListWithStoredOptimal(t *testing.T) {
+	seller := clsSeller(t)
+	cfg := OfferingConfig{Seller: seller, Model: ml.LogisticRegression{Ridge: 1e-4}, Grid: pricing.DefaultGrid(8), Seed: 19}
+	o, err := NewBroker(18).List(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := append([]float64(nil), o.Optimal...)
+	edited[0] += 0.25 // not what a fit returns, so a refit would show
+	relist := cfg
+	relist.Curves, relist.Optimal = o.ErrorCurves(), edited
+	got, err := NewBroker(18).List(relist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range edited {
+		if math.Float64bits(got.Optimal[i]) != math.Float64bits(w) {
+			t.Fatalf("relisted h* weight %d is %v, the stored one %v", i, got.Optimal[i], w)
+		}
+	}
+	if !reflect.DeepEqual(got.PriceFunc.Points(), o.PriceFunc.Points()) {
+		t.Fatal("relisting with stored terms changed the prices")
+	}
+
+	nonFinite := append([]float64(nil), o.Optimal...)
+	nonFinite[1] = math.Inf(1)
+	for name, edit := range map[string]func(c *OfferingConfig){
+		"no curves":    func(c *OfferingConfig) { c.Curves = nil },
+		"no model":     func(c *OfferingConfig) { c.Model, c.AutoSelect = nil, true },
+		"short":        func(c *OfferingConfig) { c.Optimal = o.Optimal[1:] },
+		"empty":        func(c *OfferingConfig) { c.Optimal = []float64{} },
+		"non-finite":   func(c *OfferingConfig) { c.Optimal = nonFinite },
+		"another task": func(c *OfferingConfig) { c.Model = ml.LinearRegression{} },
+	} {
+		bad := relist
+		edit(&bad)
+		if _, err := NewBroker(18).List(bad); err == nil {
+			t.Errorf("%s: a bad stored h* was accepted", name)
+		}
 	}
 }
 

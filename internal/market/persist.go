@@ -18,9 +18,10 @@ import (
 // is journaled as a compact binary record; compaction folds the journaled
 // sales into a snapshot of the books, which is JSON, like the offerings.
 // On startup each offering is relisted from its source (see
-// internal/registry): datasets and trained models are rebuilt, and the
-// error curves it served are passed back in through OfferingConfig.Curves
-// instead of being re-estimated. Only the books are irreplaceable state.
+// internal/registry): datasets are rebuilt, and the h* and error curves it
+// served are passed back in through OfferingConfig.Optimal and .Curves
+// instead of being refit and re-estimated. Only the books are
+// irreplaceable state.
 
 // LedgerSnapshot is the serialized books. Version guards the format: v2
 // carries the books, v1 (written by earlier builds) every sale instead.

@@ -11,6 +11,7 @@ import (
 
 	"nimbus/internal/journal"
 	"nimbus/internal/market"
+	"nimbus/internal/ml"
 	"nimbus/internal/par"
 	"nimbus/internal/pricing"
 )
@@ -18,7 +19,10 @@ import (
 // On-disk layout, one directory per tenant under Config.Root:
 //
 //	<root>/<id>/manifest.json  - the normalized Spec (rebuild recipe) plus
-//	                             the error curves the market serves
+//	                             the terms the offering sells on: its
+//	                             error curves, h* and, for "auto" specs,
+//	                             the model selection chose. Broker-private:
+//	                             no route serves it.
 //	<root>/<id>/dataset.csv    - raw upload, CSV-sourced tenants only
 //	<root>/<id>/journal/       - the tenant's own write-ahead journal
 //	<root>/.delisted/<id>-<n>  - archived tenants (renamed, never deleted)
@@ -40,18 +44,26 @@ const (
 // tenantDir is the live directory for a tenant.
 func tenantDir(root, id string) string { return filepath.Join(root, id) }
 
-// manifest is the on-disk form of manifest.json: the spec plus the error
-// curves the market's offering serves. Recovery reuses the curves instead
-// of recomputing them, so a market keeps the terms it served even when a
-// later build transforms differently (markets listed by builds that
-// estimated curves by Monte Carlo keep those estimates); everything else is
-// rebuilt from the spec. They live here, not in Spec, because Spec is also the
-// listing request body — a seller can never supply curves. A manifest
-// without curves (written before they were kept) still reads, and
-// recovers through the full listing pipeline.
+// manifest is the on-disk form of manifest.json: the spec plus the terms
+// the market's offering sells on. Recovery relists the offering with the
+// stored terms instead of recomputing them, so a market keeps selling
+// exactly what it sold — the same h*, curves and prices — even when a
+// later build fits or transforms differently, and a restart runs neither
+// the fit nor model selection; only the dataset is rebuilt from the spec.
+// The terms live here, not in Spec, because Spec is also the listing
+// request body — a seller can never supply them. A manifest without h*
+// (written before it was kept) still reads: recovery fits h* once, reusing
+// the stored curves if it has them and running the full listing pipeline
+// if it has none, and rewrites the manifest with the terms it produced.
 type manifest struct {
 	Spec
 	Curves []storedCurve `json:"curves,omitempty"`
+	// Optimal is the offering's h*. encoding/json round-trips float64
+	// exactly, so the stored weights come back bit for bit.
+	Optimal []float64 `json:"optimal,omitempty"`
+	// Candidate is, for an "auto" spec, the index of the model selection
+	// chose in ml.DefaultCandidates for the dataset's task.
+	Candidate *int `json:"candidate,omitempty"`
 }
 
 // storedCurve is one reporting loss's served error curve. encoding/json
@@ -62,12 +74,41 @@ type storedCurve struct {
 	Errs []float64 `json:"errs"`
 }
 
-// writeManifest persists the normalized spec and the served error curves
-// atomically (temp file, fsync, rename) so a crash mid-write leaves the
-// old manifest or the new one.
-func writeManifest(dir string, spec Spec, curves []*pricing.ErrorCurve) error {
-	m := manifest{Spec: spec, Curves: make([]storedCurve, len(curves))}
-	for i, c := range curves {
+// terms is the manifest's record of what an offering sells on. The zero
+// value (nothing stored) lists through the full pipeline.
+type terms struct {
+	curves    []*pricing.ErrorCurve
+	optimal   []float64
+	candidate *int
+}
+
+// termsOf captures the terms a listed offering sells on.
+func termsOf(spec Spec, o *market.Offering) (terms, error) {
+	t := terms{curves: o.ErrorCurves(), optimal: o.Optimal}
+	if spec.Model == "auto" {
+		for i, c := range ml.DefaultCandidates(o.Pair.Train.Task) {
+			if c == o.Model {
+				t.candidate = &i
+				break
+			}
+		}
+		if t.candidate == nil {
+			return terms{}, fmt.Errorf("registry: market %s: selected model %s is not a default candidate", spec.ID, o.Model.Name())
+		}
+	}
+	return t, nil
+}
+
+// writeManifest persists the normalized spec and the terms the listed
+// offering sells on atomically (temp file, fsync, rename) so a crash
+// mid-write leaves the old manifest or the new one.
+func writeManifest(dir string, spec Spec, o *market.Offering) error {
+	t, err := termsOf(spec, o)
+	if err != nil {
+		return err
+	}
+	m := manifest{Spec: spec, Curves: make([]storedCurve, len(t.curves)), Optimal: t.optimal, Candidate: t.candidate}
+	for i, c := range t.curves {
 		m.Curves[i] = storedCurve{Loss: c.LossName, Xs: c.Xs, Errs: c.Errs}
 	}
 	return journal.WriteFileAtomic(journal.OSFS{}, filepath.Join(dir, manifestFile), func(w io.Writer) error {
@@ -78,38 +119,42 @@ func writeManifest(dir string, spec Spec, curves []*pricing.ErrorCurve) error {
 }
 
 // readManifest loads and re-validates a tenant's spec and its stored
-// error curves (nil when the manifest has none).
-func readManifest(dir string) (Spec, []*pricing.ErrorCurve, error) {
+// terms (the zero terms when the manifest has none). Whether the terms
+// fit the rebuilt dataset is checked when the offering is relisted.
+func readManifest(dir string) (Spec, terms, error) {
 	path := filepath.Join(dir, manifestFile)
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return Spec{}, nil, err
+		return Spec{}, terms{}, err
 	}
 	var m manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return Spec{}, nil, fmt.Errorf("registry: parsing %s: %w", path, err)
+		return Spec{}, terms{}, fmt.Errorf("registry: parsing %s: %w", path, err)
 	}
 	if m.Version != specVersion {
-		return Spec{}, nil, fmt.Errorf("registry: %s: manifest version %d, this build reads %d", dir, m.Version, specVersion)
+		return Spec{}, terms{}, fmt.Errorf("registry: %s: manifest version %d, this build reads %d", dir, m.Version, specVersion)
 	}
 	spec, err := m.Spec.normalize()
 	if err != nil {
-		return Spec{}, nil, err
+		return Spec{}, terms{}, err
 	}
-	var curves []*pricing.ErrorCurve
+	if m.Candidate != nil && spec.Model != "auto" {
+		return Spec{}, terms{}, fmt.Errorf("registry: %s: a selected model stored for a spec that selects none (model %q)", path, spec.Model)
+	}
+	t := terms{optimal: m.Optimal, candidate: m.Candidate}
 	for _, sc := range m.Curves {
 		c, err := pricing.RestoreCurve(sc.Loss, sc.Xs, sc.Errs)
 		if err != nil {
-			return Spec{}, nil, fmt.Errorf("registry: %s: %w", path, err)
+			return Spec{}, terms{}, fmt.Errorf("registry: %s: %w", path, err)
 		}
-		curves = append(curves, c)
+		t.curves = append(t.curves, c)
 	}
-	return spec, curves, nil
+	return spec, t, nil
 }
 
 // persistTenant creates the tenant directory and writes the manifest plus,
 // for CSV sources, the raw dataset bytes.
-func persistTenant(root string, spec Spec, curves []*pricing.ErrorCurve, csvData []byte) error {
+func persistTenant(root string, spec Spec, o *market.Offering, csvData []byte) error {
 	dir := tenantDir(root, spec.ID)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("registry: creating %s: %w", dir, err)
@@ -123,7 +168,7 @@ func persistTenant(root string, spec Spec, curves []*pricing.ErrorCurve, csvData
 			return err
 		}
 	}
-	return writeManifest(dir, spec, curves)
+	return writeManifest(dir, spec, o)
 }
 
 // removeTenantDir erases a half-created tenant directory after a failed
@@ -158,43 +203,25 @@ func archiveTenant(root, id string) error {
 }
 
 // openTenantJournal opens (and recovers) one tenant's journal: restore the
-// compacted snapshot into the broker, replay the record tail, then switch
-// the broker's sale path onto the journal.
+// compacted snapshot into the broker and replay the record tail as the
+// journal reads them, then switch the broker's sale path onto the
+// journal. On error the broker holds part of a ledger and is discarded.
 func (r *Registry) openTenantJournal(b *market.Broker, dir string) (*journal.Journal, error) {
-	j, err := journal.Open(filepath.Join(dir, journalDir), journal.Options{
+	j, err := journal.OpenReplay(filepath.Join(dir, journalDir), journal.Options{
 		SegmentBytes: r.cfg.SegmentBytes,
 		Sync:         r.cfg.Sync,
 		SyncEvery:    r.cfg.SyncEvery,
 		Telemetry:    r.cfg.Telemetry,
-	})
-	if err != nil {
-		return nil, err
-	}
-	closeOnErr := func(err error) (*journal.Journal, error) {
-		//lint:ignore no-dropped-error best-effort cleanup; the recovery failure is what gets reported
-		j.Close()
-		return nil, err
-	}
-	if snap, ok, err := j.Snapshot(); err != nil {
-		return closeOnErr(err)
-	} else if ok {
-		err := b.RestoreLedger(snap)
-		if cerr := snap.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return closeOnErr(fmt.Errorf("registry: restoring journal snapshot: %w", err))
-		}
-	}
-	if err := j.Replay(func(rec []byte) error {
+	}, b.RestoreLedger, func(rec []byte) error {
 		p, err := market.UnmarshalSale(rec)
 		if err != nil {
 			return err
 		}
 		b.ReplaySale(p)
 		return nil
-	}); err != nil {
-		return closeOnErr(fmt.Errorf("registry: replaying journal: %w", err))
+	})
+	if err != nil {
+		return nil, fmt.Errorf("registry: recovering journal: %w", err)
 	}
 	b.SetJournal(j)
 	return j, nil
@@ -243,16 +270,16 @@ func (r *Registry) recoverTenants() error {
 	})
 }
 
-// recoverTenant rebuilds one market from its directory: relist it from
-// the manifest, reusing the error curves stored there (the dataset, split
-// and model are reproducible from the spec, and the buyer points, prices
-// and SLA check are re-derived from the curves), then recover the ledger
-// from the tenant's journal. A manifest without curves goes through the
-// full listing pipeline and is rewritten with the curves it produced, so
-// that slow path runs once per tenant.
+// recoverTenant rebuilds one market from its directory: relist it with
+// the terms stored in the manifest — the dataset and split are rebuilt
+// from the spec, the buyer points, prices and SLA check are re-derived
+// from the stored curves, and h* is not refit — then recover the ledger
+// from the tenant's journal. A manifest without h* fits it (and, without
+// curves, runs the full listing pipeline) and is rewritten with the terms
+// it produced, so that slow path runs once per tenant.
 func (r *Registry) recoverTenant(id string) (*Market, error) {
 	dir := tenantDir(r.cfg.Root, id)
-	spec, curves, err := readManifest(dir)
+	spec, stored, err := readManifest(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -266,12 +293,12 @@ func (r *Registry) recoverTenant(id string) (*Market, error) {
 			return nil, err
 		}
 	}
-	b, o, err := buildBroker(spec, csvData, r.cfg.Commission, curves)
+	b, o, err := buildBroker(spec, csvData, r.cfg.Commission, stored)
 	if err != nil {
 		return nil, err
 	}
-	if curves == nil {
-		if err := writeManifest(dir, spec, o.ErrorCurves()); err != nil {
+	if stored.optimal == nil {
+		if err := writeManifest(dir, spec, o); err != nil {
 			return nil, err
 		}
 	}

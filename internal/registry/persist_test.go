@@ -12,8 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"nimbus/internal/dataset"
 	"nimbus/internal/journal"
 	"nimbus/internal/market"
+	"nimbus/internal/ml"
 	"nimbus/internal/pricing"
 	"nimbus/internal/telemetry"
 )
@@ -24,23 +26,33 @@ type listing struct {
 	csv  []byte
 }
 
-// curveTenants covers every shape of stored curves: a regression tenant
+// curveTenants covers every shape of stored terms: a regression tenant
 // (one loss), a classification tenant (two losses: the training loss and
-// zero-one) and a CSV-sourced tenant.
+// zero-one), a CSV-sourced tenant, and two "auto" tenants — one whose
+// selection picks the SVM, and one that picks the second of the
+// regression candidates, which shares its model name with the first.
 func curveTenants() []listing {
 	return []listing{
 		{spec: cheapSpec("reg", 3)},
 		{spec: Spec{ID: "cls", Generator: "Simulated2", Rows: 150, Grid: 8, Samples: 24, Seed: 5}},
 		{spec: Spec{ID: "csv", CSV: true, Task: "regression", Target: "y", Grid: 8, Samples: 24, Seed: 11}, csv: testCSV(120)},
+		{spec: Spec{ID: "auto-cls", Generator: "Simulated2", Model: "auto", Rows: 150, Grid: 8, Samples: 24, Seed: 9}},
+		{spec: Spec{ID: "auto-reg", Generator: "CASP", Model: "auto", Rows: 150, Grid: 8, Samples: 24, Seed: 3}},
 	}
 }
 
-// served is what a tenant's one offering serves: the price–error rows per
-// loss and the pricing function's knots.
+// served is what a tenant's one offering serves: its menu row (name,
+// dataset shape and expected revenue), the model and its h*, the
+// price–error rows per loss and the pricing function's knots.
 type served struct {
-	losses []string
-	rows   map[string][]pricing.PriceErrorPoint
-	knots  []pricing.Point
+	name    string
+	stats   dataset.Stats
+	revenue float64
+	model   ml.Model
+	optimal []float64
+	losses  []string
+	rows    map[string][]pricing.PriceErrorPoint
+	knots   []pricing.Point
 }
 
 func servedBy(t *testing.T, m *Market) served {
@@ -49,7 +61,16 @@ func servedBy(t *testing.T, m *Market) served {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := served{losses: o.LossNames(), rows: map[string][]pricing.PriceErrorPoint{}, knots: o.PriceFunc.Points()}
+	s := served{
+		name:    o.Name,
+		stats:   o.Pair.Stats(),
+		revenue: o.ExpectedRevenue,
+		model:   o.Model,
+		optimal: o.Optimal,
+		losses:  o.LossNames(),
+		rows:    map[string][]pricing.PriceErrorPoint{},
+		knots:   o.PriceFunc.Points(),
+	}
 	for _, loss := range s.losses {
 		c, err := o.Curve(loss)
 		if err != nil {
@@ -64,6 +85,14 @@ func servedBy(t *testing.T, m *Market) served {
 func requireSameBits(t *testing.T, id string, got, want served) {
 	t.Helper()
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if got.name != want.name || got.stats != want.stats || !same(got.revenue, want.revenue) {
+		t.Fatalf("%s: menu row %s %v revenue %v, want %s %v revenue %v",
+			id, got.name, got.stats, got.revenue, want.name, want.stats, want.revenue)
+	}
+	if !reflect.DeepEqual(got.model, want.model) {
+		t.Fatalf("%s: model %#v, want %#v", id, got.model, want.model)
+	}
+	requireSameWeights(t, id, got.optimal, want.optimal)
 	if strings.Join(got.losses, ",") != strings.Join(want.losses, ",") {
 		t.Fatalf("%s: losses %v, want %v", id, got.losses, want.losses)
 	}
@@ -84,6 +113,19 @@ func requireSameBits(t *testing.T, id string, got, want served) {
 	for i := range want.knots {
 		if !same(got.knots[i].X, want.knots[i].X) || !same(got.knots[i].Price, want.knots[i].Price) {
 			t.Fatalf("%s: price knot %d %+v, want %+v", id, i, got.knots[i], want.knots[i])
+		}
+	}
+}
+
+// requireSameWeights fails unless got holds want's weights bit for bit.
+func requireSameWeights(t *testing.T, id string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d weights in h*, want %d", id, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: h* weight %d is %v, want %v", id, i, got[i], want[i])
 		}
 	}
 }
@@ -236,8 +278,8 @@ func TestRecoveryServesStoredCurvesNotTheTransform(t *testing.T) {
 
 // TestManifestWithoutCurvesRecoversAndIsUpgraded recovers tenants whose
 // manifests predate stored curves: they go through the full listing
-// pipeline, serve the same curves as before, and have their manifests
-// rewritten with those curves.
+// pipeline, serve the same h* and curves as before, and have their
+// manifests rewritten with them.
 func TestManifestWithoutCurvesRecoversAndIsUpgraded(t *testing.T) {
 	root := t.TempDir()
 	cfg := Config{Root: root, Commission: 0.1, Sync: journal.SyncAlways, Logf: t.Logf}
@@ -269,6 +311,7 @@ func TestManifestWithoutCurvesRecoversAndIsUpgraded(t *testing.T) {
 	requireServes(t, r2, want)
 	for id, s := range want {
 		m := readRawManifest(t, root, id)
+		requireSameWeights(t, id+" upgraded manifest", m.Optimal, s.optimal)
 		if len(m.Curves) != len(s.losses) {
 			t.Fatalf("%s: upgraded manifest stores %d curves for %d losses", id, len(m.Curves), len(s.losses))
 		}
@@ -283,6 +326,107 @@ func TestManifestWithoutCurvesRecoversAndIsUpgraded(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestManifestWithoutOptimalRecoversAndIsUpgraded recovers tenants whose
+// manifests store curves but not h* (written before h* was kept): each
+// fits h* once — auto tenants select their model again — serves the same
+// model, h*, curves and prices as before, and has its manifest rewritten
+// with h* and the selected model. The next Open serves the same bits from
+// the upgraded manifest and leaves it as it is.
+func TestManifestWithoutOptimalRecoversAndIsUpgraded(t *testing.T) {
+	root := t.TempDir()
+	cfg := Config{Root: root, Commission: 0.1, Sync: journal.SyncAlways, Logf: t.Logf}
+	r, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := listAndBuy(t, r, curveTenants())
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for id := range want {
+		m := readRawManifest(t, root, id)
+		m.Optimal, m.Candidate = nil, nil
+		writeRawManifest(t, root, id, m)
+	}
+
+	r2, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireServes(t, r2, want)
+	if err := r2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	upgraded := map[string][]byte{}
+	for id, s := range want {
+		m := readRawManifest(t, root, id)
+		requireSameWeights(t, id+" upgraded manifest", m.Optimal, s.optimal)
+		if auto := strings.HasPrefix(id, "auto"); auto != (m.Candidate != nil) {
+			t.Fatalf("%s: upgraded manifest's selected model %v", id, m.Candidate)
+		}
+		data, err := os.ReadFile(filepath.Join(root, id, manifestFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		upgraded[id] = data
+	}
+
+	r3, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r3.Close()
+	requireServes(t, r3, want)
+	for id, data := range upgraded {
+		now, err := os.ReadFile(filepath.Join(root, id, manifestFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(now, data) {
+			t.Fatalf("%s: Open rewrote a manifest that stores h*", id)
+		}
+	}
+}
+
+// TestRecoveryServesStoredOptimalNotAFit hand-edits one weight of each
+// stored h* and checks the reopened tenant serves it exactly as stored:
+// recovery took h* from the manifest and did not refit it.
+func TestRecoveryServesStoredOptimalNotAFit(t *testing.T) {
+	root := t.TempDir()
+	cfg := Config{Root: root, Commission: 0.1, Sync: journal.SyncAlways, Logf: t.Logf}
+	r, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := listAndBuy(t, r, curveTenants())
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for id := range want {
+		m := readRawManifest(t, root, id)
+		m.Optimal[0] += 0.375
+		writeRawManifest(t, root, id, m)
+		want[id] = served{model: want[id].model, optimal: m.Optimal}
+	}
+
+	r2, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r2.Close()
+	for id, w := range want {
+		m, err := r2.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := servedBy(t, m)
+		if !reflect.DeepEqual(got.model, w.model) {
+			t.Fatalf("%s: model %#v, want %#v", id, got.model, w.model)
+		}
+		requireSameWeights(t, id+" (recovery refit h*?)", got.optimal, w.optimal)
 	}
 }
 
@@ -311,63 +455,115 @@ func TestDamagedStoredCurvesFailOpen(t *testing.T) {
 			errs := m.Curves[0].Errs
 			errs[len(errs)-1] = 2 * errs[0]
 		}},
-		{name: "NaN", text: func(data []byte) []byte {
-			i := bytes.Index(data, []byte(`"errs": [`)) + len(`"errs": [`)
-			j := i + bytes.IndexByte(data[i:], ',')
-			return append(append(append([]byte(nil), data[:i]...), "NaN"...), data[j:]...)
-		}},
+		{name: "NaN", text: func(data []byte) []byte { return replaceFirstValue(data, "errs", "NaN") }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			root := t.TempDir()
-			// SyncInterval gives every open journal a flusher goroutine, so
-			// a recovered tenant left open shows as a goroutine that never
-			// exits. "aaa" is recovered before "zzz" fails.
-			cfg := Config{Root: root, Commission: 0.1, Sync: journal.SyncInterval, SyncEvery: time.Hour, Logf: t.Logf}
-			r, err := Open(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			listAndBuy(t, r, []listing{
-				{spec: cheapSpec("aaa", 1)},
-				{spec: Spec{ID: "zzz", Generator: "Simulated2", Rows: 150, Grid: 8, Samples: 24, Seed: 5}},
-			})
-			if err := r.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if tc.damage != nil {
-				m := readRawManifest(t, root, "zzz")
-				tc.damage(&m)
-				writeRawManifest(t, root, "zzz", m)
-			} else {
-				path := filepath.Join(root, "zzz", manifestFile)
-				data, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, tc.text(data), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-
-			base := runtime.NumGoroutine()
-			r2, err := Open(cfg)
-			if err == nil {
-				r2.Close()
-				t.Fatal("Open accepted a damaged stored curve")
-			}
-			if !strings.Contains(err.Error(), "zzz") {
-				t.Fatalf("error does not name the failing tenant: %v", err)
-			}
-			deadline := time.Now().Add(5 * time.Second)
-			for runtime.NumGoroutine() > base {
-				if time.Now().After(deadline) {
-					t.Fatalf("goroutines: %d at Open, %d now — a recovered tenant's journal was left open",
-						base, runtime.NumGoroutine())
-				}
-				time.Sleep(10 * time.Millisecond)
-			}
+			requireDamageFailsOpen(t, Spec{ID: "zzz", Generator: "Simulated2", Rows: 150, Grid: 8, Samples: 24, Seed: 5}, tc.damage, tc.text)
 		})
+	}
+}
+
+// TestDamagedStoredOptimalFailsOpen checks that a stored h* that does not
+// fit the tenant — the wrong length, a non-numeric or non-finite weight,
+// no curves beside it, or a selected model that is not a candidate or
+// belongs to no "auto" spec — fails Open with an error naming the tenant
+// and leaves no recovered tenant open.
+func TestDamagedStoredOptimalFailsOpen(t *testing.T) {
+	cls := Spec{ID: "zzz", Generator: "Simulated2", Rows: 150, Grid: 8, Samples: 24, Seed: 5}
+	auto := Spec{ID: "zzz", Generator: "Simulated2", Model: "auto", Rows: 150, Grid: 8, Samples: 24, Seed: 9}
+	firstWeight := func(with string) func([]byte) []byte {
+		return func(data []byte) []byte { return replaceFirstValue(data, "optimal", with) }
+	}
+	candidate := func(i int) func(m *manifest) { return func(m *manifest) { m.Candidate = &i } }
+	cases := []struct {
+		name   string
+		spec   Spec
+		damage func(m *manifest)
+		text   func(data []byte) []byte // edits the encoded manifest instead
+	}{
+		{name: "short", spec: cls, damage: func(m *manifest) { m.Optimal = m.Optimal[:len(m.Optimal)-1] }},
+		{name: "long", spec: cls, damage: func(m *manifest) { m.Optimal = append(m.Optimal, 0.5) }},
+		{name: "empty", spec: cls, text: func(data []byte) []byte {
+			i := bytes.Index(data, []byte(`"optimal": [`)) + len(`"optimal": [`)
+			j := i + bytes.IndexByte(data[i:], ']')
+			return append(append(append([]byte(nil), data[:i]...), ' '), data[j:]...)
+		}},
+		{name: "string", spec: cls, text: firstWeight(`"0.5"`)},
+		{name: "NaN", spec: cls, text: firstWeight("NaN")},
+		{name: "overflow", spec: cls, text: firstWeight("1e999")},
+		{name: "without curves", spec: cls, damage: func(m *manifest) { m.Curves = nil }},
+		{name: "candidate on a fixed model", spec: cls, damage: candidate(0)},
+		{name: "auto without candidate", spec: auto, damage: func(m *manifest) { m.Candidate = nil }},
+		{name: "candidate out of range", spec: auto, damage: candidate(3)},
+		{name: "negative candidate", spec: auto, damage: candidate(-1)},
+		{name: "candidate of another model", spec: auto, damage: candidate(0)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			requireDamageFailsOpen(t, tc.spec, tc.damage, tc.text)
+		})
+	}
+}
+
+// replaceFirstValue replaces the first element of the encoded manifest's
+// array under key with the raw JSON text with.
+func replaceFirstValue(data []byte, key, with string) []byte {
+	open := `"` + key + `": [`
+	i := bytes.Index(data, []byte(open)) + len(open)
+	j := i + bytes.IndexByte(data[i:], ',')
+	return append(append(append([]byte(nil), data[:i]...), with...), data[j:]...)
+}
+
+// requireDamageFailsOpen lists a healthy tenant "aaa" and the tenant
+// zzz, applies damage (or text) to zzz's manifest, and requires Open to
+// fail naming zzz and to leave no recovered tenant open.
+func requireDamageFailsOpen(t *testing.T, zzz Spec, damage func(m *manifest), text func(data []byte) []byte) {
+	t.Helper()
+	root := t.TempDir()
+	// SyncInterval gives every open journal a flusher goroutine, so
+	// a recovered tenant left open shows as a goroutine that never
+	// exits. "aaa" is recovered before "zzz" fails.
+	cfg := Config{Root: root, Commission: 0.1, Sync: journal.SyncInterval, SyncEvery: time.Hour, Logf: t.Logf}
+	r, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listAndBuy(t, r, []listing{{spec: cheapSpec("aaa", 1)}, {spec: zzz}})
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if damage != nil {
+		m := readRawManifest(t, root, "zzz")
+		damage(&m)
+		writeRawManifest(t, root, "zzz", m)
+	} else {
+		path := filepath.Join(root, "zzz", manifestFile)
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, text(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	base := runtime.NumGoroutine()
+	r2, err := Open(cfg)
+	if err == nil {
+		r2.Close()
+		t.Fatal("Open accepted a damaged manifest")
+	}
+	if !strings.Contains(err.Error(), "zzz") {
+		t.Fatalf("error does not name the failing tenant: %v", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines: %d at Open, %d now — a recovered tenant's journal was left open",
+				base, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -14,9 +14,10 @@ import (
 // Spec describes how one tenant market is built: which dataset backs it
 // (a named generator or seller-uploaded CSV), which model is sold, and the
 // listing parameters of the Figure 2 pipeline. The spec is the recipe in
-// the tenant's manifest: a restart rebuilds the dataset and model from it
-// and reuses the error curves stored beside it (see manifest), so the
-// market keeps the terms it served; the sale ledger rides the journal.
+// the tenant's manifest: a restart rebuilds the dataset from it and
+// relists with the terms stored beside it — h*, the error curves and the
+// model selection chose (see manifest) — so the market keeps the terms it
+// served; the sale ledger rides the journal.
 type Spec struct {
 	// Version guards the on-disk manifest format.
 	Version int `json:"version,omitempty"`
@@ -185,12 +186,13 @@ func buildDataset(spec Spec, csvData []byte) (*dataset.Dataset, error) {
 	return d, nil
 }
 
-// buildBroker runs the full listing pipeline for the spec on a fresh
-// broker: generate/parse the dataset, split it, train, transform,
-// optimize prices, and list the offering. This is the slow part of List —
-// the registry runs it outside its lock. Non-nil curves, the ones the
-// offering served before a restart, replace the transform.
-func buildBroker(spec Spec, csvData []byte, commission float64, curves []*pricing.ErrorCurve) (*market.Broker, *market.Offering, error) {
+// buildBroker runs the listing pipeline for the spec on a fresh broker:
+// generate/parse the dataset, split it, train, transform, optimize
+// prices, and list the offering. This is the slow part of List — the
+// registry runs it outside its lock. The stored terms of an offering that
+// served before a restart replace what they hold: curves the transform,
+// h* the fit, and the selected candidate model selection.
+func buildBroker(spec Spec, csvData []byte, commission float64, stored terms) (*market.Broker, *market.Offering, error) {
 	d, err := buildDataset(spec, csvData)
 	if err != nil {
 		return nil, nil, err
@@ -212,11 +214,20 @@ func buildBroker(spec Spec, csvData []byte, commission float64, curves []*pricin
 		Grid:    pricing.DefaultGrid(spec.Grid),
 		Samples: spec.Samples,
 		Seed:    spec.Seed + 3,
-		Curves:  curves,
+		Curves:  stored.curves,
+		Optimal: stored.optimal,
 	}
 	switch spec.Model {
 	case "auto":
-		cfg.AutoSelect = true
+		candidates := ml.DefaultCandidates(pair.Train.Task)
+		switch i := stored.candidate; {
+		case i == nil:
+			cfg.AutoSelect = true
+		case *i >= 0 && *i < len(candidates):
+			cfg.Model = candidates[*i]
+		default:
+			return nil, nil, fmt.Errorf("registry: market %s: selected model %d of %d candidates", spec.ID, *i, len(candidates))
+		}
 	case "linear-regression":
 		cfg.Model = ml.LinearRegression{Ridge: 1e-4}
 	case "logistic-regression":
