@@ -11,13 +11,13 @@ import (
 // a new allocation on the path fails the test, and so does a saving, so
 // that the budget is lowered to the new count and keeps holding it.
 const (
-	// inMemoryBuyAllocs: three for the per-sale noise stream (rng.Split
-	// builds a Source, a math/rand.Rand and its reseeded 5 KB state), the
-	// noise draw, the noisy weights, and the returned purchase.
-	inMemoryBuyAllocs = 6
+	// inMemoryBuyAllocs: the per-sale noise stream (rng.Split builds the
+	// child Source, its math/rand.Rand and its PCG in one allocation), the
+	// noisy weights the noise is drawn into, and the returned purchase.
+	inMemoryBuyAllocs = 3
 	// journaledBuyAllocs adds the encoded record and one commit batch
 	// (its header and its recs and sales slices) per sale.
-	journaledBuyAllocs = 10
+	journaledBuyAllocs = 7
 )
 
 // checkAllocBudget requires buy to allocate exactly budget times per call.

@@ -651,3 +651,29 @@ func TestBrokerTelemetryConcurrent(t *testing.T) {
 		t.Fatalf("revenue %v vs ledger %v", got, b.TotalRevenue())
 	}
 }
+
+// TestFirstSaleGolden pins the weights of a broker's first sale. They are
+// h* plus the first draws of the broker's first child stream, so a change
+// to the per-sale stream (the PCG, v1's NormFloat64, the seeding of a
+// child from its parent) or to the in-place Gaussian draw fails here.
+func TestFirstSaleGolden(t *testing.T) {
+	b := NewBroker(5)
+	o := listSmall(t, b, "golden", 50)
+	p, err := b.BuyAtQuality(o.Name, "squared", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []uint64{
+		0xbfd4d5a6e31fca6d, 0x3fcf32c2f738066e, 0x3feee32110f16348,
+		0x3fc166161a9cc1fa, 0xbfdf83f0497fb2dd, 0x3fc3ec1fee2faf0f,
+		0x3fdf23ea11abd588, 0x3fcced8a59a3bbae, 0xc00427e14e680e98,
+	}
+	if len(p.Weights) != len(want) {
+		t.Fatalf("first sale has %d weights, want %d", len(p.Weights), len(want))
+	}
+	for i, w := range p.Weights {
+		if got := math.Float64bits(w); got != want[i] {
+			t.Errorf("weight %d = %#x (%v), want %#x", i, got, w, want[i])
+		}
+	}
+}

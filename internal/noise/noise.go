@@ -40,7 +40,9 @@ func (Gaussian) Name() string { return "gaussian" }
 
 // Perturb implements Mechanism.
 func (Gaussian) Perturb(optimal []float64, delta float64, src *rng.Source) []float64 {
-	return addNoise(optimal, src.NormalVec(len(optimal), perCoordVar(len(optimal), delta)))
+	out := vec.Clone(optimal)
+	src.AddNormal(out, perCoordVar(len(optimal), delta))
+	return out
 }
 
 // Laplace is the alternative mechanism from Example 2: IID zero-mean Laplace
@@ -52,7 +54,9 @@ func (Laplace) Name() string { return "laplace" }
 
 // Perturb implements Mechanism.
 func (Laplace) Perturb(optimal []float64, delta float64, src *rng.Source) []float64 {
-	return addNoise(optimal, src.LaplaceVec(len(optimal), perCoordVar(len(optimal), delta)))
+	out := vec.Clone(optimal)
+	src.AddLaplace(out, perCoordVar(len(optimal), delta))
+	return out
 }
 
 // Uniform is the additive mechanism K_1 from Example 1 generalized to
@@ -65,7 +69,9 @@ func (Uniform) Name() string { return "uniform" }
 
 // Perturb implements Mechanism.
 func (Uniform) Perturb(optimal []float64, delta float64, src *rng.Source) []float64 {
-	return addNoise(optimal, src.UniformVec(len(optimal), perCoordVar(len(optimal), delta)))
+	out := vec.Clone(optimal)
+	src.AddUniform(out, perCoordVar(len(optimal), delta))
+	return out
 }
 
 func perCoordVar(d int, delta float64) float64 {
@@ -76,11 +82,6 @@ func perCoordVar(d int, delta float64) float64 {
 		return 0
 	}
 	return delta / float64(d)
-}
-
-func addNoise(optimal, w []float64) []float64 {
-	out := vec.Clone(optimal)
-	return vec.AXPY(out, 1, w)
 }
 
 // ExpectedSquaredError returns E[ε_s(h_δ, D)] = E‖h_δ − h*‖² for any of the

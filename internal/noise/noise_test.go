@@ -76,6 +76,36 @@ func TestPerturbDoesNotMutateInput(t *testing.T) {
 	}
 }
 
+// TestPerturbMatchesCloneAXPY checks that each mechanism's in-place draw
+// equals, bit for bit, the clone + noise vector + AXPY it replaced, on the
+// same stream. h holds a negative zero and δ = 0 draws signed zeros, the
+// cases where adding a noise value and adding 1× it could part.
+func TestPerturbMatchesCloneAXPY(t *testing.T) {
+	h := []float64{1.5, -2, math.Copysign(0, -1), 0, 7, -0.25}
+	for _, tc := range []struct {
+		m     Mechanism
+		noise func(s *rng.Source, d int, variance float64) []float64
+	}{
+		{Gaussian{}, (*rng.Source).NormalVec},
+		{Laplace{}, (*rng.Source).LaplaceVec},
+		{Uniform{}, (*rng.Source).UniformVec},
+	} {
+		for _, delta := range []float64{0, 0.3, 5} {
+			for seed := int64(0); seed < 20; seed++ {
+				got := tc.m.Perturb(h, delta, rng.New(seed).Split())
+				w := tc.noise(rng.New(seed).Split(), len(h), perCoordVar(len(h), delta))
+				want := vec.AXPY(vec.Clone(h), 1, w)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s δ=%v seed %d: coordinate %d = %v, clone + AXPY gives %v",
+							tc.m.Name(), delta, seed, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestNegativeDeltaPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -39,6 +39,42 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// firstDraws returns s's first Int63, Float64, Normal(0, 1) and Intn(1000)
+// draws, the floats as their bits.
+func firstDraws(s *Source) [4]uint64 {
+	return [4]uint64{
+		uint64(s.Int63()),
+		math.Float64bits(s.Float64()),
+		math.Float64bits(s.Normal(0, 1)),
+		uint64(s.Intn(1000)),
+	}
+}
+
+// TestGoldenStreams pins the first draws of New and of Split. Datasets and
+// every tenant's h* are drawn from New's math/rand stream, so a Go release
+// or a refactor that moves it reprices stored tenants; Split's child pins
+// the PCG and v1's samplers on top of it.
+func TestGoldenStreams(t *testing.T) {
+	for _, tc := range []struct {
+		seed       int64
+		new, split [4]uint64
+	}{
+		{1,
+			[4]uint64{0x4d65822107fcfd52, 0x3fee18a683d7cfc6, 0xbfe0abfcce8fe1e6, 0x3b},
+			[4]uint64{0x1822a66b2ff61525, 0x3fd3b8b898976e65, 0x3ff2fcf7361445dc, 0x2cc}},
+		{42,
+			[4]uint64{0x2fbf64b1967f8c53, 0x3fb0e568973f772e, 0xbfdfa3d641342ea4, 0x2ee},
+			[4]uint64{0x2d96592c2f823685, 0x3fe9259957f2ad52, 0x3ffc04f1c9803f80, 0x1e1}},
+	} {
+		if got := firstDraws(New(tc.seed)); got != tc.new {
+			t.Errorf("New(%d) draws %#x, want %#x", tc.seed, got, tc.new)
+		}
+		if got := firstDraws(New(tc.seed).Split()); got != tc.split {
+			t.Errorf("New(%d).Split() draws %#x, want %#x", tc.seed, got, tc.split)
+		}
+	}
+}
+
 func TestSplitIndependence(t *testing.T) {
 	s := New(1)
 	child := s.Split()
@@ -125,21 +161,46 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
+// TestLockedConcurrent splits one Locked source from 8 goroutines. The lock
+// hands out the same children a serial run does, in some order, so the
+// multiset of the children's first draws matches the serial run's.
 func TestLockedConcurrent(t *testing.T) {
+	const goroutines, splits = 8, 200
 	l := NewLocked(12)
+	firsts := make([][]int64, goroutines)
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := range firsts {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				v := l.NormalVec(4, 1)
-				if len(v) != 4 {
-					t.Error("bad vector length")
-					return
-				}
+			for i := 0; i < splits; i++ {
+				firsts[g] = append(firsts[g], l.Split().Int63())
 			}
 		}()
 	}
 	wg.Wait()
+	got := make(map[int64]int)
+	for _, fs := range firsts {
+		for _, f := range fs {
+			got[f]++
+		}
+	}
+	serial := NewLocked(12)
+	for i := 0; i < goroutines*splits; i++ {
+		f := serial.Split().Int63()
+		if got[f] == 0 {
+			t.Fatalf("serial child %d's first draw %d missing from the concurrent run", i, f)
+		}
+		got[f]--
+	}
+}
+
+var splitSink *Source
+
+func BenchmarkSplit(b *testing.B) {
+	s := New(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		splitSink = s.Split()
+	}
 }
