@@ -23,6 +23,7 @@ type faultFS struct {
 	// file (a torn write); 0 means the write fails outright.
 	tearBytes    int
 	failSync     bool
+	syncs        int // Sync calls on the journal's files, failed ones included
 	failTruncate bool
 	failOpen     bool
 	failRemove   bool
@@ -90,6 +91,7 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 func (ff *faultFile) Sync() error {
 	ff.fs.mu.Lock()
 	fail := ff.fs.failSync
+	ff.fs.syncs++
 	ff.fs.mu.Unlock()
 	if fail {
 		return errInjectedSync

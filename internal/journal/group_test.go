@@ -93,49 +93,61 @@ func TestIntervalFlushesIdleTail(t *testing.T) {
 	if err := j2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Shut the abandoned journal down so its sync loop does not outlive
+	// Shut the abandoned journal down so its flush timer does not outlive
 	// the test (the crash already happened from recovery's point of view).
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestCloseStopsIntervalFlusher: under SyncInterval, Open starts the
-// journal's one long-lived goroutine, and Close must stop it. A Close
-// that hangs fails within seconds rather than at the test binary's
-// timeout, and the goroutine count must return to its value before Open.
+// TestCloseStopsIntervalFlusher: under SyncInterval the first dirty
+// append arms a flush timer, and Close stops it. A countdown pending at
+// Close whose Stop loses the race fires after Close: it must touch no
+// file and count no fsync, also when Close's own flush failed and left
+// the tail dirty. The test fires it by calling the timer's callback
+// directly. Nothing Open started outlives Close: the goroutine count
+// returns to its value before Open.
 func TestCloseStopsIntervalFlusher(t *testing.T) {
-	base := runtime.NumGoroutine()
-	j, err := Open(t.TempDir(), Options{Sync: SyncInterval, SyncEvery: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Arm the flusher and let its timer fire at least once, so Close
-	// meets a loop that has run, not one still parked at its first select.
-	if err := j.Append([]byte("armed")); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(5 * time.Millisecond)
+	for _, failFlush := range []bool{false, true} {
+		t.Run(fmt.Sprintf("failClosingFlush=%v", failFlush), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			fs := &faultFS{writesUntilFail: -1}
+			reg := telemetry.NewRegistry()
+			j, err := Open(t.TempDir(), Options{Sync: SyncInterval, SyncEvery: time.Hour, FS: fs, Telemetry: reg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := j.Append([]byte("armed")); err != nil {
+				t.Fatal(err)
+			}
+			fs.mu.Lock()
+			fs.failSync = failFlush
+			fs.mu.Unlock()
+			if err := j.Close(); (err != nil) != failFlush {
+				t.Fatalf("Close: %v (closing flush fails: %v)", err, failFlush)
+			}
+			fsyncs := reg.Counter("nimbus_journal_fsyncs_total")
+			counted := fsyncs.Value()
+			fs.mu.Lock()
+			syncs := fs.syncs
+			fs.mu.Unlock()
 
-	closed := make(chan error, 1)
-	go func() { closed <- j.Close() }()
-	timeout := time.NewTimer(5 * time.Second)
-	defer timeout.Stop()
-	select {
-	case err := <-closed:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-timeout.C:
-		t.Fatal("Close did not return within 5s: the interval flusher ignored its stop signal")
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: %d before Open, %d after Close — the interval flusher leaked",
-				base, runtime.NumGoroutine())
-		}
-		time.Sleep(time.Millisecond)
+			j.flushTimer()
+			fs.mu.Lock()
+			touched := fs.syncs != syncs
+			fs.mu.Unlock()
+			if touched || fsyncs.Value() != counted {
+				t.Fatalf("a flush timer firing after Close synced the tail: file touched %v, fsyncs %d -> %d",
+					touched, counted, fsyncs.Value())
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > base {
+				if time.Now().After(deadline) {
+					t.Fatalf("goroutines: %d before Open, %d after Close", base, runtime.NumGoroutine())
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }
 

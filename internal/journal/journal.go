@@ -137,19 +137,16 @@ type Journal struct {
 	buf      []byte // guarded by mu; frame scratch, reused across appends
 	segs     int    // guarded by mu; this journal's share of the segments gauge
 
-	// flushc arms the interval flush countdown: the first append to dirty
-	// the tail sends one token, and syncLoop flushes SyncEvery later — the
-	// durability window is anchored to the append itself, and an idle
-	// journal costs no timer wakeups.
-	flushc chan struct{}
+	// flush is the interval policy's countdown, created by the first
+	// append that dirties the tail and re-armed with Reset: the
+	// durability window is anchored to that append, and an idle journal
+	// costs no timer wakeups. Nil until then, and under other policies.
+	flush *time.Timer // guarded by mu
 
 	// Recovery state captured at Open, read by Snapshot/Replay.
 	replay   []segmentInfo
 	snapSeq  uint64
 	snapPath string
-
-	done chan struct{} // stops the interval sync loop
-	wg   sync.WaitGroup
 
 	tel journalTelemetry
 }
@@ -210,7 +207,7 @@ func (j *Journal) initTelemetry(reg *telemetry.Registry) {
 // ErrCorrupt. After Open, read the recovered state via Snapshot and
 // Replay, which reads the segments again, then Append away.
 //
-//lint:owns the journal holds an open segment file (and under SyncInterval a flusher goroutine); the caller must Close it on every path
+//lint:owns the journal holds an open segment file (and under SyncInterval a pending flush timer); the caller must Close it on every path
 func Open(dir string, opts Options) (*Journal, error) {
 	return OpenReplay(dir, opts, nil, nil)
 }
@@ -225,7 +222,7 @@ func Open(dir string, opts Options) (*Journal, error) {
 // from restore or replay — restore and replay may already have seen part
 // of the journal, and the caller must discard whatever they built.
 //
-//lint:owns the journal holds an open segment file (and under SyncInterval a flusher goroutine); the caller must Close it on every path
+//lint:owns the journal holds an open segment file (and under SyncInterval a pending flush timer); the caller must Close it on every path
 func OpenReplay(dir string, opts Options, restore func(snapshot io.Reader) error, replay func(rec []byte) error) (*Journal, error) {
 	if opts.FS == nil {
 		opts.FS = OSFS{}
@@ -255,12 +252,6 @@ func OpenReplay(dir string, opts Options, restore func(snapshot io.Reader) error
 	j.mu.Unlock()
 	if err != nil {
 		return nil, err
-	}
-	if opts.Sync == SyncInterval {
-		j.done = make(chan struct{})
-		j.flushc = make(chan struct{}, 1)
-		j.wg.Add(1)
-		go j.syncLoop()
 	}
 	return j, nil
 }
@@ -389,18 +380,36 @@ func (j *Journal) writeLocked(recs [][]byte, fsync bool) error {
 
 // armFlushLocked starts one SyncEvery countdown if none is pending, so
 // dirty bytes are flushed at most SyncEvery after the append that first
-// dirtied the tail. Caller holds j.mu.
+// dirtied the tail. A free-running ticker would instead let bytes written
+// just after a tick sit for up to a full extra period, and would keep
+// waking an idle process. Caller holds j.mu.
 //
 //lint:holds mu
 func (j *Journal) armFlushLocked() {
-	if j.armed || j.flushc == nil {
+	if j.armed {
 		return
 	}
 	j.armed = true
-	select {
-	case j.flushc <- struct{}{}:
-	default:
+	if j.flush == nil {
+		j.flush = time.AfterFunc(j.opts.SyncEvery, j.flushTimer)
+	} else {
+		j.flush.Reset(j.opts.SyncEvery)
 	}
+}
+
+// flushTimer is the countdown's callback. A countdown that fires after
+// Close (Stop lost the race) or after a failure touches nothing.
+func (j *Journal) flushTimer() {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.armed = false
+	if j.closed || j.failed != nil {
+		return
+	}
+	// syncLocked records a failure in j.failed, which the next Append
+	// reports; a timer has no caller to tell.
+	//lint:ignore no-dropped-error the failure is sticky in j.failed and reported by the next append
+	j.syncLocked()
 }
 
 // rotateLocked seals the tail segment (fsync + close) and starts the next
@@ -472,64 +481,18 @@ func (j *Journal) syncLocked() error {
 	return nil
 }
 
-// syncLoop drives the interval policy. The countdown is armed by the
-// first append that dirties a clean tail (armFlushLocked sends one
-// flushc token) and fires SyncEvery later, so the durability window is
-// anchored to the append itself: a burst followed by idleness is flushed
-// at most SyncEvery after its first record, and an idle journal costs no
-// timer wakeups at all. A free-running ticker would instead let dirty
-// bytes written just after a tick sit for up to a full extra period, and
-// kept waking an idle process.
-func (j *Journal) syncLoop() {
-	defer j.wg.Done()
-	t := time.NewTimer(j.opts.SyncEvery)
-	if !t.Stop() {
-		<-t.C
-	}
-	defer t.Stop()
-	for {
-		select {
-		case <-j.done:
-			return
-		case <-j.flushc:
-			t.Reset(j.opts.SyncEvery)
-		case <-t.C:
-			j.mu.Lock()
-			j.armed = false
-			if !j.closed {
-				// syncLocked records a failure in j.failed, which the
-				// next Append reports; the loop itself has no caller to
-				// tell.
-				if err := j.syncLocked(); err != nil {
-					j.mu.Unlock()
-					return
-				}
-			}
-			j.mu.Unlock()
-		}
-	}
-}
-
 // Close flushes and closes the tail segment. Further operations return
 // ErrClosed. Close is idempotent.
 func (j *Journal) Close() error {
-	// Manual unlock: the lock must be released before wg.Wait, or a
-	// concurrent syncLoop tick blocked on j.mu could never observe closed
-	// and exit.
 	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.closed {
-		j.mu.Unlock()
 		return nil
 	}
 	j.closed = true
-	done := j.done
-	j.mu.Unlock()
-	if done != nil {
-		close(done)
-		j.wg.Wait()
+	if j.flush != nil {
+		j.flush.Stop()
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	j.addSegmentsLocked(-j.segs)
 	if j.tail == nil {
 		// A compaction or rotation sealed the tail and could not start

@@ -21,7 +21,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nimbus/internal/market"
 	"nimbus/internal/rng"
 	"nimbus/internal/server"
 )
@@ -107,10 +106,12 @@ type curvePoint struct {
 	x, err, price float64
 }
 
-// targetGroup is one market's shoppable curves. Runs on the untenanted
-// routes use one group with an empty market ID.
+// targetGroup is one market's shoppable curves and the client scoped to
+// its routes. Runs on the untenanted routes use one group with an empty
+// market ID and the unscoped client.
 type targetGroup struct {
 	market  string // dataset ID; "" = the untenanted routes
+	client  *server.Client
 	targets []target
 }
 
@@ -171,7 +172,7 @@ func Run(ctx context.Context, client *server.Client, cfg Config) (Report, error)
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = buyer(runCtx, client, groups, rng.New(cfg.Seed+int64(i)), claim, tick)
+			results[i] = buyer(runCtx, groups, rng.New(cfg.Seed+int64(i)), claim, tick)
 		}(i)
 	}
 	wg.Wait()
@@ -190,37 +191,28 @@ func Run(ctx context.Context, client *server.Client, cfg Config) (Report, error)
 // fetched through the tenant-scoped routes.
 func loadTargetGroups(ctx context.Context, client *server.Client, markets []string) ([]targetGroup, error) {
 	if len(markets) == 0 {
-		targets, err := loadTargets(ctx, client, "")
+		targets, err := loadTargets(ctx, client)
 		if err != nil {
 			return nil, err
 		}
-		return []targetGroup{{targets: targets}}, nil
+		return []targetGroup{{client: client, targets: targets}}, nil
 	}
 	groups := make([]targetGroup, 0, len(markets))
 	for _, id := range markets {
-		targets, err := loadTargets(ctx, client, id)
+		scoped := client.Tenant(id)
+		targets, err := loadTargets(ctx, scoped)
 		if err != nil {
 			return nil, fmt.Errorf("market %s: %w", id, err)
 		}
-		groups = append(groups, targetGroup{market: id, targets: targets})
+		groups = append(groups, targetGroup{market: id, client: scoped, targets: targets})
 	}
 	return groups, nil
 }
 
-// loadTargets fetches one menu and every per-loss price–error curve;
-// market "" uses the untenanted routes.
-func loadTargets(ctx context.Context, client *server.Client, market string) ([]target, error) {
-	fetchMenu := func() (*server.MenuResponse, error) { return client.Menu(ctx) }
-	fetchCurve := func(offering, loss string) (*server.CurveResponse, error) {
-		return client.Curve(ctx, offering, loss)
-	}
-	if market != "" {
-		fetchMenu = func() (*server.MenuResponse, error) { return client.TenantMenu(ctx, market) }
-		fetchCurve = func(offering, loss string) (*server.CurveResponse, error) {
-			return client.TenantCurve(ctx, market, offering, loss)
-		}
-	}
-	menu, err := fetchMenu()
+// loadTargets fetches one menu and every per-loss price–error curve
+// through client's routes.
+func loadTargets(ctx context.Context, client *server.Client) ([]target, error) {
+	menu, err := client.Menu(ctx)
 	if err != nil {
 		return nil, fmt.Errorf("fetching menu: %w", err)
 	}
@@ -230,7 +222,7 @@ func loadTargets(ctx context.Context, client *server.Client, market string) ([]t
 	var targets []target
 	for _, o := range menu.Offerings {
 		for _, loss := range o.Losses {
-			curve, err := fetchCurve(o.Name, loss)
+			curve, err := client.Curve(ctx, o.Name, loss)
 			if err != nil {
 				return nil, fmt.Errorf("fetching curve %s/%s: %w", o.Name, loss, err)
 			}
@@ -274,7 +266,7 @@ func nextRequest(rnd *rng.Source, targets []target) server.BuyRequest {
 // robin from a seeded start), pick a curve and option, buy, record,
 // repeat. With one group the market rotation degenerates to a single
 // loop and draws nothing extra from the rng stream.
-func buyer(ctx context.Context, client *server.Client, groups []targetGroup, rnd *rng.Source, claim func() bool, tick <-chan time.Time) workerResult {
+func buyer(ctx context.Context, groups []targetGroup, rnd *rng.Source, claim func() bool, tick <-chan time.Time) workerResult {
 	res := workerResult{byOption: make(map[string]int)}
 	gi := 0
 	if len(groups) > 1 {
@@ -293,13 +285,7 @@ func buyer(ctx context.Context, client *server.Client, groups []targetGroup, rnd
 		gi = (gi + 1) % len(groups)
 		req := nextRequest(rnd, grp.targets)
 		reqStart := time.Now()
-		var p *market.Purchase
-		var err error
-		if grp.market == "" {
-			p, err = client.Buy(ctx, req)
-		} else {
-			p, err = client.TenantBuy(ctx, grp.market, req)
-		}
+		p, err := grp.client.Buy(ctx, req)
 		res.latencies = append(res.latencies, time.Since(reqStart).Seconds())
 		res.byOption[req.Option]++
 		if res.byMarket != nil {

@@ -67,11 +67,10 @@ type OfferingConfig struct {
 	// AutoSelect to let the broker cross-validate its menu and pick.
 	Model ml.Model
 	// AutoSelect, with a nil Model, cross-validates ml.DefaultCandidates
-	// for the dataset's task under the task's reporting loss and lists the
-	// winner — the paper's model-selection future-work item, in the broker.
+	// for the dataset's task under the task's reporting loss (3 folds) and
+	// lists the winner — the paper's model-selection future-work item, in
+	// the broker.
 	AutoSelect bool
-	// SelectFolds is the CV fold count for AutoSelect (0 means 3).
-	SelectFolds int
 	// Mechanism injects noise; nil means Gaussian.
 	Mechanism noise.Mechanism
 	// Grid is the offered quality grid (x = 1/NCP); empty means the
@@ -149,10 +148,6 @@ func newOffering(cfg OfferingConfig) (*Offering, error) {
 		return nil, errors.New("market: a stored optimal instance needs its model")
 	}
 	if cfg.Model == nil && cfg.AutoSelect {
-		folds := cfg.SelectFolds
-		if folds == 0 {
-			folds = 3
-		}
 		train := cfg.Seller.Pair.Train
 		candidates := ml.DefaultCandidates(train.Task)
 		var selectLoss ml.Loss
@@ -162,7 +157,7 @@ func newOffering(cfg OfferingConfig) (*Offering, error) {
 		default:
 			selectLoss = ml.ZeroOneLoss{}
 		}
-		best, _, err := ml.SelectModel(train, candidates, selectLoss, folds, rng.New(cfg.Seed))
+		best, _, err := ml.SelectModel(train, candidates, selectLoss, 3, rng.New(cfg.Seed))
 		if err != nil {
 			return nil, fmt.Errorf("market: auto-selecting model: %w", err)
 		}

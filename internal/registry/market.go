@@ -25,22 +25,11 @@ var (
 	// ErrTooManyMarkets enforces Config.MaxMarkets — the bound that keeps
 	// the per-market telemetry label cardinality finite.
 	ErrTooManyMarkets = errors.New("registry: market limit reached")
+	// errClosed rejects lifecycle work once Close has begun.
+	errClosed = errors.New("registry: closed")
 	// ErrBadOption rejects a purchase option outside the paper's three
 	// interaction modes.
 	ErrBadOption = errors.New("registry: unknown purchase option (want quality, error-budget or price-budget)")
-)
-
-// marketState is the lifecycle of one tenant market.
-type marketState int
-
-const (
-	// stateOpen accepts purchases.
-	stateOpen marketState = iota
-	// stateDraining rejects new purchases while in-flight ones finish;
-	// entered by Delist and Close.
-	stateDraining
-	// stateClosed is terminal: drained, journal compacted and closed.
-	stateClosed
 )
 
 // Market is one tenant's live marketplace: its own broker (one ledger and
@@ -61,9 +50,8 @@ type Market struct {
 	jnl *journal.Journal // nil when the registry is memory-only
 
 	mu       sync.Mutex
-	cond     *sync.Cond  // signaled when inflight drops to 0 while draining
-	inflight int         // guarded by mu; purchases between acquire and release
-	state    marketState // guarded by mu
+	draining bool           // guarded by mu; set once by drain, never cleared
+	inflight sync.WaitGroup // purchases admitted before draining was set
 
 	sales   *telemetry.Counter      // per-market purchase count; nil without telemetry
 	revenue *telemetry.FloatCounter // per-market gross revenue
@@ -71,10 +59,9 @@ type Market struct {
 
 // newMarket wires the lifecycle plumbing around a freshly built broker.
 //
-//lint:transfers the Market owns the journal from here; Market.close is the release path
+//lint:transfers the Market owns the journal from here; Registry.retire (Delist and Close) is the release path
 func newMarket(spec Spec, b *market.Broker, jnl *journal.Journal, reg *telemetry.Registry) *Market {
-	m := &Market{ID: spec.ID, Spec: spec, Broker: b, jnl: jnl, state: stateOpen}
-	m.cond = sync.NewCond(&m.mu)
+	m := &Market{ID: spec.ID, Spec: spec, Broker: b, jnl: jnl}
 	if reg != nil {
 		// The market label is buyer-invisible: IDs pass ValidID and the
 		// live set is capped at Config.MaxMarkets, so the series set is
@@ -89,49 +76,28 @@ func newMarket(spec Spec, b *market.Broker, jnl *journal.Journal, reg *telemetry
 	return m
 }
 
-// acquire registers an in-flight purchase; it fails once the market has
-// started draining so Delist can guarantee the ledger is quiescent before
-// the final compaction.
+// acquire admits a purchase into the in-flight group; it fails once the
+// market has started draining, so Delist and Close can guarantee the
+// ledger is quiescent before the final compaction. Every Add happens
+// under mu before drain sets the flag, so none races Wait.
 func (m *Market) acquire() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.state != stateOpen {
+	if m.draining {
 		return fmt.Errorf("%w: %s", ErrDelisting, m.ID)
 	}
-	m.inflight++
+	m.inflight.Add(1)
 	return nil
 }
 
-// release retires an in-flight purchase and wakes the drainer when the
-// last one finishes.
-func (m *Market) release() {
-	m.mu.Lock()
-	m.inflight--
-	if m.inflight == 0 && m.state != stateOpen {
-		m.cond.Broadcast()
-	}
-	m.mu.Unlock()
-}
-
-// drain flips the market to draining and blocks until every in-flight
-// purchase has released. Idempotent; callers then own the quiescent
-// broker and journal.
+// drain rejects new purchases and blocks until every admitted one has
+// finished. Idempotent; callers then own the quiescent broker and
+// journal.
 func (m *Market) drain() {
 	m.mu.Lock()
-	if m.state == stateOpen {
-		m.state = stateDraining
-	}
-	for m.inflight > 0 {
-		m.cond.Wait()
-	}
+	m.draining = true
 	m.mu.Unlock()
-}
-
-// closed marks the market terminally closed (journal compacted and shut).
-func (m *Market) setClosed() {
-	m.mu.Lock()
-	m.state = stateClosed
-	m.mu.Unlock()
+	m.inflight.Wait()
 }
 
 // Buy executes one purchase in the tenant's market. option selects the
@@ -145,7 +111,7 @@ func (m *Market) Buy(offering, loss, option string, value float64) (*market.Purc
 	if err := m.acquire(); err != nil {
 		return nil, err
 	}
-	defer m.release()
+	defer m.inflight.Done()
 	var p *market.Purchase
 	var err error
 	switch option {

@@ -259,6 +259,7 @@ func (r *Registry) recoverTenants() error {
 			return fmt.Errorf("registry: recovering tenant %s: %w", ids[i], err)
 		}
 		took := time.Since(start)
+		//lint:ignore no-dropped-error Open has not returned r yet, so no Close can have begun and publish cannot fail
 		r.publish(m)
 		if reg := r.cfg.Telemetry; reg != nil {
 			//lint:ignore telemetry-label-literal market IDs pass ValidID and the live set is capped at Config.MaxMarkets, so label cardinality is bounded by listings, not requests

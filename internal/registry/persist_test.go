@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -521,9 +520,7 @@ func replaceFirstValue(data []byte, key, with string) []byte {
 func requireDamageFailsOpen(t *testing.T, zzz Spec, damage func(m *manifest), text func(data []byte) []byte) {
 	t.Helper()
 	root := t.TempDir()
-	// SyncInterval gives every open journal a flusher goroutine, so
-	// a recovered tenant left open shows as a goroutine that never
-	// exits. "aaa" is recovered before "zzz" fails.
+	// "aaa" is recovered before "zzz" fails.
 	cfg := Config{Root: root, Commission: 0.1, Sync: journal.SyncInterval, SyncEvery: time.Hour, Logf: t.Logf}
 	r, err := Open(cfg)
 	if err != nil {
@@ -548,7 +545,7 @@ func requireDamageFailsOpen(t *testing.T, zzz Spec, damage func(m *manifest), te
 		}
 	}
 
-	base := runtime.NumGoroutine()
+	cfg.Telemetry = telemetry.NewRegistry()
 	r2, err := Open(cfg)
 	if err == nil {
 		r2.Close()
@@ -557,14 +554,7 @@ func requireDamageFailsOpen(t *testing.T, zzz Spec, damage func(m *manifest), te
 	if !strings.Contains(err.Error(), "zzz") {
 		t.Fatalf("error does not name the failing tenant: %v", err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: %d at Open, %d now — a recovered tenant's journal was left open",
-				base, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	requireJournalsClosed(t, cfg.Telemetry)
 }
 
 // v1SaleRecord encodes p as the JSON sale record (format v1) that builds

@@ -98,8 +98,8 @@ func Open(cfg Config) (*Registry, error) {
 		}
 		if err := r.recoverTenants(); err != nil {
 			// Tenants recovered before the failure are already published
-			// with open journals (and, under SyncInterval, live flusher
-			// goroutines). The caller gets no Registry back, so nothing
+			// with open journals (and, under SyncInterval, pending flush
+			// timers). The caller gets no Registry back, so nothing
 			// downstream can release them — close them here.
 			if cerr := r.Close(); cerr != nil {
 				r.logf("registry: cleanup after failed recovery: %v", cerr)
@@ -134,7 +134,20 @@ func (r *Registry) List(spec Spec, csvData []byte) (*Market, error) {
 	if err := r.reserve(spec.ID); err != nil {
 		return nil, err
 	}
+	return r.listReserved(spec, csvData)
+}
+
+// listReserved builds and publishes a market whose ID List has reserved.
+// A failed build, or a Close that began during it, leaves nothing behind:
+// the journal is closed and the half-listed tenant directory removed.
+func (r *Registry) listReserved(spec Spec, csvData []byte) (*Market, error) {
 	m, err := r.build(spec, csvData)
+	if err == nil {
+		if err = r.publish(m); err != nil && m.jnl != nil {
+			//lint:ignore no-dropped-error the market never traded; the closed registry is what gets reported
+			m.jnl.Close()
+		}
+	}
 	if err != nil {
 		r.unreserve(spec.ID)
 		if r.cfg.Root != "" {
@@ -143,7 +156,6 @@ func (r *Registry) List(spec Spec, csvData []byte) (*Market, error) {
 		}
 		return nil, err
 	}
-	r.publish(m)
 	if r.listed != nil {
 		r.listed.Inc()
 	}
@@ -156,25 +168,17 @@ func (r *Registry) reserve(id string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
-		return fmt.Errorf("registry: closed")
+		return errClosed
 	}
 	if r.markets[id] != nil || r.pending[id] {
 		return fmt.Errorf("%w: %s", ErrMarketExists, id)
 	}
-	if len(r.markets)+r.pendingLists() >= r.cfg.MaxMarkets {
+	if len(r.markets)+len(r.pending) >= r.cfg.MaxMarkets {
 		return fmt.Errorf("%w (max %d)", ErrTooManyMarkets, r.cfg.MaxMarkets)
 	}
 	r.pending[id] = true
 	return nil
 }
-
-// pendingLists counts reservations that are not also live markets — i.e.
-// Lists in progress; a Delist's reservation shadows a market it already
-// removed, so counting all of pending would double-charge nothing, but
-// being precise keeps the MaxMarkets arithmetic obvious.
-//
-//lint:holds mu
-func (r *Registry) pendingLists() int { return len(r.pending) }
 
 func (r *Registry) unreserve(id string) {
 	r.mu.Lock()
@@ -205,12 +209,17 @@ func (r *Registry) build(spec Spec, csvData []byte) (*Market, error) {
 	return newMarket(spec, b, jnl, r.cfg.Telemetry), nil
 }
 
-// publish makes a market purchasable and releases its reservation.
-func (r *Registry) publish(m *Market) {
+// publish makes a market purchasable and releases its reservation. It
+// fails once Close has begun: Close retires only the markets it saw.
+func (r *Registry) publish(m *Market) error {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	delete(r.pending, m.ID)
+	if r.closed {
+		return errClosed
+	}
 	r.markets[m.ID] = m
-	r.mu.Unlock()
+	return nil
 }
 
 // Delist removes a market: it disappears from lookups immediately, new
@@ -221,7 +230,7 @@ func (r *Registry) Delist(id string) (*market.Statement, error) {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
-		return nil, fmt.Errorf("registry: closed")
+		return nil, errClosed
 	}
 	m := r.markets[id]
 	if m == nil {
@@ -236,13 +245,12 @@ func (r *Registry) Delist(id string) (*market.Statement, error) {
 	r.pending[id] = true
 	r.mu.Unlock()
 
-	m.drain()
+	err := r.retire(m, true)
+	r.unreserve(id)
 	st := m.Broker.Statement()
-	if err := r.retire(m); err != nil {
-		r.unreserve(id)
+	if err != nil {
 		return st, err
 	}
-	r.unreserve(id)
 	if r.delisted != nil {
 		r.delisted.Inc()
 	}
@@ -250,21 +258,23 @@ func (r *Registry) Delist(id string) (*market.Statement, error) {
 	return st, nil
 }
 
-// retire compacts and closes a drained market's journal and archives its
-// directory.
-func (r *Registry) retire(m *Market) error {
-	defer m.setClosed()
+// retire is the one end of a market's life, for Delist and Close alike:
+// drain its purchases, compact and close its journal and, when archive is
+// set (Delist), archive its directory. Close leaves the directory live
+// for the next Open to recover.
+func (r *Registry) retire(m *Market, archive bool) error {
+	m.drain()
 	if m.jnl != nil {
 		if err := m.jnl.Compact(m.Broker.SaveLedger); err != nil {
 			// Compaction is an optimization; the appended records are
-			// already durable in the segments being archived.
+			// already durable in the segments.
 			r.logf("registry: market %s: final compaction failed (ledger remains in segments): %v", m.ID, err)
 		}
 		if err := m.jnl.Close(); err != nil {
 			return fmt.Errorf("registry: closing journal for %s: %w", m.ID, err)
 		}
 	}
-	if r.cfg.Root != "" {
+	if archive && r.cfg.Root != "" {
 		return archiveTenant(r.cfg.Root, m.ID)
 	}
 	return nil
@@ -393,16 +403,9 @@ func (r *Registry) Close() error {
 
 	var firstErr error
 	for _, m := range markets {
-		m.drain()
-		if m.jnl != nil {
-			if err := m.jnl.Compact(m.Broker.SaveLedger); err != nil {
-				r.logf("registry: market %s: shutdown compaction failed (ledger remains in segments): %v", m.ID, err)
-			}
-			if err := m.jnl.Close(); err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("registry: closing journal for %s: %w", m.ID, err)
-			}
+		if err := r.retire(m, false); err != nil && firstErr == nil {
+			firstErr = err
 		}
-		m.setClosed()
 	}
 	return firstErr
 }

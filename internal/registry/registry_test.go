@@ -234,7 +234,7 @@ func TestDelistDrainsThenRejects(t *testing.T) {
 	}
 
 	// Hold one purchase in flight, then delist: Delist must block in drain
-	// until the purchase releases, and new purchases must be rejected while
+	// until the purchase finishes, and new purchases must be rejected while
 	// it drains.
 	if err := m.acquire(); err != nil {
 		t.Fatal(err)
@@ -247,27 +247,72 @@ func TestDelistDrainsThenRejects(t *testing.T) {
 		}
 		done <- st
 	}()
-	// Wait until the delist has flipped the market to draining.
+	// Wait until the delist has set the draining flag.
 	for {
 		m.mu.Lock()
-		s := m.state
+		draining := m.draining
 		m.mu.Unlock()
-		if s != stateOpen {
+		if draining {
 			break
 		}
+		runtime.Gosched()
 	}
 	if _, err := m.Buy(offeringOf("drainme"), "squared", "quality", 2); !errors.Is(err, ErrDelisting) {
 		t.Fatalf("buy while draining: %v", err)
 	}
+	// A Delist that did not wait for the held purchase would return well
+	// inside this window: a memory-only retire has no journal to compact.
 	select {
 	case <-done:
 		t.Fatal("Delist returned with a purchase still in flight")
-	default:
+	case <-time.After(50 * time.Millisecond):
 	}
-	m.release()
+	// The held purchase completes a sale before it finishes, so the final
+	// statement must count it.
+	if _, err := m.Broker.BuyAtQuality(offeringOf("drainme"), "squared", 2); err != nil {
+		t.Fatal(err)
+	}
+	m.inflight.Done()
 	st := <-done
-	if st.Sales != 1 {
-		t.Fatalf("final statement %+v", st)
+	if st.Sales != 2 {
+		t.Fatalf("final statement %+v, want the sale before the delist and the one in flight", st)
+	}
+}
+
+// TestListFinishingAfterCloseLeavesNothing: a List whose build finishes
+// after Close has begun must not publish into the closed registry, whose
+// Close never sees the market and so never retires it. The List fails
+// with the registry's closed error, closes the tenant journal and removes
+// the half-listed tenant directory, as a failed build does.
+func TestListFinishingAfterCloseLeavesNothing(t *testing.T) {
+	root := t.TempDir()
+	reg := telemetry.NewRegistry()
+	r, err := Open(Config{Root: root, Sync: journal.SyncInterval, SyncEvery: time.Hour, Telemetry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := cheapSpec("late", 7).normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.reserve(spec.ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if m, err := r.listReserved(spec, nil); !errors.Is(err, errClosed) {
+		t.Fatalf("List finishing after Close: market %v, error %v; want %v", m, err, errClosed)
+	}
+	requireJournalsClosed(t, reg)
+	if _, err := os.Stat(tenantDir(root, spec.ID)); !os.IsNotExist(err) {
+		t.Fatalf("half-listed tenant directory left behind: %v", err)
+	}
+	r.mu.RLock()
+	live, pending := len(r.markets), len(r.pending)
+	r.mu.RUnlock()
+	if live != 0 || pending != 0 {
+		t.Fatalf("closed registry holds %d markets and %d reservations", live, pending)
 	}
 }
 
@@ -498,8 +543,6 @@ func TestFailedRecoveryClosesRecoveredTenants(t *testing.T) {
 
 func failedRecoveryClosesRecoveredTenants(t *testing.T, ids, corrupt []string) {
 	root := t.TempDir()
-	// SyncInterval gives every open journal a flusher goroutine, so a
-	// leaked journal is observable as a goroutine that never exits.
 	cfg := Config{Root: root, Commission: 0.1, Sync: journal.SyncInterval, SyncEvery: time.Hour, Logf: t.Logf}
 	r, err := Open(cfg)
 	if err != nil {
@@ -519,7 +562,7 @@ func failedRecoveryClosesRecoveredTenants(t *testing.T, ids, corrupt []string) {
 		}
 	}
 
-	base := runtime.NumGoroutine()
+	cfg.Telemetry = telemetry.NewRegistry()
 	r2, err := Open(cfg)
 	if err == nil {
 		r2.Close()
@@ -531,13 +574,16 @@ func failedRecoveryClosesRecoveredTenants(t *testing.T, ids, corrupt []string) {
 		}
 	}
 	// The recovered tenants' journals must have been closed on the error
-	// path: their flusher goroutines exit, returning the count to baseline.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base {
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines: %d at Open, %d now — a recovered tenant's journal flusher leaked",
-				base, runtime.NumGoroutine())
-		}
-		time.Sleep(10 * time.Millisecond)
+	// path.
+	requireJournalsClosed(t, cfg.Telemetry)
+}
+
+// requireJournalsClosed fails the test unless every journal opened with
+// reg has been closed: each open journal adds its segment count to the
+// nimbus_journal_segments gauge, and Close takes it back out.
+func requireJournalsClosed(t *testing.T, reg *telemetry.Registry) {
+	t.Helper()
+	if n := reg.Gauge("nimbus_journal_segments").Value(); n != 0 {
+		t.Fatalf("a journal was left open: %v segments still counted", n)
 	}
 }

@@ -13,17 +13,37 @@ import (
 	"nimbus/internal/telemetry"
 )
 
-// Client is the Go client for the Nimbus broker API.
+// Client is the Go client for the Nimbus broker API. It calls the
+// untenanted routes; Tenant returns a copy scoped to one dataset market.
 type Client struct {
 	// BaseURL is the broker root, e.g. "http://localhost:8080".
 	BaseURL string
 	// HTTPClient defaults to http.DefaultClient.
 	HTTPClient *http.Client
+
+	scope string // route prefix of Menu, Curve, Buy, Stats and Statement; "" = /api/v1
 }
 
 // NewClient returns a client for the given base URL.
 func NewClient(baseURL string) *Client {
 	return &Client{BaseURL: baseURL, HTTPClient: http.DefaultClient}
+}
+
+// Tenant returns a copy of c whose Menu, Curve, Buy, Stats and Statement
+// call one dataset market's routes, /api/v1/datasets/{id}/…. The ID is
+// path-escaped, so callers can pass it verbatim.
+func (c *Client) Tenant(id string) *Client {
+	t := *c
+	t.scope = datasetPath(id)
+	return &t
+}
+
+// route is the path of one of the scoped calls.
+func (c *Client) route(sub string) string {
+	if c.scope == "" {
+		return "/api/v1/" + sub
+	}
+	return c.scope + "/" + sub
 }
 
 func (c *Client) httpClient() *http.Client {
@@ -86,7 +106,7 @@ func (c *Client) do(ctx context.Context, method, path string, body, out any) err
 // Menu fetches the broker's offerings.
 func (c *Client) Menu(ctx context.Context) (*MenuResponse, error) {
 	var out MenuResponse
-	if err := c.do(ctx, http.MethodGet, "/api/v1/menu", nil, &out); err != nil {
+	if err := c.do(ctx, http.MethodGet, c.route("menu"), nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -96,7 +116,7 @@ func (c *Client) Menu(ctx context.Context) (*MenuResponse, error) {
 func (c *Client) Curve(ctx context.Context, offering, loss string) (*CurveResponse, error) {
 	var out CurveResponse
 	q := url.Values{"offering": {offering}, "loss": {loss}}
-	if err := c.do(ctx, http.MethodGet, "/api/v1/curve?"+q.Encode(), nil, &out); err != nil {
+	if err := c.do(ctx, http.MethodGet, c.route("curve")+"?"+q.Encode(), nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -105,7 +125,7 @@ func (c *Client) Curve(ctx context.Context, offering, loss string) (*CurveRespon
 // Buy executes a purchase.
 func (c *Client) Buy(ctx context.Context, req BuyRequest) (*market.Purchase, error) {
 	var out market.Purchase
-	if err := c.do(ctx, http.MethodPost, "/api/v1/buy", req, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, c.route("buy"), req, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -114,7 +134,7 @@ func (c *Client) Buy(ctx context.Context, req BuyRequest) (*market.Purchase, err
 // Stats fetches the broker's books.
 func (c *Client) Stats(ctx context.Context) (*StatsResponse, error) {
 	var out StatsResponse
-	if err := c.do(ctx, http.MethodGet, "/api/v1/stats", nil, &out); err != nil {
+	if err := c.do(ctx, http.MethodGet, c.route("stats"), nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -123,7 +143,7 @@ func (c *Client) Stats(ctx context.Context) (*StatsResponse, error) {
 // Statement fetches the per-offering accounting report.
 func (c *Client) Statement(ctx context.Context) (*market.Statement, error) {
 	var out market.Statement
-	if err := c.do(ctx, http.MethodGet, "/api/v1/statement", nil, &out); err != nil {
+	if err := c.do(ctx, http.MethodGet, c.route("statement"), nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil

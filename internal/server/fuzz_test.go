@@ -20,7 +20,8 @@ func FuzzBuyRequest(f *testing.F) {
 	if _, err := c.ListDataset(ctx, cheapListRequest("acme", 7)); err != nil {
 		f.Fatal(err)
 	}
-	buyURL := srv.URL + datasetPath("acme", "buy")
+	acme := c.Tenant("acme")
+	buyURL := srv.URL + acme.route("buy")
 	allowed := map[int]bool{
 		http.StatusOK:                    true,
 		http.StatusBadRequest:            true,
@@ -50,7 +51,7 @@ func FuzzBuyRequest(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		before, err := c.TenantStats(ctx, "acme")
+		before, err := acme.Stats(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +64,7 @@ func FuzzBuyRequest(f *testing.F) {
 		if !allowed[resp.StatusCode] {
 			t.Fatalf("status %d for body %q: %s", resp.StatusCode, body, reply)
 		}
-		after, err := c.TenantStats(ctx, "acme")
+		after, err := acme.Stats(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}

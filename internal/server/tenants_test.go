@@ -93,14 +93,14 @@ func TestDatasetCRUDOverHTTP(t *testing.T) {
 	if detail.Spec.ID != "acme" || detail.Spec.Generator != "CASP" {
 		t.Fatalf("detail %+v", detail)
 	}
-	menu, err := c.TenantMenu(ctx, "acme")
+	menu, err := c.Tenant("acme").Menu(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(menu.Offerings) != 1 || menu.Offerings[0].Name != offering {
 		t.Fatalf("tenant menu %+v", menu)
 	}
-	curve, err := c.TenantCurve(ctx, "acme", offering, "squared")
+	curve, err := c.Tenant("acme").Curve(ctx, offering, "squared")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestDatasetCRUDOverHTTP(t *testing.T) {
 	}
 
 	// Buy inside the tenant, then via the untenanted union route.
-	p, err := c.TenantBuy(ctx, "acme", BuyRequest{Offering: offering, Loss: "squared", Option: "quality", Value: 2})
+	p, err := c.Tenant("acme").Buy(ctx, BuyRequest{Offering: offering, Loss: "squared", Option: "quality", Value: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestDatasetCRUDOverHTTP(t *testing.T) {
 	if len(union.Offerings) != 1 || union.Offerings[0].Name != offering {
 		t.Fatalf("union menu %+v", union)
 	}
-	stats, err := c.TenantStats(ctx, "acme")
+	stats, err := c.Tenant("acme").Stats(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestDatasetCRUDOverHTTP(t *testing.T) {
 	if global.Sales != 2 || global.TotalRevenue != stats.TotalRevenue {
 		t.Fatalf("global stats %+v vs tenant %+v", global, stats)
 	}
-	st, err := c.TenantStatement(ctx, "acme")
+	st, err := c.Tenant("acme").Statement(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestDatasetCRUDOverHTTP(t *testing.T) {
 	if _, err := c.Dataset(ctx, "acme"); !isStatus(err, http.StatusNotFound) {
 		t.Fatalf("detail after delist: %v", err)
 	}
-	if _, err := c.TenantBuy(ctx, "acme", BuyRequest{Offering: offering, Loss: "squared", Option: "quality", Value: 2}); !isStatus(err, http.StatusNotFound) {
+	if _, err := c.Tenant("acme").Buy(ctx, BuyRequest{Offering: offering, Loss: "squared", Option: "quality", Value: 2}); !isStatus(err, http.StatusNotFound) {
 		t.Fatalf("tenant buy after delist: %v", err)
 	}
 	if _, err := c.Buy(ctx, BuyRequest{Offering: offering, Loss: "squared", Option: "quality", Value: 2}); !isStatus(err, http.StatusNotFound) {
@@ -182,16 +182,16 @@ func TestTenantIsolation(t *testing.T) {
 	}
 	// A tenant-scoped buy cannot reach another tenant's offering even with
 	// a valid global name.
-	if _, err := c.TenantBuy(ctx, "north", BuyRequest{Offering: "south/linear-regression", Loss: "squared", Option: "quality", Value: 2}); !isStatus(err, http.StatusNotFound) {
+	if _, err := c.Tenant("north").Buy(ctx, BuyRequest{Offering: "south/linear-regression", Loss: "squared", Option: "quality", Value: 2}); !isStatus(err, http.StatusNotFound) {
 		t.Fatalf("cross-tenant buy: %v", err)
 	}
 	// Sales land in the right market's books and telemetry.
 	for i := 0; i < 3; i++ {
-		if _, err := c.TenantBuy(ctx, "north", BuyRequest{Offering: "north/linear-regression", Loss: "squared", Option: "quality", Value: 2}); err != nil {
+		if _, err := c.Tenant("north").Buy(ctx, BuyRequest{Offering: "north/linear-regression", Loss: "squared", Option: "quality", Value: 2}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.TenantBuy(ctx, "south", BuyRequest{Offering: "south/linear-regression", Loss: "squared", Option: "quality", Value: 2}); err != nil {
+	if _, err := c.Tenant("south").Buy(ctx, BuyRequest{Offering: "south/linear-regression", Loss: "squared", Option: "quality", Value: 2}); err != nil {
 		t.Fatal(err)
 	}
 	north, _ := r.Get("north")
@@ -220,7 +220,7 @@ func TestTenantRateBudget(t *testing.T) {
 	}
 	req := BuyRequest{Offering: "busy/linear-regression", Loss: "squared", Option: "quality", Value: 2}
 	tenantBuy := func() error {
-		_, err := c.TenantBuy(ctx, "busy", req)
+		_, err := c.Tenant("busy").Buy(ctx, req)
 		return err
 	}
 	unionBuy := func() error {
@@ -257,7 +257,7 @@ func TestTenantRateBudget(t *testing.T) {
 	}
 	// The budget is per tenant, not global: an unknown tenant 404s before
 	// touching the budget.
-	if _, err := c.TenantBuy(ctx, "nobody", req); !isStatus(err, http.StatusNotFound) {
+	if _, err := c.Tenant("nobody").Buy(ctx, req); !isStatus(err, http.StatusNotFound) {
 		t.Fatalf("unknown tenant: %v", err)
 	}
 }
