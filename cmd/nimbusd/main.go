@@ -204,13 +204,11 @@ func run(cfg config) error {
 	if cfg.tenantRate > 0 {
 		opts = append(opts, server.WithTenantRate(cfg.tenantRate, int(2*cfg.tenantRate)))
 	}
-	var handler http.Handler = server.NewMulti(r, opts...)
 	if cfg.rate > 0 {
-		rl := server.NewRateLimiter(cfg.rate, int(2*cfg.rate))
-		rl.SetTelemetry(reg)
-		handler = rl.Wrap(handler)
+		opts = append(opts, server.WithClientRate(cfg.rate, int(2*cfg.rate)))
 	}
-	serveErr := serveUntilSignal(cfg.addr, server.WithMiddleware(handler, log.Printf, reg), func() {
+	handler := server.WithMiddleware(server.NewMulti(r, opts...), log.Printf, reg)
+	serveErr := serveUntilSignal(cfg.addr, handler, func() {
 		log.Printf("nimbusd: marketplace open on %s (%d dataset markets, %d offerings)",
 			cfg.addr, r.Count(), len(r.Menu()))
 	})

@@ -77,3 +77,52 @@ func FuzzBuyRequest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRouteLabels sends an arbitrary method and path through the full
+// stack. However the mux answers, every request series must be labelled
+// "(other)" or a pattern the Server registered (the routes table), so no
+// request can mint a label.
+func FuzzRouteLabels(f *testing.F) {
+	srv, _, reg := newMultiServer(f)
+	allowed := map[string]bool{"(other)": true}
+	for _, rt := range routes {
+		allowed[rt.pattern] = true
+		f.Add(rt.method, rt.path)
+	}
+	for _, seed := range [][2]string{
+		{"PUT", "/api/v1/menu"},
+		{"GET", "/api/v1/datasets/x/buy"},
+		{"GET", "/wp-admin/setup.php"},
+		{"HEAD", "/healthz"},
+		{"OPTIONS", "/api/v1/../healthz"},
+		{"BREW", "/api/v1/datasets/{id}/menu"},
+		{"GET", "/api/v1/datasets/a%2Fb/menu"},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
+		return http.ErrUseLastResponse
+	}}
+
+	f.Fuzz(func(t *testing.T, method, path string) {
+		req, err := http.NewRequest(method, srv.URL, nil)
+		if err != nil {
+			t.Skip("method the client rejects")
+		}
+		req.URL.Path = "/" + strings.TrimPrefix(path, "/")
+		resp, err := client.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for label := range routeLabels(reg.Snapshot()) {
+			if !allowed[label] {
+				t.Fatalf("%s %q minted route label %q", method, path, label)
+			}
+		}
+	})
+}

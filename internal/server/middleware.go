@@ -2,9 +2,7 @@ package server
 
 import (
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -16,14 +14,14 @@ import (
 // dropped connections.
 
 // statusRecorder captures the response code for the access log and the
-// request metrics. It passes interface upgrades through to the underlying
-// ResponseWriter: Flush reaches the real http.Flusher (streaming handlers
-// keep working behind the middleware), ReadFrom delegates to the
-// underlying io.ReaderFrom so sendfile-style copies are not forced through
-// a userspace buffer, and Unwrap supports http.ResponseController.
+// request metrics, and the route pattern that served the request: a
+// Server's handle sets route before calling the route's handler, so it
+// stays empty for requests no registered route served (mux 404s and 405s,
+// path-cleaning redirects) and under handlers that are not a Server.
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
+	route  string
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
@@ -38,30 +36,6 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 	return r.ResponseWriter.Write(b)
 }
 
-// Flush implements http.Flusher when the underlying writer does; otherwise
-// it is a no-op, matching net/http's own recorder behaviour.
-func (r *statusRecorder) Flush() {
-	if f, ok := r.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// ReadFrom delegates bulk copies to the underlying io.ReaderFrom (net/http
-// response writers implement it for sendfile/splice), falling back to a
-// plain io.Copy. Either way the implicit 200 is recorded first.
-func (r *statusRecorder) ReadFrom(src io.Reader) (int64, error) {
-	if r.status == 0 {
-		r.status = http.StatusOK
-	}
-	if rf, ok := r.ResponseWriter.(io.ReaderFrom); ok {
-		return rf.ReadFrom(src)
-	}
-	// onlyWriter hides this ReadFrom from io.Copy so it cannot recurse.
-	return io.Copy(onlyWriter{r.ResponseWriter}, src)
-}
-
-type onlyWriter struct{ io.Writer }
-
 // Unwrap exposes the underlying writer to http.ResponseController
 // (SetReadDeadline, EnableFullDuplex, ...).
 func (r *statusRecorder) Unwrap() http.ResponseWriter {
@@ -72,8 +46,11 @@ func (r *statusRecorder) Unwrap() http.ResponseWriter {
 // when reg is non-nil — request telemetry: per-route request counts by
 // status class, an in-flight gauge, and per-route latency histograms. The
 // broker daemon applies it to the whole API; it is exported so other
-// embedders can reuse it. Routes are labelled via a fixed table of the
-// served API surface (bounded cardinality), not the raw URL path.
+// embedders can reuse it. Routes are labelled when h is a Server: each
+// request is counted under the pattern of the route that served it (HEAD
+// requests under their GET pattern, the root redirect under "GET /{$}"),
+// and everything else under "(other)", so the label set is the registered
+// patterns however many paths scanners probe.
 func WithMiddleware(h http.Handler, logf func(format string, args ...any), reg *telemetry.Registry) http.Handler {
 	reg.Help("nimbus_http_requests_total", "HTTP requests by route pattern and status class.")
 	reg.Help("nimbus_http_request_seconds", "HTTP request latency by route pattern.")
@@ -81,10 +58,9 @@ func WithMiddleware(h http.Handler, logf func(format string, args ...any), reg *
 	reg.Help("nimbus_http_panics_total", "Handler panics recovered by the middleware.")
 	inflight := reg.Gauge("nimbus_http_inflight")
 	panics := reg.Counter("nimbus_http_panics_total")
-	// Metric handles are resolved once per (method, route) and cached, so
-	// the per-request cost is one RLock'd map hit instead of registry key
-	// building; the registry's own lookup path stays out of the hot loop.
-	var routes routeCache
+	// Metric handles are resolved once per route label and cached, so the
+	// registry's key building stays out of the per-request path.
+	var routes sync.Map // route label → *routeStats
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		inflight.Add(1)
@@ -102,7 +78,7 @@ func WithMiddleware(h http.Handler, logf func(format string, args ...any), reg *
 			elapsed := time.Since(start)
 			inflight.Add(-1)
 			if reg != nil {
-				rs := routes.get(reg, r.Method, r.URL.Path)
+				rs := routeStatsFor(&routes, reg, rec.route)
 				rs.class(rec.status).Inc()
 				rs.latency.Observe(elapsed.Seconds())
 			}
@@ -127,106 +103,23 @@ func (rs *routeStats) class(status int) *telemetry.Counter {
 	return rs.classes[status/100]
 }
 
-// routeCache resolves (method, path) to cached routeStats. Unknown paths
-// and exotic methods collapse into a single "(other)" entry, so the cache
-// and the label space stay bounded under scanner traffic.
-type routeCache struct {
-	mu    sync.RWMutex
-	stats map[[2]string]*routeStats // guarded by mu
-}
-
-func (rc *routeCache) get(reg *telemetry.Registry, method, path string) *routeStats {
-	key := [2]string{method, path}
-	if norm, ok := normalizeRoute(path); ok && knownMethods[method] {
-		key[1] = norm
-	} else {
-		key = [2]string{"", "(other)"}
+// routeStatsFor returns the cached handles for route, a pattern a Server
+// registered or "" for a request no registered route served.
+func routeStatsFor(routes *sync.Map, reg *telemetry.Registry, route string) *routeStats {
+	if route == "" {
+		route = "(other)"
 	}
-	// Manual RUnlock: an RWMutex cannot upgrade, so the miss path below
-	// must re-acquire in write mode after releasing the read lock.
-	rc.mu.RLock()
-	rs := rc.stats[key]
-	rc.mu.RUnlock()
-	if rs != nil {
-		return rs
+	if rs, ok := routes.Load(route); ok {
+		return rs.(*routeStats)
 	}
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if rs = rc.stats[key]; rs != nil {
-		return rs
-	}
-	label := "(other)"
-	if key[0] != "" {
-		label = key[0] + " " + key[1]
-	}
-	//lint:ignore telemetry-label-literal label is clamped to the fixed knownRoutes×knownMethods table (everything else collapses to "(other)"), so cardinality is bounded
-	rs = &routeStats{latency: reg.Histogram("nimbus_http_request_seconds", nil, "route", label)}
+	//lint:ignore telemetry-label-literal route is a pattern a Server registered through handle, or "(other)", so the label set is the fixed route table
+	rs := &routeStats{latency: reg.Histogram("nimbus_http_request_seconds", nil, "route", route)}
 	for i, class := range [...]string{"other", "1xx", "2xx", "3xx", "4xx", "5xx"} {
-		//lint:ignore telemetry-label-literal label is clamped to the fixed knownRoutes×knownMethods table (everything else collapses to "(other)"), so cardinality is bounded
-		rs.classes[i] = reg.Counter("nimbus_http_requests_total", "route", label, "class", class)
+		//lint:ignore telemetry-label-literal route is a pattern a Server registered through handle, or "(other)", so the label set is the fixed route table
+		rs.classes[i] = reg.Counter("nimbus_http_requests_total", "route", route, "class", class)
 	}
-	if rc.stats == nil {
-		rc.stats = make(map[[2]string]*routeStats)
-	}
-	rc.stats[key] = rs
-	return rs
-}
-
-// knownRoutes is the served API surface. Metrics are labelled only with
-// these fixed patterns — scanners probing random paths all collapse into
-// one "(other)" series, keeping label cardinality bounded no matter what
-// the internet throws at a public broker.
-var knownRoutes = map[string]bool{
-	"/":                 true,
-	"/healthz":          true,
-	"/metrics":          true,
-	"/ui":               true,
-	"/ui/offering":      true,
-	"/ui/buy":           true,
-	"/api/v1/menu":      true,
-	"/api/v1/curve":     true,
-	"/api/v1/buy":       true,
-	"/api/v1/stats":     true,
-	"/api/v1/statement": true,
-	"/api/v1/offerings": true,
-	"/api/v1/metrics":   true,
-	"/api/v1/datasets":  true,
-}
-
-// tenantSubRoutes are the per-dataset sub-resources; any dataset ID in the
-// path collapses into the "{id}" pattern so tenant churn cannot grow the
-// route label set.
-var tenantSubRoutes = map[string]bool{
-	"menu": true, "curve": true, "buy": true, "stats": true, "statement": true,
-}
-
-const datasetsPrefix = "/api/v1/datasets/"
-
-// normalizeRoute maps a request path onto its route pattern: exact matches
-// from knownRoutes, and /api/v1/datasets/<id>[/<sub>] onto the wildcard
-// patterns the mux serves. Everything else is unknown, which the caller
-// collapses into "(other)".
-func normalizeRoute(path string) (string, bool) {
-	if knownRoutes[path] {
-		return path, true
-	}
-	rest, ok := strings.CutPrefix(path, datasetsPrefix)
-	if !ok || rest == "" {
-		return "", false
-	}
-	if i := strings.IndexByte(rest, '/'); i >= 0 {
-		sub := rest[i+1:]
-		if rest[:i] != "" && tenantSubRoutes[sub] {
-			return datasetsPrefix + "{id}/" + sub, true
-		}
-		return "", false
-	}
-	return datasetsPrefix + "{id}", true
-}
-
-// knownMethods bounds the method axis of the route label the same way.
-var knownMethods = map[string]bool{
-	http.MethodGet: true, http.MethodPost: true, http.MethodHead: true,
-	http.MethodPut: true, http.MethodDelete: true, http.MethodOptions: true,
-	http.MethodPatch: true,
+	// A racing first request builds the same registry handles; either
+	// copy may be kept.
+	actual, _ := routes.LoadOrStore(route, rs)
+	return actual.(*routeStats)
 }

@@ -2,9 +2,9 @@ package server
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -60,73 +60,6 @@ func TestMiddlewareRecoversPanics(t *testing.T) {
 	}
 }
 
-// TestStatusRecorderPassesThroughFlusher is the regression test for the
-// middleware swallowing interface upgrades: a streaming handler must still
-// reach the real http.Flusher through the status recorder.
-func TestStatusRecorderPassesThroughFlusher(t *testing.T) {
-	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		f, ok := w.(http.Flusher)
-		if !ok {
-			t.Error("middleware hides http.Flusher")
-			return
-		}
-		w.Write([]byte("chunk"))
-		f.Flush()
-	})
-	rec := httptest.NewRecorder()
-	WithMiddleware(inner, func(string, ...any) {}, nil).
-		ServeHTTP(rec, httptest.NewRequest("GET", "/stream", nil))
-	if !rec.Flushed {
-		t.Fatal("Flush did not reach the underlying writer")
-	}
-}
-
-// readFromRecorder counts ReadFrom delegations to prove io.Copy fast paths
-// survive the wrapper.
-type readFromRecorder struct {
-	httptest.ResponseRecorder
-	readFroms int
-}
-
-func (r *readFromRecorder) ReadFrom(src io.Reader) (int64, error) {
-	r.readFroms++
-	return io.Copy(r.ResponseRecorder.Body, src)
-}
-
-// onlyReader hides WriteTo from io.Copy so the copy is forced through the
-// destination's ReadFrom.
-type onlyReader struct{ io.Reader }
-
-func TestStatusRecorderDelegatesReadFrom(t *testing.T) {
-	under := &readFromRecorder{ResponseRecorder: *httptest.NewRecorder()}
-	rec := &statusRecorder{ResponseWriter: under}
-	n, err := io.Copy(rec, onlyReader{strings.NewReader("payload")})
-	if err != nil || n != 7 {
-		t.Fatalf("copy %d %v", n, err)
-	}
-	if under.readFroms != 1 {
-		t.Fatalf("ReadFrom not delegated (calls=%d)", under.readFroms)
-	}
-	if rec.status != http.StatusOK {
-		t.Fatalf("implicit status %d", rec.status)
-	}
-}
-
-// TestStatusRecorderReadFromFallback covers the underlying writer NOT
-// implementing io.ReaderFrom: the copy must still complete (without
-// recursing into the recorder's own ReadFrom).
-func TestStatusRecorderReadFromFallback(t *testing.T) {
-	under := httptest.NewRecorder()
-	rec := &statusRecorder{ResponseWriter: under}
-	n, err := io.Copy(rec, onlyReader{strings.NewReader("fallback")})
-	if err != nil || n != 8 {
-		t.Fatalf("copy %d %v", n, err)
-	}
-	if got := under.Body.String(); got != "fallback" {
-		t.Fatalf("body %q", got)
-	}
-}
-
 func TestStatusRecorderUnwrap(t *testing.T) {
 	under := httptest.NewRecorder()
 	rec := &statusRecorder{ResponseWriter: under}
@@ -136,15 +69,9 @@ func TestStatusRecorderUnwrap(t *testing.T) {
 }
 
 func TestMiddlewareRecordsTelemetry(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	})
-	srv := httptest.NewServer(WithMiddleware(mux, func(string, ...any) {}, reg))
-	defer srv.Close()
+	srv, _, reg := newMultiServer(t)
 
-	// Two hits on a known route, one scanner probe on an unknown path.
+	// Two hits on a served route, one scanner probe on an unknown path.
 	for _, path := range []string{"/healthz", "/healthz", "/wp-admin/setup.php"} {
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
@@ -166,6 +93,98 @@ func TestMiddlewareRecordsTelemetry(t *testing.T) {
 	}
 	if got := snap.GaugeValue("nimbus_http_inflight"); got != 0 {
 		t.Fatalf("inflight settled at %v", got)
+	}
+}
+
+// routes is every pattern NewMulti registers, each with one request that
+// it serves. FuzzRouteLabels accepts these patterns and "(other)" as the
+// only route labels.
+var routes = []struct{ pattern, method, path string }{
+	{"GET /healthz", "GET", "/healthz"},
+	{"GET /metrics", "GET", "/metrics"},
+	{"GET /api/v1/metrics", "GET", "/api/v1/metrics"},
+	{"GET /api/v1/offerings", "GET", "/api/v1/offerings"},
+	{"GET /api/v1/menu", "GET", "/api/v1/menu"},
+	{"GET /api/v1/curve", "GET", "/api/v1/curve"},
+	{"POST /api/v1/buy", "POST", "/api/v1/buy"},
+	{"GET /api/v1/stats", "GET", "/api/v1/stats"},
+	{"GET /api/v1/statement", "GET", "/api/v1/statement"},
+	{"GET /api/v1/datasets/{id}/menu", "GET", "/api/v1/datasets/x/menu"},
+	{"GET /api/v1/datasets/{id}/curve", "GET", "/api/v1/datasets/x/curve"},
+	{"POST /api/v1/datasets/{id}/buy", "POST", "/api/v1/datasets/x/buy"},
+	{"GET /api/v1/datasets/{id}/stats", "GET", "/api/v1/datasets/x/stats"},
+	{"GET /api/v1/datasets/{id}/statement", "GET", "/api/v1/datasets/x/statement"},
+	{"POST /api/v1/datasets", "POST", "/api/v1/datasets"},
+	{"GET /api/v1/datasets", "GET", "/api/v1/datasets"},
+	{"GET /api/v1/datasets/{id}", "GET", "/api/v1/datasets/x"},
+	{"DELETE /api/v1/datasets/{id}", "DELETE", "/api/v1/datasets/x"},
+	{"GET /ui", "GET", "/ui"},
+	{"GET /{$}", "GET", "/"},
+	{"GET /ui/offering", "GET", "/ui/offering"},
+	{"POST /ui/buy", "POST", "/ui/buy"},
+}
+
+// routeLabelRE extracts the route label from a series key.
+var routeLabelRE = regexp.MustCompile(`route="([^"]*)"`)
+
+// routeLabels counts the nimbus_http_request* series per route label.
+func routeLabels(snap telemetry.Snapshot) map[string]int {
+	labels := make(map[string]int)
+	for _, key := range snap.SeriesNames() {
+		if !strings.HasPrefix(key, "nimbus_http_request") {
+			continue
+		}
+		if m := routeLabelRE.FindStringSubmatch(key); m != nil {
+			labels[m[1]]++
+		} else {
+			labels[key]++ // a series with no route label is itself a failure
+		}
+	}
+	return labels
+}
+
+// TestRouteLabels: each request is counted under the pattern of the route
+// that served it, and everything no route served under "(other)".
+func TestRouteLabels(t *testing.T) {
+	srv, _, reg := newMultiServer(t)
+	want := make(map[string]float64) // requests per route label
+	serve := func(method, path, label string) {
+		srv.Config.Handler.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(method, path, nil))
+		want[label]++
+	}
+	for _, rt := range routes {
+		serve(rt.method, rt.path, rt.pattern)
+	}
+	serve(http.MethodHead, "/healthz", "GET /healthz")
+	serve(http.MethodPut, "/api/v1/menu", "(other)")           // 405
+	serve(http.MethodPatch, "/api/v1/menu", "(other)")         // 405
+	serve(http.MethodDelete, "/api/v1/menu", "(other)")        // 405
+	serve(http.MethodGet, "/api/v1/datasets/x/buy", "(other)") // 405
+	serve(http.MethodGet, "/wp-admin/setup.php", "(other)")    // 404
+	serve(http.MethodGet, "/api/v1/../healthz", "(other)")     // path-cleaning redirect
+
+	snap := reg.Snapshot()
+	for label, n := range want {
+		var got float64
+		for _, class := range []string{"other", "1xx", "2xx", "3xx", "4xx", "5xx"} {
+			got += snap.CounterValue("nimbus_http_requests_total", "route", label, "class", class)
+		}
+		if got != n {
+			t.Errorf("route %q counted %v requests, want %v", label, got, n)
+		}
+	}
+	labels := routeLabels(snap)
+	for label := range want {
+		if labels[label] != 7 { // six class counters and a histogram
+			t.Errorf("route %q has %d series, want 7", label, labels[label])
+		}
+	}
+	if len(labels) != len(want) {
+		t.Errorf("route labels %v, want only the registered patterns and (other)", labels)
+	}
+	// nimbusbench reads the tenant buy's series under this exact label.
+	if h, ok := snap.HistogramValue("nimbus_http_request_seconds", "route", "POST /api/v1/datasets/{id}/buy"); !ok || h.Count != 1 {
+		t.Errorf("tenant buy latency %+v ok=%v", h, ok)
 	}
 }
 

@@ -20,22 +20,20 @@ import (
 // bucket idle longer than this refills to the full burst anyway, so
 // dropping it changes nothing for the client while keeping the bucket map
 // proportional to the *active* client set rather than every address ever
-// seen — the property that matters at millions-of-users scale.
+// seen — the property that matters at millions-of-users scale. The map is
+// swept lazily on the allow path, at most once per DefaultBucketTTL/4, so
+// eviction stays O(1) amortized.
 const DefaultBucketTTL = time.Minute
 
-// RateLimiter is a per-client token bucket keyed by remote IP.
+// RateLimiter is a token bucket per key: a client IP under WithClientRate,
+// a market ID under WithTenantRate.
 type RateLimiter struct {
 	mu sync.Mutex
 	// rate is tokens added per second; burst the bucket capacity.
 	rate, burst float64            // guarded by mu
 	buckets     map[string]*bucket // guarded by mu
-	// ttl is the idle eviction horizon; lastSweep gates how often the map
-	// is swept (at most once per sweepEvery) so eviction stays O(1)
-	// amortized on the allow path.
-	ttl        time.Duration    // guarded by mu
-	sweepEvery time.Duration    // guarded by mu
-	lastSweep  time.Time        // guarded by mu
-	now        func() time.Time // guarded by mu; injectable clock for tests
+	lastSweep   time.Time          // guarded by mu
+	now         func() time.Time   // guarded by mu; injectable clock for tests
 
 	throttled *telemetry.Counter // guarded by mu
 	evicted   *telemetry.Counter // guarded by mu
@@ -47,8 +45,7 @@ type bucket struct {
 }
 
 // NewRateLimiter allows `rate` requests per second with bursts up to
-// `burst` per client IP. Idle buckets are evicted after DefaultBucketTTL
-// (tunable via SetTTL).
+// `burst` per key. Idle buckets are evicted after DefaultBucketTTL.
 func NewRateLimiter(rate float64, burst int) *RateLimiter {
 	if rate <= 0 {
 		rate = 10
@@ -56,30 +53,25 @@ func NewRateLimiter(rate float64, burst int) *RateLimiter {
 	if burst < 1 {
 		burst = 1
 	}
-	rl := &RateLimiter{
+	return &RateLimiter{
 		rate:    rate,
 		burst:   float64(burst),
 		buckets: make(map[string]*bucket),
 		now:     time.Now,
 	}
-	rl.SetTTL(DefaultBucketTTL)
-	return rl
 }
 
-// SetTTL changes the idle-bucket eviction horizon. Sweeps run lazily on
-// Allow, at most once per ttl/4.
-func (rl *RateLimiter) SetTTL(ttl time.Duration) {
-	if ttl <= 0 {
-		ttl = DefaultBucketTTL
-	}
-	rl.mu.Lock()
-	defer rl.mu.Unlock()
-	rl.ttl = ttl
-	rl.sweepEvery = ttl / 4
+// WithClientRate gives every client IP its own budget of `rate` requests
+// per second with bursts up to `burst`. The limiter runs after routing,
+// inside the route the request matched: a throttled request is answered
+// 429 with Retry-After, counted in nimbus_http_throttled_total and under
+// its route's series, and a path no route serves spends no token.
+func WithClientRate(rate float64, burst int) Option {
+	return func(s *Server) { s.clientRL = NewRateLimiter(rate, burst) }
 }
 
-// SetTelemetry points the limiter's throttle/eviction counters at reg.
-func (rl *RateLimiter) SetTelemetry(reg *telemetry.Registry) {
+// setTelemetry points the limiter's throttle/eviction counters at reg.
+func (rl *RateLimiter) setTelemetry(reg *telemetry.Registry) {
 	reg.Help("nimbus_http_throttled_total", "Requests rejected by the per-client rate limiter.")
 	reg.Help("nimbus_ratelimit_evicted_total", "Idle client buckets evicted by the TTL sweep.")
 	// Manual unlock: GaugeFunc below must run outside the lock (its closure
@@ -96,6 +88,15 @@ func (rl *RateLimiter) Len() int {
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
 	return len(rl.buckets)
+}
+
+// allowClient debits r's client IP.
+func (rl *RateLimiter) allowClient(r *http.Request) bool {
+	client, _, err := net.SplitHostPort(r.RemoteAddr)
+	if err != nil {
+		client = r.RemoteAddr
+	}
+	return rl.allow(client)
 }
 
 // allow reports whether the client may proceed and debits a token if so.
@@ -115,43 +116,26 @@ func (rl *RateLimiter) allow(client string) bool {
 	}
 	b.last = now
 	if b.tokens < 1 {
-		rl.throttled.Inc() // under mu: SetTelemetry may race otherwise
+		rl.throttled.Inc() // under mu: setTelemetry may race otherwise
 		return false
 	}
 	b.tokens--
 	return true
 }
 
-// sweepLocked evicts buckets idle longer than the TTL, at most once per
-// sweepEvery. Callers hold rl.mu.
+// sweepLocked evicts buckets idle longer than DefaultBucketTTL, at most
+// once per DefaultBucketTTL/4. Callers hold rl.mu.
 //
 //lint:holds mu
 func (rl *RateLimiter) sweepLocked(now time.Time) {
-	if now.Sub(rl.lastSweep) < rl.sweepEvery {
+	if now.Sub(rl.lastSweep) < DefaultBucketTTL/4 {
 		return
 	}
 	rl.lastSweep = now
 	for k, b := range rl.buckets {
-		if now.Sub(b.last) > rl.ttl {
+		if now.Sub(b.last) > DefaultBucketTTL {
 			delete(rl.buckets, k)
 			rl.evicted.Inc()
 		}
 	}
-}
-
-// Wrap applies the limiter to a handler, answering 429 when a client
-// exceeds its budget.
-func (rl *RateLimiter) Wrap(h http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		client, _, err := net.SplitHostPort(r.RemoteAddr)
-		if err != nil {
-			client = r.RemoteAddr
-		}
-		if !rl.allow(client) {
-			w.Header().Set("Retry-After", "1")
-			writeJSON(w, http.StatusTooManyRequests, ErrorResponse{Error: "rate limit exceeded"})
-			return
-		}
-		h.ServeHTTP(w, r)
-	})
 }

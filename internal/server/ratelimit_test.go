@@ -3,11 +3,8 @@ package server
 import (
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 	"time"
-
-	"nimbus/internal/telemetry"
 )
 
 func TestRateLimiterAllowsBurstThenBlocks(t *testing.T) {
@@ -57,15 +54,20 @@ func TestRateLimiterDefaults(t *testing.T) {
 	}
 }
 
+// TestRateLimiterWrapHTTP: over its WithClientRate budget a client is
+// answered 429 with Retry-After. The limiter runs after routing, so a
+// path no route serves spends no token.
 func TestRateLimiterWrapHTTP(t *testing.T) {
-	rl := NewRateLimiter(0.001, 1) // effectively one request
-	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	})
-	srv := httptest.NewServer(rl.Wrap(inner))
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL)
+	srv, _, _ := newMultiServer(t, WithClientRate(0.001, 1)) // effectively one request
+	resp, err := http.Get(srv.URL + "/wp-admin/setup.php")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("unmatched path: %d", resp.StatusCode)
+	}
+	resp, err = http.Get(srv.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +75,7 @@ func TestRateLimiterWrapHTTP(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("first request: %d", resp.StatusCode)
 	}
-	resp, err = http.Get(srv.URL)
+	resp, err = http.Get(srv.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,16 +106,15 @@ func TestRateLimiterCleanup(t *testing.T) {
 // active client set: address churn must not grow memory without bound.
 func TestRateLimiterTTLEviction(t *testing.T) {
 	rl := NewRateLimiter(100, 2)
-	rl.SetTTL(10 * time.Second)
 	clock := time.Unix(0, 0)
 	rl.now = func() time.Time { return clock }
 
-	// 5000 distinct clients churn through, spread over time so no single
-	// sweep sees them all as fresh.
+	// 5000 distinct clients churn through over 10 TTLs, so no single sweep
+	// sees them all as fresh.
 	for i := 0; i < 5000; i++ {
 		rl.allow(fmt.Sprintf("10.0.%d.%d", i/250, i%250))
 		if i%100 == 0 {
-			clock = clock.Add(time.Second)
+			clock = clock.Add(DefaultBucketTTL / 5)
 		}
 	}
 	if rl.Len() >= 5000 {
@@ -122,7 +123,7 @@ func TestRateLimiterTTLEviction(t *testing.T) {
 
 	// After everyone goes idle past the TTL, one active client's request
 	// sweeps the rest away.
-	clock = clock.Add(time.Minute)
+	clock = clock.Add(2 * DefaultBucketTTL)
 	rl.allow("10.9.9.9")
 	if n := rl.Len(); n != 1 {
 		t.Fatalf("idle buckets survived the TTL: %d", n)
@@ -137,14 +138,13 @@ func TestRateLimiterTTLEviction(t *testing.T) {
 
 func TestRateLimiterSweepKeepsActiveBuckets(t *testing.T) {
 	rl := NewRateLimiter(1, 5)
-	rl.SetTTL(10 * time.Second)
 	clock := time.Unix(0, 0)
 	rl.now = func() time.Time { return clock }
 	for i := 0; i < 4; i++ {
 		if !rl.allow("busy") {
 			t.Fatalf("request %d throttled within burst", i)
 		}
-		clock = clock.Add(3 * time.Second) // always inside the TTL
+		clock = clock.Add(DefaultBucketTTL / 2) // past a sweep, inside the TTL
 	}
 	if rl.Len() != 1 {
 		t.Fatalf("active bucket evicted (len=%d)", rl.Len())
@@ -152,16 +152,9 @@ func TestRateLimiterSweepKeepsActiveBuckets(t *testing.T) {
 }
 
 func TestRateLimiterTelemetry(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	rl := NewRateLimiter(0.001, 1)
-	rl.SetTelemetry(reg)
-	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	})
-	srv := httptest.NewServer(rl.Wrap(inner))
-	defer srv.Close()
+	srv, _, reg := newMultiServer(t, WithClientRate(0.001, 1))
 	for i := 0; i < 3; i++ {
-		resp, err := http.Get(srv.URL)
+		resp, err := http.Get(srv.URL + "/healthz")
 		if err != nil {
 			t.Fatal(err)
 		}

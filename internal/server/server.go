@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"sort"
@@ -44,6 +45,7 @@ import (
 type Server struct {
 	registry *registry.Registry
 	tenantRL *RateLimiter // per-tenant purchase budget; nil unless WithTenantRate
+	clientRL *RateLimiter // per-client request budget; nil unless WithClientRate
 	mux      *http.ServeMux
 	logf     func(format string, args ...any)
 	reg      *telemetry.Registry
@@ -59,8 +61,9 @@ func WithLogger(logf func(format string, args ...any)) Option {
 
 // WithTelemetry exposes the registry at GET /metrics (Prometheus text
 // format) and GET /api/v1/metrics (JSON snapshot). The same registry is
-// typically shared with WithMiddleware, the rate limiter and the market
-// registry so one scrape covers the whole serving stack.
+// typically shared with WithMiddleware and the market registry so one
+// scrape covers the whole serving stack; the WithClientRate limiter
+// reports into it too.
 func WithTelemetry(reg *telemetry.Registry) Option {
 	return func(s *Server) { s.reg = reg }
 }
@@ -73,15 +76,35 @@ func NewMulti(r *registry.Registry, opts ...Option) *Server {
 	for _, o := range opts {
 		o(s)
 	}
-	s.mux.HandleFunc("GET /healthz", s.handleHealth)
-	s.mux.HandleFunc("GET /metrics", s.handleMetricsProm)
-	s.mux.HandleFunc("GET /api/v1/metrics", s.handleMetricsJSON)
-	s.mux.HandleFunc("GET /api/v1/offerings", s.union(s.handleOfferings))
+	if s.clientRL != nil {
+		s.clientRL.setTelemetry(s.reg)
+	}
+	s.handle("GET /healthz", s.handleHealth)
+	s.handle("GET /metrics", s.handleMetricsProm)
+	s.handle("GET /api/v1/metrics", s.handleMetricsJSON)
+	s.handle("GET /api/v1/offerings", s.union(s.handleOfferings))
 	s.registerMarketRoutes("/api/v1", s.union)
 	s.registerMarketRoutes("/api/v1/datasets/{id}", s.tenant)
 	s.registerDatasetRoutes()
 	s.registerUI()
 	return s
+}
+
+// handle registers h for pattern; every route goes through it. It tags
+// the request with pattern, WithMiddleware's route label, before the
+// WithClientRate limiter runs, so a throttled request is labelled too.
+func (s *Server) handle(pattern string, h http.HandlerFunc) {
+	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+		if rec, ok := w.(*statusRecorder); ok {
+			rec.route = pattern
+		}
+		if s.clientRL != nil && !s.clientRL.allowClient(r) {
+			w.Header().Set("Retry-After", "1")
+			writeJSON(w, http.StatusTooManyRequests, ErrorResponse{Error: "rate limit exceeded"})
+			return
+		}
+		h(w, r)
+	})
 }
 
 // marketsHandler serves a request over the markets its route addresses.
@@ -110,11 +133,11 @@ func (s *Server) tenant(h marketsHandler) http.HandlerFunc {
 // registerMarketRoutes mounts the browse-and-buy API under prefix, each
 // route serving the markets scope resolves for it.
 func (s *Server) registerMarketRoutes(prefix string, scope func(marketsHandler) http.HandlerFunc) {
-	s.mux.HandleFunc("GET "+prefix+"/menu", scope(s.handleMenu))
-	s.mux.HandleFunc("GET "+prefix+"/curve", scope(s.handleCurve))
-	s.mux.HandleFunc("POST "+prefix+"/buy", scope(s.handleBuy))
-	s.mux.HandleFunc("GET "+prefix+"/stats", scope(s.handleStats))
-	s.mux.HandleFunc("GET "+prefix+"/statement", scope(s.handleStatement))
+	s.handle("GET "+prefix+"/menu", scope(s.handleMenu))
+	s.handle("GET "+prefix+"/curve", scope(s.handleCurve))
+	s.handle("POST "+prefix+"/buy", scope(s.handleBuy))
+	s.handle("GET "+prefix+"/stats", scope(s.handleStats))
+	s.handle("GET "+prefix+"/statement", scope(s.handleStatement))
 }
 
 // ServeHTTP implements http.Handler.
@@ -265,14 +288,20 @@ const (
 )
 
 // decodeBody strictly decodes r's JSON body, read through a limit-byte
-// cap, into v. It answers 413 for an oversized body and 400 for any other
-// decoding failure, and reports whether v was decoded.
+// cap, into v: one JSON value with nothing but white space after it. It
+// answers 413 for an oversized body and 400 for any other decoding
+// failure, and reports whether v was decoded.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(v)
 	if err == nil {
-		return true
+		if _, err = dec.Token(); err == io.EOF {
+			return true
+		}
+		if err == nil {
+			err = errors.New("unexpected data after the JSON value")
+		}
 	}
 	s.fail(w, bodyStatus(err), fmt.Errorf("decoding %s request: %w", what, err))
 	return false

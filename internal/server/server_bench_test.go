@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"nimbus/internal/telemetry"
@@ -15,7 +16,10 @@ import (
 // stack against an httptest server, with concurrent buyers. The two
 // sub-benchmarks bound the telemetry overhead — "telemetry" runs a live
 // registry, "noop" a nil one — and must stay within a few percent of each
-// other (the acceptance bar is <5%).
+// other (the acceptance bar is <5%). "handler" is the server's own share:
+// a tenant buy through ServeHTTP with no sockets and no client, so its
+// allocs/op count only the middleware, the mux, the handler and the
+// httptest request and recorder.
 func BenchmarkServerBuy(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -49,4 +53,21 @@ func BenchmarkServerBuy(b *testing.B) {
 			})
 		})
 	}
+	b.Run("handler", func(b *testing.B) {
+		reg := telemetry.NewRegistry()
+		r, m := listTestMarket(b, reg)
+		quiet := func(string, ...any) {}
+		h := WithMiddleware(NewMulti(r, WithLogger(quiet), WithTelemetry(reg)), quiet, reg)
+		path := "/api/v1/datasets/" + m.ID + "/buy"
+		body := []byte(fmt.Sprintf(`{"offering":%q,"loss":"squared","option":"quality","value":5}`, m.Broker.Menu()[0]))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+			if w.Code != http.StatusOK {
+				b.Fatalf("status %d: %s", w.Code, w.Body)
+			}
+		}
+	})
 }

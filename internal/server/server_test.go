@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -153,7 +154,7 @@ func TestBuyOptions(t *testing.T) {
 }
 
 func TestBuyErrors(t *testing.T) {
-	srv, _, name := newTestServer(t)
+	srv, broker, name := newTestServer(t)
 	c := NewClient(srv.URL)
 	ctx := context.Background()
 
@@ -172,22 +173,36 @@ func TestBuyErrors(t *testing.T) {
 		}
 	}
 
-	// Malformed JSON and unknown fields.
-	resp, err := http.Post(srv.URL+"/api/v1/buy", "application/json", strings.NewReader("{nope"))
+	// Bodies that are not exactly one known JSON object are refused before
+	// any sale or listing: malformed JSON, an unknown field, and a valid
+	// request followed by trailing data.
+	buy := fmt.Sprintf(`{"offering":%q,"loss":"squared","option":"quality","value":2}`, name)
+	list, err := json.Marshal(cheapListRequest("trailing", 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed body: %d", resp.StatusCode)
+	for _, tc := range []struct{ path, body string }{
+		{"/api/v1/buy", "{nope"},
+		{"/api/v1/buy", `{"surprise": 1}`},
+		{"/api/v1/buy", buy + " trailing garbage {{{"},
+		{"/api/v1/buy", buy + buy},
+		{"/api/v1/datasets/casp/buy", buy + " trailing garbage {{{"},
+		{"/api/v1/datasets", string(list) + " trailing garbage {{{"},
+	} {
+		resp, err := http.Post(srv.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s %.40q...: %d, want 400", tc.path, tc.body, resp.StatusCode)
+		}
 	}
-	resp, err = http.Post(srv.URL+"/api/v1/buy", "application/json", strings.NewReader(`{"surprise": 1}`))
-	if err != nil {
-		t.Fatal(err)
+	if n := broker.SaleCount(); n != 0 {
+		t.Fatalf("refused bodies recorded %d sales", n)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown field: %d", resp.StatusCode)
+	if _, err := c.Tenant("trailing").Stats(ctx); !isStatus(err, http.StatusNotFound) {
+		t.Fatalf("refused listing is live: %v", err)
 	}
 }
 

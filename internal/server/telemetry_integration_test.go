@@ -19,13 +19,11 @@ func newInstrumentedServer(tb testing.TB, reg *telemetry.Registry, rate float64)
 	tb.Helper()
 	r, m := listTestMarket(tb, reg)
 	quiet := func(string, ...any) {}
-	var handler http.Handler = NewMulti(r, WithLogger(quiet), WithTelemetry(reg))
+	opts := []Option{WithLogger(quiet), WithTelemetry(reg)}
 	if rate > 0 {
-		rl := NewRateLimiter(rate, int(2*rate))
-		rl.SetTelemetry(reg)
-		handler = rl.Wrap(handler)
+		opts = append(opts, WithClientRate(rate, int(2*rate)))
 	}
-	srv := httptest.NewServer(WithMiddleware(handler, quiet, reg))
+	srv := httptest.NewServer(WithMiddleware(NewMulti(r, opts...), quiet, reg))
 	tb.Cleanup(srv.Close)
 	return srv, m.Broker.Menu()[0]
 }

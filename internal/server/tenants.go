@@ -33,10 +33,10 @@ func WithTenantRate(rate float64, burst int) Option {
 
 // registerDatasetRoutes mounts the dataset lifecycle API.
 func (s *Server) registerDatasetRoutes() {
-	s.mux.HandleFunc("POST /api/v1/datasets", s.handleListDataset)
-	s.mux.HandleFunc("GET /api/v1/datasets", s.handleDatasets)
-	s.mux.HandleFunc("GET /api/v1/datasets/{id}", s.tenant(s.handleDataset))
-	s.mux.HandleFunc("DELETE /api/v1/datasets/{id}", s.handleDelistDataset)
+	s.handle("POST /api/v1/datasets", s.handleListDataset)
+	s.handle("GET /api/v1/datasets", s.handleDatasets)
+	s.handle("GET /api/v1/datasets/{id}", s.tenant(s.handleDataset))
+	s.handle("DELETE /api/v1/datasets/{id}", s.handleDelistDataset)
 }
 
 // ListDatasetRequest is the POST /api/v1/datasets body: the listing spec

@@ -102,12 +102,12 @@ type uiOfferingPage struct {
 
 // registerUI adds the dashboard routes, which serve every live market.
 func (s *Server) registerUI() {
-	s.mux.HandleFunc("GET /ui", s.union(s.handleUIMenu))
-	s.mux.HandleFunc("GET /{$}", func(w http.ResponseWriter, r *http.Request) {
+	s.handle("GET /ui", s.union(s.handleUIMenu))
+	s.handle("GET /{$}", func(w http.ResponseWriter, r *http.Request) {
 		http.Redirect(w, r, "/ui", http.StatusFound)
 	})
-	s.mux.HandleFunc("GET /ui/offering", s.union(s.handleUIOffering))
-	s.mux.HandleFunc("POST /ui/buy", s.union(s.handleUIBuy))
+	s.handle("GET /ui/offering", s.union(s.handleUIOffering))
+	s.handle("POST /ui/buy", s.union(s.handleUIBuy))
 }
 
 func (s *Server) handleUIMenu(w http.ResponseWriter, _ *http.Request, ms []*registry.Market) {
