@@ -335,7 +335,7 @@ func BenchmarkBrokerPurchase(b *testing.B) {
 	broker := NewBroker(122)
 	offering, err := broker.List(OfferingConfig{
 		Seller: seller, Model: LinearRegression{Ridge: 1e-3},
-		Grid: DefaultGrid(10), Samples: 30, Seed: 123,
+		Grid: DefaultGrid(10),
 	})
 	if err != nil {
 		b.Fatal(err)

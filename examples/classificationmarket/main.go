@@ -34,10 +34,8 @@ func main() {
 
 	broker := nimbus.NewBroker(23)
 	offering, err := broker.List(nimbus.OfferingConfig{
-		Seller:  seller,
-		Model:   nimbus.LogisticRegression{Ridge: 1e-4},
-		Samples: 200,
-		Seed:    24,
+		Seller: seller,
+		Model:  nimbus.LogisticRegression{Ridge: 1e-4},
 	})
 	if err != nil {
 		log.Fatal(err)

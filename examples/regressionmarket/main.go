@@ -38,10 +38,8 @@ func main() {
 
 	broker := nimbus.NewBroker(9)
 	offering, err := broker.List(nimbus.OfferingConfig{
-		Seller:  seller,
-		Model:   nimbus.LinearRegression{Ridge: 1e-4},
-		Samples: 300,
-		Seed:    10,
+		Seller: seller,
+		Model:  nimbus.LinearRegression{Ridge: 1e-4},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -100,10 +100,8 @@ func main() {
 	}
 	broker := nimbus.NewBroker(74)
 	offering, err := broker.List(nimbus.OfferingConfig{
-		Seller:  seller,
-		Model:   nimbus.LinearRegression{Ridge: 1e-6},
-		Samples: 100,
-		Seed:    75,
+		Seller: seller,
+		Model:  nimbus.LinearRegression{Ridge: 1e-6},
 	})
 	if err != nil {
 		log.Fatal(err)

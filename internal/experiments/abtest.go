@@ -82,8 +82,6 @@ func RunABTest(cfg ABConfig) (*ABResult, error) {
 			Seller:   seller,
 			Model:    ml.LinearRegression{Ridge: 1e-3},
 			Grid:     pricing.DefaultGrid(25),
-			Samples:  120,
-			Seed:     cfg.Seed + 2, // identical curves on both sides
 			Strategy: strategy,
 		})
 	}

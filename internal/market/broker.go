@@ -3,6 +3,7 @@ package market
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -293,9 +294,9 @@ type saleTerms struct {
 	tel        brokerTelemetry
 }
 
-// buy resolves the offering and curve, picks the purchase point per the
-// buyer's option, and finalizes the sale, recording any refusal for
-// telemetry.
+// buy resolves the offering and curve, refuses a non-finite quality or
+// budget, picks the purchase point per the buyer's option, and finalizes
+// the sale, recording any refusal for telemetry.
 func (b *Broker) buy(offering, loss string, mode buyMode, arg float64) (*Purchase, error) {
 	b.mu.RLock()
 	o := b.offerings[offering]
@@ -308,6 +309,11 @@ func (b *Broker) buy(offering, loss string, mode buyMode, arg float64) (*Purchas
 	}
 	c, err := o.Curve(loss)
 	if err != nil {
+		terms.tel.reject(err)
+		return nil, err
+	}
+	if math.IsNaN(arg) || math.IsInf(arg, 0) {
+		err := fmt.Errorf("market: purchase value %v is not finite", arg)
 		terms.tel.reject(err)
 		return nil, err
 	}

@@ -2,9 +2,13 @@ package market
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"nimbus/internal/dataset"
 	"nimbus/internal/journal"
@@ -16,7 +20,7 @@ import (
 
 // listSmall lists a small named offering — cheap enough that a test can
 // build several and spread purchases across them.
-func listSmall(t *testing.T, b *Broker, name string, seed int64) *Offering {
+func listSmall(t testing.TB, b *Broker, name string, seed int64) *Offering {
 	t.Helper()
 	o, err := b.List(smallOffering(t, name, seed))
 	if err != nil {
@@ -27,7 +31,7 @@ func listSmall(t *testing.T, b *Broker, name string, seed int64) *Offering {
 
 // smallOffering builds listSmall's offering config, so that a goroutine
 // other than the test's own can List it.
-func smallOffering(t *testing.T, name string, seed int64) OfferingConfig {
+func smallOffering(t testing.TB, name string, seed int64) OfferingConfig {
 	t.Helper()
 	d, err := dataset.StandIn("CASP", dataset.GenConfig{Rows: 150, Seed: seed})
 	if err != nil {
@@ -43,11 +47,9 @@ func smallOffering(t *testing.T, name string, seed int64) OfferingConfig {
 		t.Fatal(err)
 	}
 	return OfferingConfig{
-		Seller:  s,
-		Model:   ml.LinearRegression{Ridge: 1e-3},
-		Grid:    pricing.DefaultGrid(8),
-		Samples: 24,
-		Seed:    seed + 2,
+		Seller: s,
+		Model:  ml.LinearRegression{Ridge: 1e-3},
+		Grid:   pricing.DefaultGrid(8),
 	}
 }
 
@@ -234,5 +236,123 @@ func TestAggregatesSurviveRestore(t *testing.T) {
 	if st.BrokerFees != fresh.TotalFees() || st.Gross != fresh.TotalRevenue() {
 		t.Fatalf("statement totals (fees %v, gross %v) disagree with aggregates (%v, %v)",
 			st.BrokerFees, st.Gross, fresh.TotalFees(), fresh.TotalRevenue())
+	}
+}
+
+// gatedJournal is a SaleJournal whose first AppendMany blocks until
+// release is closed, after signalling entered. It records the size of
+// every batch it is handed.
+type gatedJournal struct {
+	entered, release chan struct{}
+	mu               sync.Mutex
+	batches          []int // guarded by mu
+}
+
+func (g *gatedJournal) AppendMany(recs [][]byte) error {
+	g.mu.Lock()
+	g.batches = append(g.batches, len(recs))
+	first := len(g.batches) == 1
+	g.mu.Unlock()
+	if first {
+		close(g.entered)
+		<-g.release
+	}
+	return nil
+}
+
+// TestCommitQueueBatchesWaitingSales holds the first sale's journal
+// append open while k more buyers arrive: they must all queue in one
+// batch, and that batch must reach the journal as one AppendMany of
+// exactly k records once the first append returns.
+func TestCommitQueueBatchesWaitingSales(t *testing.T) {
+	const k = 5
+	b := NewBroker(11)
+	o := listSmall(t, b, "queue", 60)
+	j := &gatedJournal{entered: make(chan struct{}), release: make(chan struct{})}
+	b.SetJournal(j)
+	var wg sync.WaitGroup
+	buy := func() {
+		defer wg.Done()
+		if _, err := b.BuyAtQuality(o.Name, "squared", 2); err != nil {
+			t.Error(err)
+		}
+	}
+	wg.Add(1)
+	go buy()
+	<-j.entered
+	wg.Add(k)
+	for i := 0; i < k; i++ {
+		go buy()
+	}
+	deadline := time.After(10 * time.Second)
+	for queued := 0; queued < k; {
+		select {
+		case <-deadline:
+			close(j.release)
+			t.Fatalf("%d of %d buyers queued behind the held append", queued, k)
+		default:
+		}
+		// TryLock: a commit that held jmu across the append would block
+		// a plain Lock here until the deadline could no longer fire.
+		if b.jmu.TryLock() {
+			if b.jbatch != nil {
+				queued = len(b.jbatch.recs)
+			}
+			b.jmu.Unlock()
+		}
+		runtime.Gosched()
+	}
+	close(j.release)
+	wg.Wait()
+	j.mu.Lock()
+	batches := append([]int(nil), j.batches...)
+	j.mu.Unlock()
+	if !reflect.DeepEqual(batches, []int{1, k}) {
+		t.Fatalf("journal batches %v, want [1 %d]", batches, k)
+	}
+	if n := b.SaleCount(); n != k+1 {
+		t.Fatalf("books hold %d sales, want %d", n, k+1)
+	}
+}
+
+// BenchmarkDurableBuy times the durable sale path — marshal, commit
+// queue, a real journal append and the books fold — with 1, 2 and 8
+// buyers sharing one broker, under the always and interval sync
+// policies. Each op is one sale, so ns/op is the broker's time per sale
+// at that concurrency.
+func BenchmarkDurableBuy(b *testing.B) {
+	for _, policy := range []journal.SyncPolicy{journal.SyncAlways, journal.SyncInterval} {
+		for _, buyers := range []int{1, 2, 8} {
+			b.Run(fmt.Sprintf("%s/buyers=%d", policy, buyers), func(b *testing.B) {
+				j, err := journal.Open(b.TempDir(), journal.Options{Sync: policy})
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer func() {
+					if err := j.Close(); err != nil {
+						b.Error(err)
+					}
+				}()
+				br := NewBroker(5)
+				o := listSmall(b, br, "durable", 50)
+				br.SetJournal(j)
+				var next atomic.Int64
+				var wg sync.WaitGroup
+				b.ResetTimer()
+				for g := 0; g < buyers; g++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for next.Add(1) <= int64(b.N) {
+							if _, err := br.BuyAtQuality(o.Name, "squared", 2); err != nil {
+								b.Error(err)
+								return
+							}
+						}
+					}()
+				}
+				wg.Wait()
+			})
+		}
 	}
 }

@@ -16,13 +16,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"nimbus/internal/dataset"
 	"nimbus/internal/ml"
 	"nimbus/internal/noise"
 	"nimbus/internal/opt"
 	"nimbus/internal/pricing"
-	"nimbus/internal/rng"
 	"nimbus/internal/telemetry"
 )
 
@@ -59,32 +59,19 @@ func NewSeller(pair *dataset.Pair, research Research) (*Seller, error) {
 	return &Seller{Pair: pair, Research: research}, nil
 }
 
-// OfferingConfig configures one entry of the broker's menu.
+// OfferingConfig configures one entry of the broker's menu. Every
+// offering sells through the Gaussian mechanism, whose error curves
+// pricing.GaussianTransform computes exactly, so each reporting loss must
+// be an ml.ExpectedLoss.
 type OfferingConfig struct {
 	// Seller provides the data and research.
 	Seller *Seller
-	// Model is the ML model whose instances are sold. Leave nil with
-	// AutoSelect to let the broker cross-validate its menu and pick.
+	// Model is the ML model whose instances are sold (ml.SelectModel
+	// picks one by cross-validation).
 	Model ml.Model
-	// AutoSelect, with a nil Model, cross-validates ml.DefaultCandidates
-	// for the dataset's task under the task's reporting loss (3 folds) and
-	// lists the winner — the paper's model-selection future-work item, in
-	// the broker.
-	AutoSelect bool
-	// Mechanism injects noise; nil means Gaussian.
-	Mechanism noise.Mechanism
 	// Grid is the offered quality grid (x = 1/NCP); empty means the
 	// paper's grid of 100 points in [1, 100].
 	Grid []float64
-	// Samples is the Monte-Carlo sample count per grid point, used only
-	// where the error transformation is estimated: a non-Gaussian
-	// Mechanism, or a loss that is not an ml.ExpectedLoss. The Gaussian
-	// mechanism's curves of the ml losses are computed exactly. 0 means
-	// 500. (The paper uses 2000; the default trades a little smoothness for
-	// setup latency, and the isotonic projection removes the extra jitter.)
-	Samples int
-	// Seed drives the error-transformation Monte Carlo.
-	Seed int64
 	// Curves, when set, are error curves this offering served before (see
 	// Offering.ErrorCurves), used in place of the error transformation so
 	// a relisted offering keeps the terms it served. There must
@@ -118,7 +105,9 @@ type Offering struct {
 	// Model and Pair describe what is being sold.
 	Model ml.Model
 	Pair  *dataset.Pair
-	// Mechanism is the noise mechanism used at sale time.
+	// Mechanism is the noise mechanism used at sale time: always
+	// noise.Gaussian{}, the mechanism whose error curves the offering
+	// computes exactly.
 	Mechanism noise.Mechanism
 	// Optimal is h*_λ(D), trained once when the offering is first listed
 	// and handed back through OfferingConfig.Optimal when it is relisted.
@@ -144,39 +133,27 @@ func newOffering(cfg OfferingConfig) (*Offering, error) {
 	if cfg.Seller == nil {
 		return nil, errors.New("market: offering needs a seller")
 	}
-	if cfg.Model == nil && cfg.Optimal != nil {
-		return nil, errors.New("market: a stored optimal instance needs its model")
-	}
-	if cfg.Model == nil && cfg.AutoSelect {
-		train := cfg.Seller.Pair.Train
-		candidates := ml.DefaultCandidates(train.Task)
-		var selectLoss ml.Loss
-		switch train.Task {
-		case dataset.Regression:
-			selectLoss = ml.SquaredLoss{}
-		default:
-			selectLoss = ml.ZeroOneLoss{}
-		}
-		best, _, err := ml.SelectModel(train, candidates, selectLoss, 3, rng.New(cfg.Seed))
-		if err != nil {
-			return nil, fmt.Errorf("market: auto-selecting model: %w", err)
-		}
-		cfg.Model = best
-	}
 	if cfg.Model == nil {
-		return nil, errors.New("market: offering needs a model (or AutoSelect)")
-	}
-	mech := cfg.Mechanism
-	if mech == nil {
-		mech = noise.Gaussian{}
+		return nil, errors.New("market: offering needs a model")
 	}
 	grid := cfg.Grid
 	if len(grid) == 0 {
 		grid = pricing.DefaultGrid(100)
 	}
-	samples := cfg.Samples
-	if samples == 0 {
-		samples = 500
+
+	// One error curve per reporting loss, computed on the test set (the
+	// buyer may later pick any of them): defaults first, then the extras
+	// by first occurrence of each name.
+	var losses []ml.ExpectedLoss
+	for _, l := range append(ml.DefaultReportLosses(cfg.Model), cfg.ExtraLosses...) {
+		if slices.ContainsFunc(losses, func(have ml.ExpectedLoss) bool { return have.Name() == l.Name() }) {
+			continue
+		}
+		el, ok := l.(ml.ExpectedLoss)
+		if !ok {
+			return nil, fmt.Errorf("market: loss %s has no exact Gaussian expectation (not an ml.ExpectedLoss)", l.Name())
+		}
+		losses = append(losses, el)
 	}
 
 	pair := cfg.Seller.Pair
@@ -190,22 +167,6 @@ func newOffering(cfg OfferingConfig) (*Offering, error) {
 		return nil, err
 	}
 
-	// One error curve per supported reporting loss, estimated on the test
-	// set (the buyer may later pick any of them).
-	curves := make(map[string]*pricing.PriceErrorCurve)
-	losses := ml.DefaultReportLosses(cfg.Model)
-	for _, extra := range cfg.ExtraLosses {
-		dup := false
-		for _, l := range losses {
-			if l.Name() == extra.Name() {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			losses = append(losses, extra)
-		}
-	}
 	var errCurves map[string]*pricing.ErrorCurve
 	if cfg.Curves != nil {
 		errCurves, err = givenCurves(cfg.Curves, losses, grid)
@@ -214,28 +175,12 @@ func newOffering(cfg OfferingConfig) (*Offering, error) {
 		}
 	} else {
 		errCurves = make(map[string]*pricing.ErrorCurve, len(losses))
-		seed := cfg.Seed
-		_, gaussian := mech.(noise.Gaussian)
 		for _, loss := range losses {
-			var ec *pricing.ErrorCurve
-			if el, ok := loss.(ml.ExpectedLoss); ok && gaussian {
-				ec, err = pricing.GaussianTransform(optimal, el, pair.Test, grid)
-			} else {
-				ec, err = pricing.MonteCarloTransform(pricing.TransformConfig{
-					Optimal:   optimal,
-					Loss:      loss,
-					Data:      pair.Test,
-					Mechanism: mech,
-					Xs:        grid,
-					Samples:   samples,
-					Seed:      seed,
-				})
-			}
+			ec, err := pricing.GaussianTransform(optimal, loss, pair.Test, grid)
 			if err != nil {
 				return nil, fmt.Errorf("market: error transformation for %s: %w", loss.Name(), err)
 			}
 			errCurves[loss.Name()] = ec
-			seed++
 		}
 	}
 
@@ -271,12 +216,12 @@ func newOffering(cfg OfferingConfig) (*Offering, error) {
 		Name:            name,
 		Model:           cfg.Model,
 		Pair:            pair,
-		Mechanism:       mech,
+		Mechanism:       noise.Gaussian{},
 		Optimal:         optimal,
 		PriceFunc:       priceFn,
 		ExpectedRevenue: revenue,
 		BuyerPoints:     points,
-		curves:          curves,
+		curves:          make(map[string]*pricing.PriceErrorCurve, len(losses)),
 		lossOrder:       order,
 	}
 	for lossName, ec := range errCurves {
@@ -316,7 +261,7 @@ func givenOptimal(cfg OfferingConfig, train *dataset.Dataset) error {
 // givenCurves keys precomputed error curves by loss, checking there is
 // one per reporting loss of the offering, in listing order, each over
 // exactly its grid.
-func givenCurves(given []*pricing.ErrorCurve, losses []ml.Loss, grid []float64) (map[string]*pricing.ErrorCurve, error) {
+func givenCurves(given []*pricing.ErrorCurve, losses []ml.ExpectedLoss, grid []float64) (map[string]*pricing.ErrorCurve, error) {
 	if len(given) != len(losses) {
 		return nil, fmt.Errorf("market: %d error curves for the offering's %d losses", len(given), len(losses))
 	}

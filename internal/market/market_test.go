@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -59,11 +60,9 @@ func clsSeller(t *testing.T) *Seller {
 func listRegression(t *testing.T, b *Broker) *Offering {
 	t.Helper()
 	o, err := b.List(OfferingConfig{
-		Seller:  regSeller(t),
-		Model:   ml.LinearRegression{Ridge: 1e-3},
-		Grid:    pricing.DefaultGrid(20),
-		Samples: 100,
-		Seed:    7,
+		Seller: regSeller(t),
+		Model:  ml.LinearRegression{Ridge: 1e-3},
+		Grid:   pricing.DefaultGrid(20),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -114,7 +113,7 @@ func TestListAndMenu(t *testing.T) {
 	// Duplicate listing rejected.
 	if _, err := b.List(OfferingConfig{
 		Seller: regSeller(t), Model: ml.LinearRegression{Ridge: 1e-3},
-		Grid: pricing.DefaultGrid(20), Samples: 100, Seed: 7,
+		Grid: pricing.DefaultGrid(20),
 	}); err == nil {
 		t.Fatal("duplicate listing accepted")
 	}
@@ -158,11 +157,9 @@ func TestOfferingPipeline(t *testing.T) {
 func TestClassificationOfferingSupportsZeroOne(t *testing.T) {
 	b := NewBroker(4)
 	o, err := b.List(OfferingConfig{
-		Seller:  clsSeller(t),
-		Model:   ml.LogisticRegression{Ridge: 1e-4},
-		Grid:    pricing.DefaultGrid(10),
-		Samples: 60,
-		Seed:    8,
+		Seller: clsSeller(t),
+		Model:  ml.LogisticRegression{Ridge: 1e-4},
+		Grid:   pricing.DefaultGrid(10),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -184,84 +181,50 @@ func TestClassificationOfferingSupportsZeroOne(t *testing.T) {
 // plainLoss hides a loss's closed-form expectation, leaving only ml.Loss.
 type plainLoss struct{ ml.Loss }
 
+// plainModel trains under a loss without a closed-form expectation.
+type plainModel struct{ ml.LogisticRegression }
+
+func (m plainModel) TrainLoss() ml.Loss { return plainLoss{m.LogisticRegression.TrainLoss()} }
+
 func TestListPicksTheErrorTransform(t *testing.T) {
-	// The Gaussian mechanism's curves are the exact expectations; another
-	// mechanism, or a loss without a closed form, keeps the Monte-Carlo
-	// estimate with one seed per loss in listing order.
+	// Every curve is the exact expectation under the Gaussian mechanism
+	// the offering sells through; a default or extra loss without a
+	// closed form is refused at listing, naming the loss.
 	seller, grid := clsSeller(t), pricing.DefaultGrid(8)
 	hinge := ml.HingeLoss{Reg: 1e-4}
-	list := func(mech noise.Mechanism, extra ml.Loss) *Offering {
-		t.Helper()
-		o, err := NewBroker(20).List(OfferingConfig{
-			Seller: seller, Model: ml.LogisticRegression{Ridge: 1e-4}, Mechanism: mech,
-			Grid: grid, Samples: 30, Seed: 21, ExtraLosses: []ml.Loss{extra},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return o
-	}
-	same := func(label string, got, want *pricing.ErrorCurve) {
-		t.Helper()
-		for i := range want.Errs {
-			if math.Float64bits(got.Errs[i]) != math.Float64bits(want.Errs[i]) {
-				t.Fatalf("%s %s curve at x=%v: %v, want %v", label, want.LossName, want.Xs[i], got.Errs[i], want.Errs[i])
-			}
-		}
-	}
-	losses := []ml.ExpectedLoss{ml.LogisticLoss{Reg: 1e-4}, ml.ZeroOneLoss{}, hinge}
-	gauss := list(nil, hinge)
-	for k, ec := range gauss.ErrorCurves() {
-		want, err := pricing.GaussianTransform(gauss.Optimal, losses[k], seller.Pair.Test, grid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		same("gaussian", ec, want)
-	}
-	for _, c := range []struct {
-		label string
-		o     *Offering
-		mech  noise.Mechanism
-		mc    []int // indexes of the Monte-Carlo curves
-	}{
-		{"laplace", list(noise.Laplace{}, hinge), noise.Laplace{}, []int{0, 1, 2}},
-		{"gaussian without a closed form", list(nil, plainLoss{hinge}), noise.Gaussian{}, []int{2}},
-	} {
-		curves := c.o.ErrorCurves()
-		for _, k := range c.mc {
-			want, err := pricing.MonteCarloTransform(pricing.TransformConfig{
-				Optimal: c.o.Optimal, Loss: losses[k], Data: seller.Pair.Test, Mechanism: c.mech,
-				Xs: grid, Samples: 30, Seed: 21 + int64(k),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			same(c.label, curves[k], want)
-		}
-	}
-}
-
-func TestAutoSelectModel(t *testing.T) {
-	b := NewBroker(18)
-	o, err := b.List(OfferingConfig{
-		Seller:     clsSeller(t),
-		AutoSelect: true,
-		Grid:       pricing.DefaultGrid(8),
-		Samples:    40,
-		Seed:       19,
-	})
+	cfg := OfferingConfig{Seller: seller, Model: ml.LogisticRegression{Ridge: 1e-4}, Grid: grid, ExtraLosses: []ml.Loss{hinge}}
+	o, err := NewBroker(20).List(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Model == nil || o.Model.Task() != dataset.Classification {
-		t.Fatalf("selected model %v", o.Model)
+	if o.Mechanism != (noise.Gaussian{}) {
+		t.Fatalf("offering sells through %s, want gaussian", o.Mechanism.Name())
 	}
-	if err := o.VerifySLA(); err != nil {
-		t.Fatal(err)
+	losses := []ml.ExpectedLoss{ml.LogisticLoss{Reg: 1e-4}, ml.ZeroOneLoss{}, hinge}
+	for k, got := range o.ErrorCurves() {
+		want, err := pricing.GaussianTransform(o.Optimal, losses[k], seller.Pair.Test, grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.Errs {
+			if math.Float64bits(got.Errs[i]) != math.Float64bits(want.Errs[i]) {
+				t.Fatalf("%s curve at x=%v: %v, want %v", want.LossName, want.Xs[i], got.Errs[i], want.Errs[i])
+			}
+		}
 	}
-	// Without AutoSelect, a nil model is still an error.
-	if _, err := b.List(OfferingConfig{Seller: regSeller(t)}); err == nil {
-		t.Fatal("nil model without AutoSelect accepted")
+
+	for _, c := range []struct {
+		name, loss string
+		edit       func(c *OfferingConfig)
+	}{
+		{"extra", "hinge", func(c *OfferingConfig) { c.ExtraLosses = []ml.Loss{plainLoss{hinge}} }},
+		{"default", "logistic", func(c *OfferingConfig) { c.Model = plainModel{ml.LogisticRegression{Ridge: 1e-4}} }},
+	} {
+		bad := cfg
+		c.edit(&bad)
+		if _, err := NewBroker(20).List(bad); err == nil || !strings.Contains(err.Error(), "loss "+c.loss+" ") {
+			t.Errorf("%s loss without a closed form: got %v, want a refusal naming %s", c.name, err, c.loss)
+		}
 	}
 }
 
@@ -271,7 +234,7 @@ func TestAutoSelectModel(t *testing.T) {
 // non-finite weight or for a model of the other task is refused.
 func TestListWithStoredOptimal(t *testing.T) {
 	seller := clsSeller(t)
-	cfg := OfferingConfig{Seller: seller, Model: ml.LogisticRegression{Ridge: 1e-4}, Grid: pricing.DefaultGrid(8), Seed: 19}
+	cfg := OfferingConfig{Seller: seller, Model: ml.LogisticRegression{Ridge: 1e-4}, Grid: pricing.DefaultGrid(8)}
 	o, err := NewBroker(18).List(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -297,7 +260,7 @@ func TestListWithStoredOptimal(t *testing.T) {
 	nonFinite[1] = math.Inf(1)
 	for name, edit := range map[string]func(c *OfferingConfig){
 		"no curves":    func(c *OfferingConfig) { c.Curves = nil },
-		"no model":     func(c *OfferingConfig) { c.Model, c.AutoSelect = nil, true },
+		"no model":     func(c *OfferingConfig) { c.Model = nil },
 		"short":        func(c *OfferingConfig) { c.Optimal = o.Optimal[1:] },
 		"empty":        func(c *OfferingConfig) { c.Optimal = []float64{} },
 		"non-finite":   func(c *OfferingConfig) { c.Optimal = nonFinite },
@@ -317,8 +280,6 @@ func TestExtraLossesAndStrategy(t *testing.T) {
 		Seller:      regSeller(t),
 		Model:       ml.LinearRegression{Ridge: 1e-3},
 		Grid:        pricing.DefaultGrid(12),
-		Samples:     60,
-		Seed:        15,
 		ExtraLosses: []ml.Loss{ml.SquaredLoss{Reg: 0.5}},
 		Strategy:    opt.OptC,
 	})
@@ -336,8 +297,6 @@ func TestExtraLossesAndStrategy(t *testing.T) {
 		Seller:      clsSeller(t),
 		Model:       ml.LogisticRegression{Ridge: 1e-4},
 		Grid:        pricing.DefaultGrid(8),
-		Samples:     40,
-		Seed:        17,
 		ExtraLosses: []ml.Loss{ml.HingeLoss{Reg: 1e-4}},
 	})
 	if err != nil {
@@ -619,6 +578,36 @@ func TestBrokerTelemetry(t *testing.T) {
 	}
 	if h, ok := snap.HistogramValue("nimbus_noise_draw_seconds"); !ok || h.Count != 1 {
 		t.Fatalf("noise histogram %+v ok=%v", h, ok)
+	}
+}
+
+// TestBuyRefusesNonFiniteValues feeds NaN and ±Inf to each purchase
+// option: every one is refused before the curve is read, under reject
+// reason "invalid", and the books stay empty.
+func TestBuyRefusesNonFiniteValues(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	b := NewBroker(9)
+	b.SetTelemetry(reg)
+	o := listRegression(t, b)
+	buys := map[string]func(offering, loss string, v float64) (*Purchase, error){
+		"quality":      b.BuyAtQuality,
+		"error-budget": b.BuyWithErrorBudget,
+		"price-budget": b.BuyWithPriceBudget,
+	}
+	values := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	for option, buy := range buys {
+		for _, v := range values {
+			if p, err := buy(o.Name, "squared", v); err == nil || !strings.Contains(err.Error(), "not finite") {
+				t.Errorf("%s %v: got %+v, %v; want a non-finite refusal", option, v, p, err)
+			}
+		}
+	}
+	if n := b.SaleCount(); n != 0 {
+		t.Fatalf("books hold %d sales after non-finite purchases", n)
+	}
+	want := float64(len(buys) * len(values))
+	if got := reg.Snapshot().CounterValue("nimbus_purchase_rejects_total", "reason", "invalid"); got != want {
+		t.Fatalf("invalid rejects %v, want %v", got, want)
 	}
 }
 

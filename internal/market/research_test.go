@@ -107,11 +107,9 @@ func TestResearchFromSamplesDrivesOffering(t *testing.T) {
 	seller.Research = research
 	b := NewBroker(91)
 	o, err := b.List(OfferingConfig{
-		Seller:  seller,
-		Model:   ml.LinearRegression{Ridge: 1e-3},
-		Grid:    pricing.DefaultGrid(20),
-		Samples: 60,
-		Seed:    92,
+		Seller: seller,
+		Model:  ml.LinearRegression{Ridge: 1e-3},
+		Grid:   pricing.DefaultGrid(20),
 	})
 	if err != nil {
 		t.Fatal(err)

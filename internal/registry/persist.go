@@ -11,7 +11,6 @@ import (
 
 	"nimbus/internal/journal"
 	"nimbus/internal/market"
-	"nimbus/internal/ml"
 	"nimbus/internal/par"
 	"nimbus/internal/pricing"
 )
@@ -82,31 +81,10 @@ type terms struct {
 	candidate *int
 }
 
-// termsOf captures the terms a listed offering sells on.
-func termsOf(spec Spec, o *market.Offering) (terms, error) {
-	t := terms{curves: o.ErrorCurves(), optimal: o.Optimal}
-	if spec.Model == "auto" {
-		for i, c := range ml.DefaultCandidates(o.Pair.Train.Task) {
-			if c == o.Model {
-				t.candidate = &i
-				break
-			}
-		}
-		if t.candidate == nil {
-			return terms{}, fmt.Errorf("registry: market %s: selected model %s is not a default candidate", spec.ID, o.Model.Name())
-		}
-	}
-	return t, nil
-}
-
-// writeManifest persists the normalized spec and the terms the listed
-// offering sells on atomically (temp file, fsync, rename) so a crash
-// mid-write leaves the old manifest or the new one.
-func writeManifest(dir string, spec Spec, o *market.Offering) error {
-	t, err := termsOf(spec, o)
-	if err != nil {
-		return err
-	}
+// writeManifest persists the normalized spec and the terms its offering
+// sells on atomically (temp file, fsync, rename) so a crash mid-write
+// leaves the old manifest or the new one.
+func writeManifest(dir string, spec Spec, t terms) error {
 	m := manifest{Spec: spec, Curves: make([]storedCurve, len(t.curves)), Optimal: t.optimal, Candidate: t.candidate}
 	for i, c := range t.curves {
 		m.Curves[i] = storedCurve{Loss: c.LossName, Xs: c.Xs, Errs: c.Errs}
@@ -141,6 +119,9 @@ func readManifest(dir string) (Spec, terms, error) {
 	if m.Candidate != nil && spec.Model != "auto" {
 		return Spec{}, terms{}, fmt.Errorf("registry: %s: a selected model stored for a spec that selects none (model %q)", path, spec.Model)
 	}
+	if m.Optimal != nil && m.Candidate == nil && spec.Model == "auto" {
+		return Spec{}, terms{}, fmt.Errorf("registry: %s: a stored h* without the model selection chose", path)
+	}
 	t := terms{optimal: m.Optimal, candidate: m.Candidate}
 	for _, sc := range m.Curves {
 		c, err := pricing.RestoreCurve(sc.Loss, sc.Xs, sc.Errs)
@@ -154,7 +135,7 @@ func readManifest(dir string) (Spec, terms, error) {
 
 // persistTenant creates the tenant directory and writes the manifest plus,
 // for CSV sources, the raw dataset bytes.
-func persistTenant(root string, spec Spec, o *market.Offering, csvData []byte) error {
+func persistTenant(root string, spec Spec, t terms, csvData []byte) error {
 	dir := tenantDir(root, spec.ID)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("registry: creating %s: %w", dir, err)
@@ -168,7 +149,7 @@ func persistTenant(root string, spec Spec, o *market.Offering, csvData []byte) e
 			return err
 		}
 	}
-	return writeManifest(dir, spec, o)
+	return writeManifest(dir, spec, t)
 }
 
 // removeTenantDir erases a half-created tenant directory after a failed
@@ -294,12 +275,12 @@ func (r *Registry) recoverTenant(id string) (*Market, error) {
 			return nil, err
 		}
 	}
-	b, o, err := buildBroker(spec, csvData, r.cfg.Commission, stored)
+	b, listed, err := buildBroker(spec, csvData, r.cfg.Commission, stored)
 	if err != nil {
 		return nil, err
 	}
 	if stored.optimal == nil {
-		if err := writeManifest(dir, spec, o); err != nil {
+		if err := writeManifest(dir, spec, listed); err != nil {
 			return nil, err
 		}
 	}

@@ -16,6 +16,7 @@ import (
 	"nimbus/internal/market"
 	"nimbus/internal/ml"
 	"nimbus/internal/pricing"
+	"nimbus/internal/rng"
 	"nimbus/internal/telemetry"
 )
 
@@ -386,6 +387,54 @@ func TestManifestWithoutOptimalRecoversAndIsUpgraded(t *testing.T) {
 		}
 		if !bytes.Equal(now, data) {
 			t.Fatalf("%s: Open rewrote a manifest that stores h*", id)
+		}
+	}
+}
+
+// TestAutoSelectModel checks that an "auto" tenant lists the winner of
+// ml.SelectModel over ml.DefaultCandidates (3 folds, the task's reporting
+// loss, seeded from the spec) and that its manifest records the index of
+// that candidate.
+func TestAutoSelectModel(t *testing.T) {
+	root := t.TempDir()
+	r, err := Open(Config{Root: root, Commission: 0.1, Sync: journal.SyncInterval, SyncEvery: time.Hour, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	for _, l := range curveTenants() {
+		if l.spec.Model != "auto" {
+			continue
+		}
+		m, err := r.List(l.spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := buildDataset(m.Spec, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pair, err := dataset.NewPair(d, rng.New(m.Spec.Seed+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var loss ml.Loss = ml.ZeroOneLoss{}
+		if pair.Train.Task == dataset.Regression {
+			loss = ml.SquaredLoss{}
+		}
+		candidates := ml.DefaultCandidates(pair.Train.Task)
+		best, _, err := ml.SelectModel(pair.Train, candidates, loss, 3, rng.New(m.Spec.Seed+3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := servedBy(t, m).model; got != best {
+			t.Errorf("%s lists %#v, selection picks %#v", m.ID, got, best)
+		}
+		switch i := readRawManifest(t, root, m.ID).Candidate; {
+		case i == nil:
+			t.Errorf("%s: manifest records no candidate", m.ID)
+		case candidates[*i] != best:
+			t.Errorf("%s: manifest records candidate %d, selection picks %#v", m.ID, *i, best)
 		}
 	}
 }

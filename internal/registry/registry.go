@@ -189,7 +189,7 @@ func (r *Registry) unreserve(id string) {
 // build runs the expensive part of List: train and price the offering,
 // persist the tenant directory, open its journal.
 func (r *Registry) build(spec Spec, csvData []byte) (*Market, error) {
-	b, o, err := buildBroker(spec, csvData, r.cfg.Commission, terms{})
+	b, listed, err := buildBroker(spec, csvData, r.cfg.Commission, terms{})
 	if err != nil {
 		return nil, err
 	}
@@ -198,7 +198,7 @@ func (r *Registry) build(spec Spec, csvData []byte) (*Market, error) {
 	}
 	var jnl *journal.Journal
 	if r.cfg.Root != "" {
-		if err := persistTenant(r.cfg.Root, spec, o, csvData); err != nil {
+		if err := persistTenant(r.cfg.Root, spec, listed, csvData); err != nil {
 			return nil, err
 		}
 		jnl, err = r.openTenantJournal(b, tenantDir(r.cfg.Root, spec.ID))

@@ -3,6 +3,7 @@ package registry
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"nimbus/internal/dataset"
 	"nimbus/internal/market"
@@ -49,11 +50,10 @@ type Spec struct {
 	Model string `json:"model,omitempty"`
 	// Grid is the offered quality-grid size (default 20).
 	Grid int `json:"grid,omitempty"`
-	// Samples is the Monte-Carlo sample count per grid point (default 60),
-	// for Monte-Carlo mechanisms only. Registry markets sell through the
-	// Gaussian mechanism, whose error curves are exact, so it has no effect
-	// on them; the field stays so that stored manifests and requests that
-	// carry it still decode.
+	// Samples is a Monte-Carlo sample count per grid point (default 60).
+	// Nothing reads it: every market sells through the Gaussian mechanism,
+	// whose error curves are exact. The field stays so that stored
+	// manifests and requests that carry it still decode.
 	Samples int `json:"samples,omitempty"`
 	// Seed drives the dataset generation, the split, model selection and
 	// the sale noise.
@@ -187,19 +187,22 @@ func buildDataset(spec Spec, csvData []byte) (*dataset.Dataset, error) {
 }
 
 // buildBroker runs the listing pipeline for the spec on a fresh broker:
-// generate/parse the dataset, split it, train, transform, optimize
-// prices, and list the offering. This is the slow part of List — the
-// registry runs it outside its lock. The stored terms of an offering that
-// served before a restart replace what they hold: curves the transform,
-// h* the fit, and the selected candidate model selection.
-func buildBroker(spec Spec, csvData []byte, commission float64, stored terms) (*market.Broker, *market.Offering, error) {
+// generate/parse the dataset, split it, pick the model, train, transform,
+// optimize prices, and list the offering. This is the slow part of List —
+// the registry runs it outside its lock. An "auto" spec lists the
+// ml.DefaultCandidates entry that 3-fold cross-validation picks, under
+// the task's reporting loss. The stored terms of an offering that served
+// before a restart replace what they hold: curves the transform, h* the
+// fit, and the selected candidate model selection. It returns the terms
+// the offering sells on, which the manifest records.
+func buildBroker(spec Spec, csvData []byte, commission float64, stored terms) (*market.Broker, terms, error) {
 	d, err := buildDataset(spec, csvData)
 	if err != nil {
-		return nil, nil, err
+		return nil, terms{}, err
 	}
 	pair, err := dataset.NewPair(d, rng.New(spec.Seed+1))
 	if err != nil {
-		return nil, nil, fmt.Errorf("registry: market %s: %w", spec.ID, err)
+		return nil, terms{}, fmt.Errorf("registry: market %s: %w", spec.ID, err)
 	}
 	scale := spec.ValueScale
 	seller, err := market.NewSeller(pair, market.Research{
@@ -207,27 +210,33 @@ func buildBroker(spec Spec, csvData []byte, commission float64, stored terms) (*
 		Demand: func(e float64) float64 { return 1 },
 	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("registry: market %s: %w", spec.ID, err)
+		return nil, terms{}, fmt.Errorf("registry: market %s: %w", spec.ID, err)
 	}
 	cfg := market.OfferingConfig{
 		Seller:  seller,
 		Grid:    pricing.DefaultGrid(spec.Grid),
-		Samples: spec.Samples,
-		Seed:    spec.Seed + 3,
 		Curves:  stored.curves,
 		Optimal: stored.optimal,
 	}
+	candidate := stored.candidate
 	switch spec.Model {
 	case "auto":
 		candidates := ml.DefaultCandidates(pair.Train.Task)
-		switch i := stored.candidate; {
-		case i == nil:
-			cfg.AutoSelect = true
-		case *i >= 0 && *i < len(candidates):
-			cfg.Model = candidates[*i]
-		default:
-			return nil, nil, fmt.Errorf("registry: market %s: selected model %d of %d candidates", spec.ID, *i, len(candidates))
+		if candidate == nil {
+			var loss ml.Loss = ml.ZeroOneLoss{}
+			if pair.Train.Task == dataset.Regression {
+				loss = ml.SquaredLoss{}
+			}
+			best, _, err := ml.SelectModel(pair.Train, candidates, loss, 3, rng.New(spec.Seed+3))
+			if err != nil {
+				return nil, terms{}, fmt.Errorf("registry: market %s: selecting a model: %w", spec.ID, err)
+			}
+			i := slices.Index(candidates, best)
+			candidate = &i
+		} else if *candidate < 0 || *candidate >= len(candidates) {
+			return nil, terms{}, fmt.Errorf("registry: market %s: selected model %d of %d candidates", spec.ID, *candidate, len(candidates))
 		}
+		cfg.Model = candidates[*candidate]
 	case "linear-regression":
 		cfg.Model = ml.LinearRegression{Ridge: 1e-4}
 	case "logistic-regression":
@@ -242,13 +251,13 @@ func buildBroker(spec Spec, csvData []byte, commission float64, stored terms) (*
 	}
 	b := market.NewBroker(spec.Seed + 2)
 	if err := b.SetCommission(commission); err != nil {
-		return nil, nil, fmt.Errorf("registry: market %s: %w", spec.ID, err)
+		return nil, terms{}, fmt.Errorf("registry: market %s: %w", spec.ID, err)
 	}
 	o, err := b.List(cfg)
 	if err != nil {
-		return nil, nil, fmt.Errorf("registry: listing market %s: %w", spec.ID, err)
+		return nil, terms{}, fmt.Errorf("registry: listing market %s: %w", spec.ID, err)
 	}
-	return b, o, nil
+	return b, terms{curves: o.ErrorCurves(), optimal: o.Optimal, candidate: candidate}, nil
 }
 
 // Source renders the spec's dataset source for logs and API responses:

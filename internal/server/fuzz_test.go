@@ -78,6 +78,57 @@ func FuzzBuyRequest(f *testing.F) {
 	})
 }
 
+// FuzzUIBuy posts arbitrary option and value strings to the dashboard's
+// buy form for a listed offering. Whatever they are, no response may be a
+// 500, and the tenant's sale count must rise by one exactly when the page
+// reports a sale.
+func FuzzUIBuy(f *testing.F) {
+	srv, _, _ := newMultiServer(f)
+	c := NewClient(srv.URL)
+	ctx := context.Background()
+	if _, err := c.ListDataset(ctx, cheapListRequest("acme", 7)); err != nil {
+		f.Fatal(err)
+	}
+	acme := c.Tenant("acme")
+	for _, seed := range [][2]string{
+		{"quality", "2"},
+		{"error-budget", "0.5"},
+		{"price-budget", "1e9"},
+		{"price-budget", "0"},
+		{"quality", "NaN"},
+		{"error-budget", "+Inf"},
+		{"price-budget", "-inf"},
+		{"quality", "1e400"},
+		{"quality", "0x1p-3"},
+		{"bogus", "1"},
+		{"", ""},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+
+	f.Fuzz(func(t *testing.T, option, value string) {
+		before, err := acme.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, body := postUIBuy(t, srv.URL, "acme/linear-regression", option, value)
+		if code == http.StatusInternalServerError {
+			t.Fatalf("option %q value %q: 500: %s", option, value, body)
+		}
+		after, err := acme.Stats(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := before.Sales
+		if strings.Contains(body, uiSold) {
+			want++
+		}
+		if after.Sales != want {
+			t.Fatalf("option %q value %q: status %d moved sales %d → %d, want %d", option, value, code, before.Sales, after.Sales, want)
+		}
+	})
+}
+
 // FuzzRouteLabels sends an arbitrary method and path through the full
 // stack. However the mux answers, every request series must be labelled
 // "(other)" or a pattern the Server registered (the routes table), so no

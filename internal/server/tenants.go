@@ -98,7 +98,6 @@ func (s *Server) handleListDataset(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	s.logf("nimbus: listed dataset %s (%d offerings)", m.ID, len(m.Broker.Menu()))
 	writeJSON(w, http.StatusCreated, datasetResponse(m))
 }
 
@@ -136,6 +135,5 @@ func (s *Server) handleDelistDataset(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	s.logf("nimbus: delisted dataset %s (%d sales, gross %.2f)", id, st.Sales, st.Gross)
 	writeJSON(w, http.StatusOK, st)
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"net/url"
@@ -120,5 +121,58 @@ func TestUIBuyFlow(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("ghost buy status %d", resp.StatusCode)
+	}
+}
+
+// uiSold is how the buy page reports a sale; an error message echoing
+// "sold at" renders under class "err".
+const uiSold = `<p class="ok">sold at `
+
+// postUIBuy submits the dashboard's buy form for offering under the
+// squared loss and returns the status and page.
+func postUIBuy(t *testing.T, base, offering, option, value string) (int, string) {
+	t.Helper()
+	resp, err := http.PostForm(base+"/ui/buy", url.Values{
+		"offering": {offering},
+		"loss":     {"squared"},
+		"option":   {option},
+		"value":    {value},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(body)
+}
+
+// TestUIBuyRefusesNonFiniteValue posts NaN and ±Inf, which
+// strconv.ParseFloat accepts, under every purchase option: each renders a
+// refusal, sells nothing and trips no handler panic.
+func TestUIBuyRefusesNonFiniteValue(t *testing.T) {
+	srv, r, reg := newMultiServer(t)
+	if _, err := NewClient(srv.URL).ListDataset(context.Background(), cheapListRequest("acme", 7)); err != nil {
+		t.Fatal(err)
+	}
+	for _, option := range []string{"quality", "error-budget", "price-budget"} {
+		for _, value := range []string{"NaN", "nan", "+Inf", "Inf", "-Inf", "-infinity"} {
+			code, body := postUIBuy(t, srv.URL, "acme/linear-regression", option, value)
+			if code != http.StatusOK || strings.Contains(body, uiSold) || !strings.Contains(body, "not finite") {
+				t.Errorf("%s %s: status %d, page %s", option, value, code, body[:min(300, len(body))])
+			}
+		}
+	}
+	m, err := r.Get("acme")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := m.Broker.SaleCount(); n != 0 {
+		t.Fatalf("books hold %d sales after non-finite purchases", n)
+	}
+	if got := reg.Snapshot().CounterValue("nimbus_http_panics_total"); got != 0 {
+		t.Fatalf("%v handler panics", got)
 	}
 }

@@ -24,11 +24,9 @@ func TestEndToEndMarketplace(t *testing.T) {
 	}
 	broker := NewBroker(102)
 	offering, err := broker.List(OfferingConfig{
-		Seller:  seller,
-		Model:   LinearRegression{Ridge: 1e-4},
-		Grid:    DefaultGrid(12),
-		Samples: 60,
-		Seed:    103,
+		Seller: seller,
+		Model:  LinearRegression{Ridge: 1e-4},
+		Grid:   DefaultGrid(12),
 	})
 	if err != nil {
 		t.Fatal(err)
